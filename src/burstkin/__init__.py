@@ -24,15 +24,10 @@ from .continuous import (
     kernel_fixed_point,
     kernel_grid,
     kernel_matrix,
-    phi_from_density,
     phi_from_density_analytic,
     phi_from_density_grid,
-    q_inverse,
-    q_potential,
     simulate_pdmp,
     stationary_density,
-    stationary_density_exponential,
-    stationary_density_separable,
 )
 from .discrete import (
     GeneralizedHypergeometricFamily,
@@ -52,7 +47,6 @@ from .discrete import (
     stationary_pmf_geometric,
 )
 from .errors import (
-    AbsorbedState,
     BurstkinError,
     ConfigError,
     DomainError,
@@ -88,7 +82,6 @@ from .models import (
     QuadraticRate,
     SeparableBurstKernel,
     TabulatedBurst,
-    TabulatedBurstKernel,
     TabulatedDecay,
     TabulatedRate,
     TruncatedLinearRate,

@@ -52,6 +52,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -519,7 +520,6 @@ def _run_simulate_discrete(cfg, model, out: Path):
     scalars = {
         "total_time": res.total_time,
         "jumps_taken": int(len(res.wait_draws)),
-        "absorbed": res.absorbed,
     }
     try:
         target = disc.stationary_pmf_general(model, res.occupancy.n_max, tail_tol=None)
@@ -717,6 +717,9 @@ def run_sweep(cfg: ExperimentConfig, spec: str) -> int:
             return {"status": "config-error", "detail": str(exc)}
         except NumericError as exc:
             return {"status": f"numeric-error:{type(exc).__name__}", "detail": str(exc)}
+        except Exception as exc:  # a defect, but the scan and its summary go on
+            traceback.print_exc()
+            return {"status": f"internal-error:{type(exc).__name__}", "detail": str(exc)}
         row = {"status": "ok", "detail": ""}
         row.update({k: v for k, v in summary.scalars.items()})
         return row

@@ -33,14 +33,12 @@ from .errors import (
 from .models import (
     ConstantRate,
     ContinuousBurstModel,
-    ExponentialBurstKernel,
     GaussianExpNu,
     HillRate,
     LinearDecay,
     LinearRate,
     PowerTailNu,
     QuadraticRate,
-    SeparableBurstKernel,
 )
 from .numerics import (
     draw_unit_exponential,
@@ -56,19 +54,14 @@ __all__ = [
     "default_grid",
     "kernel_grid",
     "Potential",
-    "q_potential",
-    "q_inverse",
     "PdmpTrajectory",
     "ExposureHistogram",
     "simulate_pdmp",
-    "stationary_density_exponential",
-    "stationary_density_separable",
     "stationary_density",
     "KernelGrid",
     "kernel_matrix",
     "kernel_fixed_point",
     "density_from_fixed_point",
-    "phi_from_density",
     "phi_from_density_grid",
     "phi_from_density_analytic",
     "ModeReportContinuous",
@@ -116,12 +109,14 @@ class GridDensity:
 
 
 def geometric_grid(x_min: float, x_max: float, n_knots: int) -> np.ndarray:
-    """Log-spaced knots from x_min to x_max inclusive."""
+    """Log-spaced knots from x_min to x_max inclusive, both ends exact."""
     if not (0.0 < x_min < x_max):
         raise ModelError("geometric_grid: need 0 < x_min < x_max")
     if n_knots < 3:
         raise ModelError("geometric_grid: need at least 3 knots")
-    return np.exp(np.linspace(math.log(x_min), math.log(x_max), n_knots))
+    grid = np.exp(np.linspace(math.log(x_min), math.log(x_max), n_knots))
+    grid[0], grid[-1] = x_min, x_max  # exp(log(x)) may round off x
+    return grid
 
 
 def default_grid(
@@ -133,17 +128,19 @@ def default_grid(
 ) -> np.ndarray:
     """Model-aware log grid.
 
-    The lower end sits at 1e-6 of the natural scale; the upper end is
-    pushed out until the burst tail from a typical state drops below
-    1e-12, then capped at the kernel support when that is finite.
+    The lower end sits at 1e-6 of the natural scale, a typical state
+    kept within the kernel support; the upper end is pushed out until the
+    burst tail from that state drops below 1e-12, then capped at the
+    kernel support when that is finite.
     """
     burst = model.burst_size
     gamma = model.decay.rate
+    cap = burst.support_cap
     rate_scale = float(model.burst_rate.value(1.0))
-    m1 = float(np.max(np.atleast_1d(burst.mean_burst(1.0))))
+    m1 = float(burst.mean_burst(1.0))
     if not math.isfinite(m1):
         m1 = 1.0
-    scale = max(m1 * max(rate_scale, gamma) / gamma, 1e-3)
+    scale = min(max(m1 * max(rate_scale, gamma) / gamma, 1e-3), cap)
     lo = x_min if x_min is not None else 1e-6 * scale
     if x_max is not None:
         hi = x_max
@@ -154,9 +151,7 @@ def default_grid(
                 break
             hi *= 1.5
         hi *= 1.25
-    cap = burst.support_cap
-    if math.isfinite(cap):
-        hi = min(hi, cap)
+    hi = min(hi, cap)
     if not lo < hi:
         lo = hi * 1e-9
     return geometric_grid(lo, hi, n_knots)
@@ -183,7 +178,7 @@ def kernel_grid(
     gamma = model.decay.rate
     hi = default_grid(model, 8)[-1]
     for _ in range(200):
-        m1 = float(np.max(np.atleast_1d(burst.mean_burst(hi))))
+        m1 = float(burst.mean_burst(hi))
         leak = float(model.burst_rate.value(hi)) * m1 / (gamma * hi)
         if leak < leak_tol:
             break
@@ -352,16 +347,6 @@ class Potential:
             tol=1e-13 * max(1.0, abs(target)), fprime=self.slope))
 
 
-def q_potential(model: ContinuousBurstModel, x, x_ref: float = 1.0):
-    """Hazard potential at x, anchored so that Q(x_ref) = 0."""
-    return Potential(model, x_ref).value(x)
-
-
-def q_inverse(potential: Potential, r: float) -> float:
-    """Generalized inverse of the hazard potential."""
-    return potential.inverse(r)
-
-
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
@@ -411,7 +396,6 @@ class PdmpTrajectory:
     wait_draws: np.ndarray   # unit exponentials driving the jump clocks
     burst_draws: np.ndarray  # jump sizes
     histogram: ExposureHistogram
-    no_further_jumps: bool
 
 
 def simulate_pdmp(
@@ -495,9 +479,7 @@ def simulate_pdmp(
             raise NumericalBlowup(f"state left (0, inf) at jump {k}")
 
     hist = ExposureHistogram(edges, exposure, below, above, t)
-    # the origin is inaccessible for every admissible model (the hazard
-    # integral diverges there), so the jump budget is always spent
-    return PdmpTrajectory(times, y_pre, y_post, waits, bursts, hist, False)
+    return PdmpTrajectory(times, y_pre, y_post, waits, bursts, hist)
 
 
 # ---------------------------------------------------------------------------
@@ -519,20 +501,7 @@ def _rate_at_infinity(rate) -> float:
     raise ModelError(f"unsupported rate form {type(rate).__name__}")
 
 
-def _screen_exponential(model: ContinuousBurstModel, b: float) -> None:
-    """Reject rate laws whose tail provably outruns the e^{-x/b} factor."""
-    r = model.burst_rate
-    gamma = model.decay.rate
-    if isinstance(r, QuadraticRate) and r.quad > 0.0:
-        raise NotIntegrable("quadratic rate with exponential bursts has no "
-                            "normalizable density")
-    slope = getattr(r, "slope", 0.0)
-    if slope > 0.0 and slope / gamma >= 1.0 / b:
-        raise NotIntegrable(f"rate slope {slope} outruns the burst tail: "
-                            f"needs slope/decay < 1/b = {1.0 / b:.6g}")
-
-
-def _screen_separable(model: ContinuousBurstModel, nu) -> None:
+def _screen(model: ContinuousBurstModel, nu) -> None:
     """Reject kernel/rate pairings that provably fail the tail balance.
 
     For a power tail the requirement is the strict mean-drift version
@@ -575,61 +544,27 @@ def _check_integrable(f: Callable[[np.ndarray], np.ndarray], probe: float) -> fl
     return total
 
 
-def stationary_density_exponential(
+def stationary_density(
     model: ContinuousBurstModel,
     grid: np.ndarray | None = None,
     *,
     x_ref: float = 1.0,
     n_knots: int = 1024,
 ) -> GridDensity:
-    """Stationary density for exponential bursts:
-    u(x) = exp(-x/b - Q(x)) / (c * decay(x)), c the normalization.
+    """Stationary density u(x) = nu(x) e^{-Q(x)} / (c decay(x)), c the normalization.
+
+    The exponential weight is formed as exp(ln nu(x) - Q(x)), so neither
+    factor overflows or underflows on its own.
     """
-    burst = model.burst_size
-    if not isinstance(burst, ExponentialBurstKernel):
-        raise ModelError("stationary_density_exponential needs exponential bursts")
-    _screen_exponential(model, burst.b)
-    pot = Potential(model, x_ref)
-    gamma = model.decay.rate
-
-    def raw(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.exp(-x / burst.b - pot.value(x)) / (gamma * x)
-        return out
-
-    if grid is None:
-        grid = default_grid(model, n_knots)
-    probe = float(grid[len(grid) // 2])
-    c = _check_integrable(raw, probe)
-    values = raw(grid)
-    if not np.all(np.isfinite(values)):
-        raise NumericalBlowup("density overflowed on the grid; shrink the span")
-    mass = trapezoid(values, grid)
-    return GridDensity(grid, values / mass, c)
-
-
-def stationary_density_separable(
-    model: ContinuousBurstModel,
-    grid: np.ndarray | None = None,
-    *,
-    x_ref: float = 1.0,
-    n_knots: int = 1024,
-) -> GridDensity:
-    """Stationary density for separable bursts: u(x) = nu(x) e^{-Q(x)} / (c decay(x))."""
-    burst = model.burst_size
-    if not isinstance(burst, SeparableBurstKernel):
-        raise ModelError("stationary_density_separable needs a separable kernel")
-    nu = burst.nu
-    _screen_separable(model, nu)
+    nu = model.burst_size.nu
+    _screen(model, nu)
     gamma = model.decay.rate
     pot = Potential(model, x_ref)
 
     def raw(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = nu.value(x) * np.exp(-pot.value(x)) / (gamma * x)
-        return np.where(np.isfinite(out), out, 0.0)
+            return np.exp(nu.log_value(x) - pot.value(x)) / (gamma * x)
 
     if grid is None:
         grid = default_grid(model, n_knots)
@@ -644,23 +579,10 @@ def stationary_density_separable(
         probe = float(grid[len(grid) // 2])
         c = _check_integrable(raw, probe)
     values = raw(grid)
+    if not np.all(np.isfinite(values)):
+        raise NumericalBlowup("density overflowed on the grid; shrink the span")
     mass = trapezoid(values, grid)
     return GridDensity(grid, values / mass, c)
-
-
-def stationary_density(
-    model: ContinuousBurstModel,
-    grid: np.ndarray | None = None,
-    *,
-    x_ref: float = 1.0,
-    n_knots: int = 1024,
-) -> GridDensity:
-    """Dispatch to the analytic stationary density for the model's kernel."""
-    if isinstance(model.burst_size, ExponentialBurstKernel):
-        return stationary_density_exponential(model, grid, x_ref=x_ref, n_knots=n_knots)
-    if isinstance(model.burst_size, SeparableBurstKernel):
-        return stationary_density_separable(model, grid, x_ref=x_ref, n_knots=n_knots)
-    raise ModelError("no analytic stationary density for this kernel form")
 
 
 # ---------------------------------------------------------------------------
@@ -718,38 +640,23 @@ def kernel_matrix(
         raise ModelError("kernel_matrix: need an increasing grid with >= 8 knots")
     if grid[0] <= 0.0:
         raise ModelError("kernel_matrix: grid must be strictly positive")
-    burst = model.burst_size
+    nu = model.burst_size.nu
     gamma = model.decay.rate
     pot = Potential(model, x_ref)
     q = pot.value(grid)
+    cap = nu.support_cap
+    if math.isfinite(cap) and grid[-1] >= cap:
+        raise ModelError(f"kernel_matrix: grid must stay below the support cap {cap}")
+    ln_a = nu.log_value(grid) + np.log(nu.log_slope(grid))
 
-    if isinstance(burst, ExponentialBurstKernel):
-        b = burst.b
-        ln_a = -grid / b - math.log(b)
-
-        def ln_w(z):
-            # ln of e^{z/b} * rate(z) / decay(z)
-            return z / b + np.log(model.burst_rate.value(z)) - np.log(gamma * z)
-    elif isinstance(burst, SeparableBurstKernel):
-        nu = burst.nu
-        cap = nu.support_cap
-        if math.isfinite(cap) and grid[-1] >= cap:
-            raise ModelError(f"kernel_matrix: grid must stay below the support cap {cap}")
-        ln_a = np.asarray(nu.log_value(grid), dtype=float) \
-            + np.log(np.asarray(nu.log_slope(grid), dtype=float))
-
-        def ln_w(z):
-            # ln of rate(z) / (decay(z) * nu(z))
-            return (np.log(model.burst_rate.value(z)) - np.log(gamma * z)
-                    - np.asarray(nu.log_value(z), dtype=float))
-    else:
-        raise ModelError("kernel_matrix supports exponential and separable kernels")
+    def ln_w(z):
+        # ln of rate(z) / (decay(z) * nu(z))
+        return -nu.log_value(z) + np.log(model.burst_rate.value(z)) - np.log(gamma * z)
 
     # ln S_abs[j] = ln of the integral of w(z) e^{-Q(z)} over (0, x_j],
     # accumulated with exponential-fitted panels on geometric substeps
     n = len(grid)
     m = max(int(_substeps), 1)
-    cap = burst.support_cap
     if math.isfinite(cap):
         # the integrand has a power singularity at the cap, so substep
         # nodes go geometrically in the remaining gap cap - z; the count
@@ -876,15 +783,6 @@ def density_from_fixed_point(
 # rate recovery from a stationary density
 # ---------------------------------------------------------------------------
 
-def _overshoot_hazard(burst) -> Callable[[np.ndarray], np.ndarray]:
-    """The kernel's tail hazard at the landing point: 1/b for exponential bursts."""
-    if isinstance(burst, ExponentialBurstKernel):
-        return lambda x: np.full(np.shape(x), 1.0 / burst.b)
-    if isinstance(burst, SeparableBurstKernel):
-        return lambda x: np.asarray(burst.nu.log_slope(x), dtype=float)
-    raise ModelError("rate recovery needs an exponential or separable kernel")
-
-
 def phi_from_density_grid(
     decay: LinearDecay,
     burst,
@@ -903,7 +801,6 @@ def phi_from_density_grid(
     u > floor * max(u); endpoints drop out.  Returns the evaluation
     points and the rate estimate there.
     """
-    hazard = _overshoot_hazard(burst)
     grid = density.grid
     u = density.values
     keep = u > max(floor * float(np.max(u)), 1e-300)
@@ -917,7 +814,7 @@ def phi_from_density_grid(
     num = h1 * h1 * g[2:] - h2 * h2 * g[:-2] - (h1 * h1 - h2 * h2) * g[1:-1]
     dg = num / (h1 * h2 * (h1 + h2))
     xc = x[1:-1]
-    rate = decay.value(xc) * (np.asarray(hazard(xc), dtype=float) + dg)
+    rate = decay.value(xc) * (burst.nu.log_slope(xc) + dg)
     return xc, rate
 
 
@@ -932,27 +829,13 @@ def phi_from_density_analytic(
 
         rate(x) = hazard(x) decay(x) + decay'(x) + decay(x) u'(x)/u(x).
     """
-    hazard = _overshoot_hazard(burst)
     x = np.asarray(x, dtype=float)
     ux = np.asarray(u(x), dtype=float)
     if np.any(ux <= 0.0):
         raise NumericalBlowup("density must be positive on the evaluation points")
     dux = np.asarray(u_prime(x), dtype=float)
-    return (np.asarray(hazard(x), dtype=float) * decay.value(x)
+    return (burst.nu.log_slope(x) * decay.value(x)
             + decay.derivative(x) + decay.value(x) * dux / ux)
-
-
-def phi_from_density(decay: LinearDecay, burst, density, u_prime=None, x=None):
-    """Dispatch between the gridded and the analytic recovery path.
-
-    A GridDensity goes through finite differences; a callable density
-    needs its derivative and evaluation points alongside.
-    """
-    if isinstance(density, GridDensity):
-        return phi_from_density_grid(decay, burst, density)
-    if u_prime is None or x is None:
-        raise ModelError("phi_from_density: callable densities need u_prime and x")
-    return phi_from_density_analytic(decay, burst, density, u_prime, x)
 
 
 # ---------------------------------------------------------------------------
@@ -985,12 +868,12 @@ def count_modes_continuous(
     decisively negative; a window that ends while f is still positive
     raises WindowTooSmall, since a crossing may sit beyond it.
     """
-    hazard = _overshoot_hazard(model.burst_size)
+    hazard = model.burst_size.nu.log_slope
 
     def f(x):
         x = np.asarray(x, dtype=float)
         return (model.burst_rate.value(x)
-                - np.asarray(hazard(x), dtype=float) * model.decay.value(x)
+                - hazard(x) * model.decay.value(x)
                 - model.decay.derivative(x))
 
     cap = model.burst_size.support_cap

@@ -17,7 +17,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import (
-    AbsorbedState,
     ModelError,
     NotNormalizable,
     TailNotConverged,
@@ -29,6 +28,7 @@ from .models import (
     ConstantRate,
     LinearRate,
     LinearDecay,
+    TabulatedDecay,
 )
 from .numerics import (
     StepperConfig,
@@ -50,7 +50,6 @@ __all__ = [
     "master_rhs_truncated",
     "MasterTrace",
     "evolve_master",
-    "degradation_probability",
     "JumpChainResult",
     "simulate_jump_chain",
     "ModeReportDiscrete",
@@ -458,16 +457,6 @@ def evolve_master(
 # jump-chain simulation
 # ---------------------------------------------------------------------------
 
-def degradation_probability(model: DiscreteBurstModel, n: int) -> float:
-    """Chance the next event at state n is a one-unit degradation."""
-    lam = float(model.burst_rate.value(n))
-    gam = float(model.decay.value(n))
-    total = lam + gam
-    if total <= 0.0:
-        raise AbsorbedState(f"state {n} has no outgoing events")
-    return gam / total
-
-
 class _RateCache:
     """Vectorized block evaluation of the two rate laws, grown on demand."""
 
@@ -481,6 +470,9 @@ class _RateCache:
         if n < len(self.lam):
             return
         hi = max(n + 1, len(self.lam) + self.block)
+        if isinstance(self.model.decay, TabulatedDecay):
+            # prefetch no further than the table; reaching past it still raises
+            hi = max(n + 1, min(hi, len(self.model.decay.table)))
         idx = np.arange(len(self.lam), hi)
         self.lam = np.concatenate([self.lam, np.asarray(self.model.burst_rate.value(idx), float)])
         self.gam = np.concatenate([self.gam, np.asarray(self.model.decay.value(idx), float)])
@@ -496,7 +488,6 @@ class JumpChainResult:
     burst_sizes: np.ndarray    # 0 marks a degradation step
     occupancy: Pmf             # holding-time-weighted state frequencies
     total_time: float
-    absorbed: bool
 
 
 def simulate_jump_chain(
@@ -513,8 +504,8 @@ def simulate_jump_chain(
     unit exponential; it is a degradation with probability
     decay/(rate+decay), otherwise the state gains a sampled burst.  The
     occupancy estimate weights each visited state by its realized
-    holding time.  Hitting a state with no outgoing events stops the
-    run early with ``absorbed=True``.
+    holding time.  Every state has a positive total rate (rate(0) > 0
+    and decay(n) > 0 for n >= 1), so the chain always takes n_jumps.
     """
     if n0 < 0:
         raise ModelError("simulate_jump_chain: n0 must be >= 0")
@@ -531,16 +522,11 @@ def simulate_jump_chain(
     n = int(n0)
     states[0] = n
     t = 0.0
-    absorbed = False
-    k = 0
-    while k < n_jumps:
+    for k in range(n_jumps):
         cache.ensure(n)
         lam = cache.lam[n]
         gam = cache.gam[n]
         total = lam + gam
-        if total <= 0.0:
-            absorbed = True
-            break
         eps = draw_unit_exponential(rng)
         dt = eps / total
         if n >= len(occupancy):
@@ -555,20 +541,11 @@ def simulate_jump_chain(
         times[k + 1] = t
         states[k + 1] = n
         waits[k] = eps
-        k += 1
 
     hi = int(np.max(np.nonzero(occupancy)[0])) if np.any(occupancy > 0) else 0
     occ = occupancy[: hi + 1]
     occ_pmf = Pmf(occ / t if t > 0 else occ)
-    return JumpChainResult(
-        times=times[: k + 1],
-        states=states[: k + 1],
-        wait_draws=waits[:k],
-        burst_sizes=bursts[:k],
-        occupancy=occ_pmf,
-        total_time=t,
-        absorbed=absorbed,
-    )
+    return JumpChainResult(times, states, waits, bursts, occ_pmf, t)
 
 
 # ---------------------------------------------------------------------------

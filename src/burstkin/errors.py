@@ -81,7 +81,3 @@ class GridMismatch(NumericError):
 
 class WindowTooSmall(NumericError):
     """A scan window ends while the scanned function is still active."""
-
-
-class AbsorbedState(NumericError):
-    """The jump chain reached a state with zero total event rate."""

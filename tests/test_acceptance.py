@@ -25,7 +25,7 @@ from burstkin.continuous import (
     phi_from_density_analytic,
     phi_from_density_grid,
     simulate_pdmp,
-    stationary_density_exponential,
+    stationary_density,
 )
 from burstkin.discrete import (
     count_modes_discrete,
@@ -248,8 +248,8 @@ def test_acceptance_11_reference_point_invariance():
     m = gamma_law_model()
     grid = kernel_grid(m, 512)
 
-    u_a = stationary_density_exponential(m, grid, x_ref=1.0)
-    u_b = stationary_density_exponential(m, grid, x_ref=3.7)
+    u_a = stationary_density(m, grid, x_ref=1.0)
+    u_b = stationary_density(m, grid, x_ref=3.7)
     d_density = float(np.max(np.abs(u_a.values - u_b.values)))
 
     k_a = kernel_matrix(m, grid, x_ref=1.0)

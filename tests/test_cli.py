@@ -363,6 +363,26 @@ def test_sweep_numeric_error_rows(tmp_path, monkeypatch):
     assert statuses[2] == "numeric-error:NotNormalizable"
 
 
+def test_sweep_records_internal_errors(tmp_path, monkeypatch):
+    # a raw exception in one point is a defect, but the scan still writes
+    # its summary and classifies the point
+    import burstkin.cli as cli
+
+    def broken(cfg, model, out):
+        if cfg.model["rate_level"] > 1.0:
+            raise ZeroDivisionError("float division by zero")
+        return {}, []
+
+    monkeypatch.setenv("BURSTKIN_THREADS", "1")
+    monkeypatch.setitem(cli._RUNNERS, "stationary-discrete", broken)
+    cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})
+    assert run_sweep(cfg, "model.rate_level=0.5:1.5:3") == 0
+    rows = (tmp_path / "s" / "sweep_summary.csv").read_text().splitlines()[1:]
+    statuses = [line.split(",")[2] for line in rows]
+    assert statuses == ["ok", "ok", "internal-error:ZeroDivisionError"]
+    assert rows[2].split(",")[3] == "float division by zero"
+
+
 def test_sweep_integer_keys_round(tmp_path, monkeypatch):
     monkeypatch.setenv("BURSTKIN_THREADS", "1")
     cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})

@@ -17,21 +17,17 @@ from burstkin.continuous import (
     kernel_fixed_point,
     kernel_grid,
     kernel_matrix,
-    phi_from_density,
     phi_from_density_analytic,
     phi_from_density_grid,
-    q_inverse,
-    q_potential,
     simulate_pdmp,
     stationary_density,
-    stationary_density_exponential,
-    stationary_density_separable,
 )
 from burstkin.errors import (
     DomainError,
     GridTooNarrow,
     ModelError,
     NotIntegrable,
+    NumericalBlowup,
     RangeError,
     WindowTooSmall,
 )
@@ -104,6 +100,43 @@ def test_kernel_grid_respects_finite_support():
     assert g[-1] == pytest.approx(2.0, rel=1e-9)
 
 
+def test_default_grid_ends_exactly_at_a_finite_cap():
+    # exp(log(cap)) rounds above some caps; the last knot is pinned instead
+    rng = np.random.default_rng(17)
+    for cap in rng.uniform(0.1, 50.0, 300):
+        m = hill_flat_model(SeparableBurstKernel(FiniteSupportNu(float(cap), 2.0)))
+        assert default_grid(m, 64)[-1] <= cap
+    m = hill_flat_model(SeparableBurstKernel(FiniteSupportNu(11.435163917315647, 2.0)))
+    assert default_grid(m)[-1] == 11.435163917315647
+    u = stationary_density(m)
+    assert u.grid[-1] == 11.435163917315647
+
+
+def test_default_grid_scale_stays_inside_the_support():
+    # mean burst times rate puts the natural scale far past the cap
+    m = ContinuousBurstModel(ConstantRate(8.0), LinearDecay(1.0),
+                             SeparableBurstKernel(FiniteSupportNu(6.0, 0.4)))
+    g = default_grid(m)
+    assert 0.0 < g[0] < 1e-5 and g[-1] == 6.0
+    u = stationary_density(m, g)
+    ref = grid_normalized(lambda x: (6.0 - x) ** 0.4 * x ** 7, g)
+    assert np.max(np.abs(u.values - ref)) < 1e-12 * np.max(ref)
+
+
+def test_kernel_grid_gaussian_tail():
+    # the leak estimate needs the mean burst far in the tail, where
+    # nu itself underflows
+    m = ContinuousBurstModel(ConstantRate(2.0), LinearDecay(1.0),
+                             SeparableBurstKernel(GaussianExpNu(1.0, 0.5)))
+    g = kernel_grid(m, 256)
+    assert 2.0 * m.burst_size.mean_burst(g[-1]) / g[-1] < 2e-5
+    k = kernel_matrix(m, g)
+    u = density_from_fixed_point(m, kernel_fixed_point(k, tol=1e-10))
+    ref = g * np.exp(-g - 0.5 * g * g)
+    ref /= float(np.dot(k.weights, ref))
+    assert float(np.dot(k.weights, np.abs(u.values - ref))) < 1e-2
+
+
 # ---------------------------------------------------------------------------
 # the hazard potential
 # ---------------------------------------------------------------------------
@@ -166,7 +199,7 @@ def test_potential_inverse_constant_rate_closed_form():
     m = gamma_model(lam=2.0)
     pot = Potential(m, x_ref=1.0)
     assert pot.inverse(4.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
-    assert q_inverse(pot, 0.0) == 1.0
+    assert pot.inverse(0.0) == 1.0
 
 
 def test_potential_domain_and_wrappers():
@@ -175,8 +208,8 @@ def test_potential_domain_and_wrappers():
         Potential(m).value(-0.5)
     with pytest.raises(ModelError):
         Potential(m, x_ref=0.0)
-    assert q_potential(m, 1.0) == 0.0
-    assert q_potential(m, 0.25, x_ref=1.0) == pytest.approx(2.0 * math.log(4.0))
+    assert Potential(m).value(1.0) == 0.0
+    assert Potential(m, x_ref=1.0).value(0.25) == pytest.approx(2.0 * math.log(4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +224,6 @@ def test_simulate_pdmp_is_reproducible():
     assert np.array_equal(a.y_pre, b.y_pre)
     assert np.array_equal(a.times, b.times)
     assert not np.array_equal(a.y_pre, c.y_pre)
-    assert not a.no_further_jumps
 
 
 def test_simulate_pdmp_trajectory_algebra():
@@ -239,6 +271,15 @@ def test_simulate_pdmp_validation():
         simulate_pdmp(mf, 2.5, 10, seed=0)  # start outside the support
 
 
+def test_simulate_pdmp_overflowing_bursts_are_a_numeric_error():
+    # a power tail this light draws bursts past the float range within a
+    # few jumps; that is a NumericError, not a raw OverflowError
+    m = ContinuousBurstModel(ConstantRate(1.0), LinearDecay(1.0),
+                             SeparableBurstKernel(PowerTailNu(1.0, 0.02)))
+    with pytest.raises(NumericalBlowup):
+        simulate_pdmp(m, 1.0, 200, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # analytic stationary densities
 # ---------------------------------------------------------------------------
@@ -251,7 +292,7 @@ def grid_normalized(fn, grid):
 
 
 def test_density_exponential_gamma_law():
-    u = stationary_density_exponential(gamma_model(2.0, 1.0))
+    u = stationary_density(gamma_model(2.0, 1.0))
     ref = grid_normalized(lambda x: x * np.exp(-x), u.grid)
     assert np.max(np.abs(u.values - ref)) < 1e-12
     assert u.mass() == pytest.approx(1.0, abs=1e-12)
@@ -269,7 +310,7 @@ def test_density_exponential_linear_rate():
 
 def test_density_separable_finite_support():
     m = hill_flat_model(SeparableBurstKernel(FiniteSupportNu(2.0, 1.0)))
-    u = stationary_density_separable(m)
+    u = stationary_density(m)
     ref = grid_normalized(lambda x: (2.0 - x) / 2.0, u.grid)
     assert np.max(np.abs(u.values - ref)) < 1e-12
     assert u.normalization == pytest.approx(2.0, rel=1e-10)
@@ -295,14 +336,6 @@ def test_density_separable_gaussian_tail():
     u = stationary_density(m)
     ref = grid_normalized(lambda x: x * np.exp(-x - 0.5 * x * x), u.grid)
     assert np.max(np.abs(u.values - ref)) < 1e-12
-
-
-def test_density_kernel_mismatch_raises():
-    sep = hill_flat_model(SeparableBurstKernel(FiniteSupportNu(2.0, 1.0)))
-    with pytest.raises(ModelError):
-        stationary_density_exponential(sep)
-    with pytest.raises(ModelError):
-        stationary_density_separable(gamma_model())
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +470,6 @@ def test_phi_recovery_analytic_is_exact():
     x = np.linspace(0.1, 8.0, 40)
     phi = phi_from_density_analytic(m.decay, m.burst_size, u, du, x)
     assert np.max(np.abs(phi - 2.0)) < 1e-12
-    # the dispatcher reaches the same path
-    phi2 = phi_from_density(m.decay, m.burst_size, u, u_prime=du, x=x)
-    assert np.array_equal(phi, phi2)
 
 
 def test_phi_recovery_separable_kernel():
@@ -458,16 +488,10 @@ def test_phi_recovery_separable_kernel():
 
 def test_phi_recovery_from_grid():
     m = gamma_model(2.0, 1.0)
-    u = stationary_density_exponential(m, n_knots=1024)
+    u = stationary_density(m, n_knots=1024)
     x, phi = phi_from_density_grid(m.decay, m.burst_size, u)
     assert np.max(np.abs(phi - 2.0) / 2.0) < 1e-3
     assert len(x) == len(phi)
-
-
-def test_phi_recovery_dispatch_needs_derivative():
-    m = gamma_model()
-    with pytest.raises(ModelError):
-        phi_from_density(m.decay, m.burst_size, lambda x: x * np.exp(-x))
 
 
 # ---------------------------------------------------------------------------

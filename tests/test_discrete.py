@@ -10,7 +10,6 @@ from burstkin.discrete import (
     NegativeBinomialFamily,
     Pmf,
     count_modes_discrete,
-    degradation_probability,
     evolve_master,
     master_rhs_truncated,
     mean_identity_residual,
@@ -32,6 +31,8 @@ from burstkin.models import (
     LinearDecay,
     LinearRate,
     TabulatedBurst,
+    TabulatedDecay,
+    TruncatedLinearRate,
 )
 
 
@@ -241,12 +242,6 @@ def test_evolve_master_validates_inputs():
 # jump-chain simulation
 # ---------------------------------------------------------------------------
 
-def test_degradation_probability():
-    m = nb_model(1.0, 0.0, 2.0, 0.5)
-    assert degradation_probability(m, 0) == 0.0
-    assert degradation_probability(m, 3) == pytest.approx(6.0 / 7.0)
-
-
 def test_simulation_is_reproducible_and_stream_split():
     m = nb_model()
     a = simulate_jump_chain(m, 0, 2000, seed=5)
@@ -260,7 +255,6 @@ def test_simulation_is_reproducible_and_stream_split():
 def test_simulation_bookkeeping():
     m = nb_model()
     res = simulate_jump_chain(m, 0, 500, seed=1)
-    assert not res.absorbed
     assert len(res.states) == 501
     assert np.all(np.diff(res.times) > 0)
     assert np.all(res.wait_draws > 0)
@@ -277,6 +271,22 @@ def test_simulation_occupancy_tracks_stationary_law():
     ref = nb_oracle(1.0, 0.0, 1.0, 0.5, res.occupancy.n_max)
     tv = 0.5 * np.sum(np.abs(res.occupancy.values - ref)) + 0.5 * (1.0 - ref.sum())
     assert tv < 0.05
+
+
+def test_simulation_inside_a_short_decay_table():
+    # bursts fire only below n = 4 and add at most 2, so the chain never
+    # leaves the 40-state table; the stationary solver handles the same model
+    decay = TabulatedDecay((0.0,) + tuple(0.5 * n for n in range(1, 40)))
+    m = DiscreteBurstModel(TruncatedLinearRate(2.0, -0.5), decay, TabulatedBurst((0.5, 0.5)))
+    pmf = stationary_pmf_general(m, 30)
+    res = simulate_jump_chain(m, 0, 20000, seed=4)
+    assert int(np.max(res.states)) <= 5
+    n = res.occupancy.n_max
+    tv = 0.5 * float(np.sum(np.abs(res.occupancy.values - pmf.values[: n + 1])))
+    assert tv < 0.05
+    # a start past the table is still refused
+    with pytest.raises(ModelError):
+        simulate_jump_chain(m, 45, 10, seed=4)
 
 
 def test_simulation_rejects_bad_start():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, special
 
 from burstkin.errors import ModelError
 from burstkin.models import (
@@ -22,8 +24,6 @@ from burstkin.models import (
     TabulatedDecay,
     TabulatedRate,
     TruncatedLinearRate,
-    burst_mean,
-    burst_tail,
 )
 from burstkin.numerics import make_rng, quad_adaptive
 
@@ -145,8 +145,8 @@ def test_tabulated_burst():
 
 def test_burst_helpers():
     g = GeometricBurst(0.5)
-    assert burst_mean(g) == pytest.approx(2.0)
-    assert burst_tail(g, np.array([0, 1, 2]))[1] == pytest.approx(0.5)
+    assert g.mean() == pytest.approx(2.0)
+    assert g.tail(np.array([0, 1, 2]))[1] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +163,78 @@ def test_nu_internal_consistency(nu):
     cap = nu.support_cap
     xs = np.linspace(0.05, min(cap, 6.0) * 0.9, 7)
     for x in xs:
-        # derivative matches a central difference
-        assert nu.derivative(x) == pytest.approx(_fd(nu.value, x), rel=1e-5, abs=1e-8)
-        # log_slope = -nu'/nu
-        assert nu.log_slope(x) == pytest.approx(-nu.derivative(x) / nu.value(x), rel=1e-12)
+        # log_slope = -nu'/nu, nu' by a central difference
+        assert nu.log_slope(x) == pytest.approx(-_fd(nu.value, x) / nu.value(x), rel=1e-5)
         # log_value = ln(nu)
         assert nu.log_value(x) == pytest.approx(math.log(nu.value(x)), rel=1e-12)
-        # inverse round-trips
-        assert nu.inverse(nu.value(x)) == pytest.approx(x, rel=1e-9, abs=1e-9)
-    # integral_from agrees with quadrature
+        # log_tail is the ratio nu(y + x)/nu(y)
+        assert nu.log_tail(x, 0.05) == pytest.approx(
+            math.log(nu.value(0.05 + x) / nu.value(0.05)), rel=1e-12, abs=1e-14)
+        # the overshoot drawn for the unit exponential t leaves tail e^{-t}
+        y = 0.3 * x
+        t = 0.7
+        assert nu.log_tail(nu.draw_overshoot(t, y), y) == pytest.approx(-t, rel=1e-12)
+    # the mean overshoot is the integral of nu past y over nu(y)
     a = 0.3
     hi = cap if math.isfinite(cap) else math.inf
-    ref = quad_adaptive(nu.value, a, hi, 1e-12)
-    assert nu.integral_from(a) == pytest.approx(ref, rel=1e-9)
+    ref = quad_adaptive(nu.value, a, hi, 1e-12) / nu.value(a)
+    assert nu.mean_overshoot(a) == pytest.approx(ref, rel=1e-9)
+
+
+@st.composite
+def nu_and_state(draw):
+    """A tail shape of each family and a state y in [1e-6, 1e12] inside its support."""
+    y = draw(st.floats(1e-6, 1e12))
+    family = draw(st.sampled_from(["power-tail", "exponential", "gaussian", "finite-support"]))
+    if family == "power-tail":
+        nu = PowerTailNu(draw(st.floats(1e-3, 1e3)), draw(st.floats(1.5, 50.0)))
+    elif family == "exponential":
+        nu = GaussianExpNu(draw(st.floats(1e-3, 1e3)), 0.0)
+    elif family == "gaussian":
+        nu = GaussianExpNu(draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-6, 1e3)))
+    else:
+        nu = FiniteSupportNu(y * draw(st.floats(1.0 + 1e-6, 1e3)), draw(st.floats(0.05, 50.0)))
+    return nu, y
+
+
+def _tail_integral(kern, y, scale):
+    # integral over x >= 0 of the burst tail, with x = scale (e^v - 1) so
+    # the quadrature sees a unit-scale integrand whatever the state; past
+    # v = 700 even the heaviest tail drawn here (x^-1/2) leaves < e^-350
+    def f(v):
+        return kern.tail(scale * math.expm1(v), y) * scale * math.exp(v)
+
+    cap = kern.support_cap
+    hi = math.log1p((cap - y) / scale) if math.isfinite(cap) else 700.0
+    val, _ = integrate.quad(f, 0.0, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=nu_and_state(), seed=st.integers(0, 2**32 - 1))
+def test_nu_layer_is_finite_and_matches_its_oracle(case, seed):
+    nu, y = case
+    kern = SeparableBurstKernel(nu)
+    mean = kern.mean_burst(y)
+    assert math.isfinite(mean) and mean >= 0.0
+    for x in (0.0, 0.5 * mean, mean, 10.0 * mean, 1e150):
+        t = kern.tail(x, y)
+        assert math.isfinite(t) and 0.0 <= t <= 1.0
+    draw = kern.sample(make_rng(seed, 0), y)
+    assert math.isfinite(draw) and draw >= 0.0
+    if isinstance(nu, GaussianExpNu) and nu.quad > 0.0:
+        q = nu.quad
+        ref = math.sqrt(math.pi / (4.0 * q)) * special.erfcx(
+            (nu.lin + 2.0 * q * y) / (2.0 * math.sqrt(q)))
+    else:
+        ref = _tail_integral(kern, y, mean)
+    assert mean == pytest.approx(ref, rel=1e-12)
+
+
+def test_power_tail_draw_past_the_float_range():
+    # t/exponent = 1000 is past expm1's range: the burst is +inf, which the
+    # simulator reports as a blow-up
+    assert PowerTailNu(1.0, 0.01).draw_overshoot(10.0, 1.0) == math.inf
 
 
 def test_nu_validation():
@@ -189,6 +248,11 @@ def test_nu_validation():
 
 def test_exponential_kernel():
     k = ExponentialBurstKernel(0.5)
+    assert k.b == 0.5
+    assert k.nu == GaussianExpNu(2.0, 0.0)
+    assert isinstance(k, SeparableBurstKernel)
+    with pytest.raises(ModelError):
+        ExponentialBurstKernel(0.0)
     assert k.mean_burst(3.0) == pytest.approx(0.5)
     xs = np.array([0.1, 1.0])
     assert np.allclose(k.density(xs, 2.0), np.exp(-xs / 0.5) / 0.5)
