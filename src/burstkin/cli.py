@@ -555,6 +555,7 @@ def _run_kernel_fixed_point(cfg, model, out: Path):
     write_density_csv(out / "density.csv", u_star.grid, u_star.values)
     scalars = {
         "fixed_point_residual": kern.residual(v_star),
+        "mean_identity_residual": cont.mean_identity_residual(model, u_star),
         "min_column_sum": float(np.min(kern.raw_column_sums)),
         "normalization": u_star.normalization,
     }

@@ -62,6 +62,7 @@ __all__ = [
     "kernel_matrix",
     "kernel_fixed_point",
     "density_from_fixed_point",
+    "mean_identity_residual",
     "phi_from_density_grid",
     "phi_from_density_analytic",
     "ModeReportContinuous",
@@ -119,6 +120,17 @@ def geometric_grid(x_min: float, x_max: float, n_knots: int) -> np.ndarray:
     return grid
 
 
+def _natural_scale(model: ContinuousBurstModel) -> float:
+    """A typical state: the mean burst from 1 times rate(1)/decay, kept in the support."""
+    burst = model.burst_size
+    gamma = model.decay.rate
+    rate_scale = float(model.burst_rate.value(1.0))
+    m1 = float(burst.mean_burst(1.0))
+    if not math.isfinite(m1):
+        m1 = 1.0
+    return min(max(m1 * max(rate_scale, gamma) / gamma, 1e-3), burst.support_cap)
+
+
 def default_grid(
     model: ContinuousBurstModel,
     n_knots: int = 1024,
@@ -134,13 +146,8 @@ def default_grid(
     kernel support when that is finite.
     """
     burst = model.burst_size
-    gamma = model.decay.rate
     cap = burst.support_cap
-    rate_scale = float(model.burst_rate.value(1.0))
-    m1 = float(burst.mean_burst(1.0))
-    if not math.isfinite(m1):
-        m1 = 1.0
-    scale = min(max(m1 * max(rate_scale, gamma) / gamma, 1e-3), cap)
+    scale = _natural_scale(model)
     lo = x_min if x_min is not None else 1e-6 * scale
     if x_max is not None:
         hi = x_max
@@ -589,57 +596,104 @@ def stationary_density(
 # the jump-chain transition operator on a grid
 # ---------------------------------------------------------------------------
 
+_SCAN_BLOCK = 64
+
+
+def _suffix_scan(log_fac: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """y_i = terms_i + e^{log_fac_i} y_{i+1} from the top knot down.
+
+    ``log_fac`` holds one log factor per neighbour pair and ``terms`` one
+    row per knot, with optional trailing columns scanned side by side.
+    Blocks of _SCAN_BLOCK knots run the recurrence in step, each from its
+    own top knot as if nothing lay above it.  A loop over the blocks then
+    carries each block's full value at its first knot down into the block
+    below, through factor products taken as exponentials of local
+    cumulative sums of ``log_fac``.  Nonnegative terms are only ever
+    multiplied and added, so nothing cancels, however large the factors'
+    logs.
+    """
+    n = terms.shape[0]
+    tail = terms.shape[1:]
+    nb = -(-n // _SCAN_BLOCK)
+    pad = nb * _SCAN_BLOCK - n
+    g = np.concatenate([log_fac, np.zeros(pad + 1)]).reshape(
+        (nb, _SCAN_BLOCK) + (1,) * len(tail))
+    t = np.concatenate([terms, np.zeros((pad,) + tail)]).reshape((nb, _SCAN_BLOCK) + tail)
+    fac = np.exp(g)
+    y = np.empty_like(t)
+    y[:, -1] = t[:, -1]
+    for p in range(_SCAN_BLOCK - 2, -1, -1):
+        y[:, p] = t[:, p] + fac[:, p] * y[:, p + 1]
+    # reach[k, p]: the factor product from knot p of block k up to the
+    # first knot of block k + 1
+    reach = np.exp(np.cumsum(g[:, ::-1], axis=1)[:, ::-1])
+    carry = np.zeros((nb,) + tail)      # full y at the first knot of block k + 1
+    for k in range(nb - 2, -1, -1):
+        carry[k] = y[k + 1, 0] + reach[k + 1, 0] * carry[k + 1]
+    y += reach * carry[:, None]
+    return y.reshape((nb * _SCAN_BLOCK,) + tail)[:n]
+
+
+def _prefix_scan(log_fac: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """y_i = terms_i + e^{log_fac_{i-1}} y_{i-1} from the bottom knot up."""
+    return _suffix_scan(log_fac[::-1], terms[::-1])[::-1]
+
+
+def _column(vec: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``vec`` shaped to scale the rows of ``like``."""
+    return vec.reshape((-1,) + (1,) * (like.ndim - 1))
+
+
 @dataclass(frozen=True, eq=False)
 class KernelGrid:
-    """Discretized jump-to-jump transition kernel, column-stochastic.
+    """Discretized jump-to-jump transition kernel, column-stochastic, in O(n).
 
-    ``matrix[i, j]`` approximates the transition density k(x_i, y_j);
-    column j integrates to one exactly under ``weights`` (the raw
-    quadrature sums before that closure sit in ``raw_column_sums``).
+    The raw kernel ln k(x_i, y_j) = ln A_i + Q_j + ln S_min(i,j) is
+    semiseparable, so three vectors hold it: the diagonal ``diag``
+    (ln A_i + Q_i + ln S_i) and the neighbour increments ``dq``
+    (Q_{m+1} - Q_m, never positive) and ``dl`` (ln S_{m+1} - ln S_m).
+    Against its diagonal, row i reaches column j >= i through the factors
+    e^{dq} and column j < i through e^{-dq-dl}, one recurrence each, so
+    ``apply`` costs O(n) time and memory.  Column j integrates to one
+    exactly under ``weights`` once divided by ``raw_column_sums``, the
+    raw quadrature sums.  ``scale`` is the model's natural state scale,
+    where power iteration starts by default.  ``matrix`` materializes the
+    dense n x n array, k(x_i, y_j) at [i, j]: an O(n^2) diagnostic.
     """
 
     grid: np.ndarray
     weights: np.ndarray
-    matrix: np.ndarray
+    diag: np.ndarray
+    dq: np.ndarray
+    dl: np.ndarray
     raw_column_sums: np.ndarray
+    scale: float
+
+    def _raw(self, z: np.ndarray) -> np.ndarray:
+        """The raw kernel times z, rows of z on the knots."""
+        climb = -self.dq - self.dl
+        below = np.zeros_like(z)
+        below[1:] = _column(np.exp(climb), z) * _prefix_scan(climb, z)[:-1]
+        return _column(np.exp(self.diag), z) * (_suffix_scan(self.dq, z) + below)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Push a density (values on the grid) through one jump."""
-        return self.matrix @ (self.weights * values)
+        return self._raw(self.weights * values / self.raw_column_sums)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The closed operator as a dense n x n array (O(n^2); diagnostics only)."""
+        return self._raw(np.eye(len(self.grid))) / self.raw_column_sums
 
     def residual(self, density: GridDensity) -> float:
         v = density.values / float(np.dot(self.weights, density.values))
         return float(np.dot(self.weights, np.abs(self.apply(v) - v)))
 
 
-def kernel_matrix(
-    model: ContinuousBurstModel,
-    grid: np.ndarray,
-    *,
-    x_ref: float = 1.0,
-    _substeps: int = 8,
-) -> KernelGrid:
-    """Assemble the jump-chain kernel matrix on a log grid.
-
-    The post-jump transition density factorizes as
-    k(x, y) = A(x) e^{Q(y)} S(min(x, y)) with S a cumulative integral,
-    so the whole assembly runs in log scale,
-
-        ln k(x_i, y_j) = ln A_i + Q_j + ln S_{min(i,j)},
-
-    which survives grids wide enough for the column-mass requirement
-    (the linear-scale factors overflow there).  S's panel integrals use
-    an exponential-fitted rule, exact for log-linear integrands, so they
-    stay accurate even where the integrand swings by many orders of
-    magnitude across one log panel.  Columns are validated (GridTooNarrow
-    below 1 - 1e-4 of their mass) then closed to exactly stochastic, so
-    downstream iteration conserves mass to rounding.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 8 or np.any(np.diff(grid) <= 0):
-        raise ModelError("kernel_matrix: need an increasing grid with >= 8 knots")
-    if grid[0] <= 0.0:
-        raise ModelError("kernel_matrix: grid must be strictly positive")
+def _kernel_log_factors(
+    model: ContinuousBurstModel, grid: np.ndarray, x_ref: float, substeps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ln A, Q and ln S of k(x, y) = A(x) e^{Q(y)} S(min(x, y)) on the grid."""
     nu = model.burst_size.nu
     gamma = model.decay.rate
     pot = Potential(model, x_ref)
@@ -655,8 +709,7 @@ def kernel_matrix(
 
     # ln S_abs[j] = ln of the integral of w(z) e^{-Q(z)} over (0, x_j],
     # accumulated with exponential-fitted panels on geometric substeps
-    n = len(grid)
-    m = max(int(_substeps), 1)
+    m = max(int(substeps), 1)
     if math.isfinite(cap):
         # the integrand has a power singularity at the cap, so substep
         # nodes go geometrically in the remaining gap cap - z; the count
@@ -684,27 +737,55 @@ def kernel_matrix(
                        0.0, float(grid[0]), 1e-14)
     ln_s0 = math.log(s0) if s0 > 0.0 else -math.inf
     ln_s_abs = np.logaddexp.accumulate(np.concatenate([[ln_s0], ln_panel]))
+    return ln_a, q, ln_s_abs
 
-    # ln S_abs is nondecreasing, so the min over an index pair is the
-    # elementwise minimum of values; assemble in row blocks to keep the
-    # transient memory at one extra block
-    matrix = np.empty((n, n))
-    block = 512
-    for lo_i in range(0, n, block):
-        hi_i = min(lo_i + block, n)
-        ln_k = (ln_a[lo_i:hi_i, None] + q[None, :]
-                + np.minimum(ln_s_abs[lo_i:hi_i, None], ln_s_abs[None, :]))
-        np.exp(ln_k, out=ln_k)
-        matrix[lo_i:hi_i] = ln_k
 
+def kernel_matrix(
+    model: ContinuousBurstModel,
+    grid: np.ndarray,
+    *,
+    x_ref: float = 1.0,
+    _substeps: int = 8,
+) -> KernelGrid:
+    """Assemble the jump-chain kernel on a log grid, in O(n) time and memory.
+
+    The post-jump transition density factorizes as
+    k(x, y) = A(x) e^{Q(y)} S(min(x, y)) with S a cumulative integral,
+    so the whole assembly runs in log scale,
+
+        ln k(x_i, y_j) = ln A_i + Q_j + ln S_{min(i,j)},
+
+    which survives grids wide enough for the column-mass requirement
+    (the linear-scale factors overflow there).  The operator keeps only
+    the diagonal and the neighbour increments of Q and ln S (see
+    KernelGrid); no n x n array is formed.  S's panel integrals use an
+    exponential-fitted rule, exact for log-linear integrands, so they
+    stay accurate even where the integrand swings by many orders of
+    magnitude across one log panel.  Columns are validated (GridTooNarrow
+    below 1 - 1e-4 of their mass) then closed to exactly stochastic, so
+    downstream iteration conserves mass to rounding.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 8 or np.any(np.diff(grid) <= 0):
+        raise ModelError("kernel_matrix: need an increasing grid with >= 8 knots")
+    if grid[0] <= 0.0:
+        raise ModelError("kernel_matrix: grid must be strictly positive")
+    ln_a, q, ln_s_abs = _kernel_log_factors(model, grid, x_ref, _substeps)
+    diag = ln_a + q + ln_s_abs
+    dq = np.diff(q)
+    dl = np.diff(ln_s_abs)
     weights = _log_simpson_weights(grid)
-    raw_sums = weights @ matrix
-    if np.any(raw_sums < 1.0 - 1e-4):
+    # the transposed recurrences of KernelGrid.apply, on the same vectors,
+    # so the closure below holds to rounding for the operator apply uses
+    t = weights * np.exp(diag)
+    climb = -dq - dl
+    raw_sums = _prefix_scan(dq, t)
+    raw_sums[:-1] += np.exp(climb) * _suffix_scan(climb, t)[1:]
+    if not np.all(raw_sums >= 1.0 - 1e-4):  # NaN sums fail too
         worst = float(np.min(raw_sums))
         raise GridTooNarrow(
             f"kernel column mass down to {worst:.6f}; widen or refine the grid")
-    matrix /= raw_sums[None, :]
-    return KernelGrid(grid, weights, matrix, raw_sums)
+    return KernelGrid(grid, weights, diag, dq, dl, raw_sums, _natural_scale(model))
 
 
 def kernel_fixed_point(
@@ -721,7 +802,9 @@ def kernel_fixed_point(
     """
     w = kernel.weights
     if v0 is None:
-        v = np.ones(len(kernel.grid))
+        # decaying past the natural scale keeps the start's mass off the
+        # top of a wide grid, where the discretized chain barely mixes
+        v = np.exp(-(kernel.grid - kernel.grid[0]) / kernel.scale)
     else:
         v = np.asarray(v0, dtype=float).copy()
         if v.shape != kernel.grid.shape or np.any(v < 0) or not np.any(v > 0):
@@ -765,18 +848,31 @@ def density_from_fixed_point(
     q = pot.value(grid)
     gamma = model.decay.rate
 
-    n = len(grid)
-    w_tail = np.zeros(n)
-    for i in range(n - 2, -1, -1):
-        fac = math.exp(q[i + 1] - q[i])  # <= 1
-        h = grid[i + 1] - grid[i]
-        w_tail[i] = fac * w_tail[i + 1] + 0.5 * h * (v[i] + fac * v[i + 1])
+    dq = np.diff(q)
+    terms = np.zeros(len(grid))
+    terms[:-1] = 0.5 * np.diff(grid) * (v[:-1] + np.exp(dq) * v[1:])  # e^{dq} <= 1
+    w_tail = _suffix_scan(dq, terms)
 
     raw = w_tail / (gamma * grid)
     c = trapezoid(raw, grid)
     if not math.isfinite(c) or c <= 0.0:
         raise NotIntegrable(f"fixed-point density integrated to {c!r}")
     return GridDensity(grid, raw / c, c)
+
+
+def mean_identity_residual(model: ContinuousBurstModel, density: GridDensity) -> float:
+    """|E[decay(x)] - E[rate(x) mean_burst(x)]| / E[decay(x)] under the density.
+
+    Stationarity balances the mean loss to decay against the mean gain
+    from bursts, so this vanishes up to the grid quadrature error for a
+    true stationary density; mass stranded at the top of a grid breaks
+    it.  The continuous twin of the discrete certificate.
+    """
+    x = density.grid
+    u = density.values
+    loss = trapezoid(model.decay.value(x) * u, x)
+    gain = trapezoid(model.burst_rate.value(x) * model.burst_size.mean_burst(x) * u, x)
+    return abs(loss - gain) / loss
 
 
 # ---------------------------------------------------------------------------

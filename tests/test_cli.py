@@ -272,6 +272,8 @@ model.burst_b = 0.5
         assert summary.artifacts == artifacts, mode
         for name in artifacts:
             assert (out / name).exists(), (mode, name)
+        if mode == "kernel-fixed-point":
+            assert summary.scalars["mean_identity_residual"] < 1e-2
 
 
 def test_run_ergodicity_scalars(tmp_path):

@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from burstkin.continuous import (
     GridDensity,
     Potential,
+    _kernel_log_factors,
+    _log_simpson_weights,
+    _prefix_scan,
+    _suffix_scan,
     count_modes_continuous,
     default_grid,
     density_from_fixed_point,
@@ -17,6 +23,7 @@ from burstkin.continuous import (
     kernel_fixed_point,
     kernel_grid,
     kernel_matrix,
+    mean_identity_residual,
     phi_from_density_analytic,
     phi_from_density_grid,
     simulate_pdmp,
@@ -443,6 +450,151 @@ def test_kernel_narrow_grid_is_refused():
                              SeparableBurstKernel(PowerTailNu(1.0, 4.0)))
     with pytest.raises(GridTooNarrow):
         kernel_matrix(m, default_grid(m, 256))
+
+
+def test_kernel_matrix_refuses_non_finite_columns():
+    # the grid runs to its 1e12 stop, where ln nu reaches -1e23 and the
+    # log factors lose every digit: the diagonal overflows
+    m = ContinuousBurstModel(QuadraticRate(1.2, 0.3, 0.05), LinearDecay(0.9),
+                             SeparableBurstKernel(GaussianExpNu(1.0, 0.5)))
+    with np.errstate(all="ignore"), pytest.raises(GridTooNarrow):
+        kernel_matrix(m, kernel_grid(m, 256))
+
+
+def _loop_suffix_scan(log_fac, terms):
+    y = np.array(terms, dtype=float)
+    for i in range(len(y) - 2, -1, -1):
+        y[i] = y[i] + math.exp(log_fac[i]) * y[i + 1]
+    return y
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200, 1000])
+def test_scans_match_a_plain_loop(n):
+    rng = np.random.default_rng(n)
+    log_fac = rng.normal(0.0, 3.0, n - 1)
+    log_fac[::7] = -800.0                     # factors that underflow to 0
+    terms = rng.random(n)
+    ref = _loop_suffix_scan(log_fac, terms)
+    assert np.allclose(_suffix_scan(log_fac, terms), ref, rtol=1e-12, atol=0.0)
+    ref_up = _loop_suffix_scan(log_fac[::-1], terms[::-1])[::-1]
+    assert np.allclose(_prefix_scan(log_fac, terms), ref_up, rtol=1e-12, atol=0.0)
+    # trailing columns are scanned side by side
+    both = _suffix_scan(log_fac, np.stack([terms, 2.0 * terms], axis=1))
+    assert np.allclose(both[:, 0], ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(both[:, 1], 2.0 * ref, rtol=1e-12, atol=0.0)
+
+
+def _dense_kernel(model, grid):
+    """Dense reference for the O(n) operator: the n x n array
+    exp(ln A_i + Q_j + ln S_min(i,j)) and its raw column sums."""
+    ln_a, q, ln_s = _kernel_log_factors(model, grid, 1.0, 8)
+    raw = np.exp(ln_a[:, None] + q[None, :] + np.minimum(ln_s[:, None], ln_s[None, :]))
+    return raw, _log_simpson_weights(grid) @ raw
+
+
+@st.composite
+def gated_models(draw):
+    """Every rate x burst family whose kernel passes the column gate, with
+    parameters in the benchmark's narrow ranges.  Linear rates with
+    exponential bursts put the grid at its 1e12 stop."""
+    unit = st.floats(0.0, 1.0)
+    rate, burst = draw(st.sampled_from([
+        ("constant", "exponential"), ("linear", "exponential"), ("hill", "exponential"),
+        ("constant", "gaussian-exp"), ("linear", "gaussian-exp"), ("hill", "gaussian-exp"),
+        ("constant", "finite-support"), ("linear", "finite-support"),
+        ("quadratic", "finite-support"), ("hill", "finite-support"),
+    ]))
+    gamma = 0.8 + 0.45 * draw(unit)
+    level = gamma * (1.5 + 1.5 * draw(unit))
+    b = 0.6 + 0.8 * draw(unit)
+    if rate == "constant":
+        r = ConstantRate(level)
+    elif rate == "linear":
+        top = 1.0 / b if burst == "exponential" else 1.0
+        r = LinearRate(level, gamma * top * (0.1 + 0.4 * draw(unit)))
+    elif rate == "quadratic":
+        r = QuadraticRate(level, gamma * (0.05 + 0.15 * draw(unit)),
+                          0.2 * gamma * (0.2 + 0.4 * draw(unit)))
+    else:
+        r = HillRate(level, 1.5 + 1.5 * draw(unit), 1.0, 0.8 + 0.7 * draw(unit),
+                     1.5 + 1.5 * draw(unit))
+    if burst == "exponential":
+        kern = ExponentialBurstKernel(b)
+    elif burst == "gaussian-exp":
+        kern = SeparableBurstKernel(GaussianExpNu(b, 0.2 + 0.4 * draw(unit)))
+    else:
+        cap = 6.0 + 6.0 * draw(unit)
+        r1 = max(float(r.value(1.0)) / gamma, 1.0)
+        kern = SeparableBurstKernel(FiniteSupportNu(
+            cap, r1 * (cap - 1.0) / (0.6 * cap) - 0.8 + 0.8 * draw(unit)))
+    return ContinuousBurstModel(r, LinearDecay(gamma), kern)
+
+
+_WIDE = ContinuousBurstModel(LinearRate(2.0, 0.3), LinearDecay(1.0),
+                             ExponentialBurstKernel(1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=gated_models(), n_knots=st.integers(192, 512))
+@example(model=_WIDE, n_knots=512)
+@example(model=gamma_model(), n_knots=512)
+def test_kernel_operator_matches_the_dense_assembly(model, n_knots):
+    grid = kernel_grid(model, n_knots)
+    raw, raw_sums = _dense_kernel(model, grid)
+    try:
+        k = kernel_matrix(model, grid)
+    except GridTooNarrow:
+        # too few knots for this draw; the dense assembly says so too
+        assert np.min(raw_sums) < 1.0 - 1e-4
+        return
+    dense = k.matrix
+    ref = raw / raw_sums
+    assert np.max(np.abs(dense - ref)) <= 1e-12 * np.max(ref)
+    assert np.max(np.abs(k.weights @ dense - 1.0)) < 1e-12
+    v = np.random.default_rng(n_knots).random(n_knots)
+    assert float(np.dot(k.weights, k.apply(v))) == pytest.approx(
+        float(np.dot(k.weights, v)), rel=1e-13)
+
+
+def test_kernel_fixed_point_on_a_wide_grid():
+    # the leak estimate tends to slope * b / decay, so the grid runs to its
+    # 1e12 stop; a start spread over the grid strands its mass up there,
+    # where the discretized chain barely mixes, and still certifies
+    m = _WIDE
+    grid = kernel_grid(m, 2048)
+    assert grid[-1] > 1e12
+    k = kernel_matrix(m, grid)
+    u = density_from_fixed_point(m, kernel_fixed_point(k, tol=1e-10))
+    mean = trapezoid(grid * u.values, grid) / trapezoid(u.values, grid)
+    exact = 1.0 * 2.0 / (1.0 - 1.0 * 0.3)  # b base / (decay - b slope)
+    assert mean == pytest.approx(exact, rel=5e-3)
+    assert mean_identity_residual(m, u) < 1e-3
+
+
+def test_mean_identity_flags_a_stranded_fixed_point():
+    m = _WIDE
+    k = kernel_matrix(m, kernel_grid(m, 512))
+    good = density_from_fixed_point(m, kernel_fixed_point(k, tol=1e-10))
+    stranded = density_from_fixed_point(
+        m, kernel_fixed_point(k, tol=1e-10, v0=np.ones(len(k.grid))))
+    assert mean_identity_residual(m, good) < 1e-2
+    assert mean_identity_residual(m, stranded) > 0.5
+    # the exact law: a gamma density, shape base/decay, rate 1/b - slope/decay
+    g = geometric_grid(1e-6, 200.0, 4000)
+    exact = GridDensity(g, g * np.exp(-0.7 * g))
+    assert mean_identity_residual(m, exact) < 1e-6
+
+
+def test_kernel_memory_stays_linear():
+    m = gamma_model()
+    grid = kernel_grid(m, 4096)
+    tracemalloc.start()
+    try:
+        kernel_fixed_point(kernel_matrix(m, grid), tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20  # a dense n x n assembly peaks at 178 MiB
 
 
 def test_density_from_fixed_point_exact_input():
