@@ -90,6 +90,7 @@ from .numerics import (
     StepperConfig,
     draw_geometric,
     draw_unit_exponential,
+    expm,
     find_root_monotone,
     integrate_adaptive,
     l1_distance,

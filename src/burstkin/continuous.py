@@ -719,19 +719,25 @@ def _kernel_log_factors(
         gap_hi = cap - grid[1:]
         span = float(np.max(gap_lo / gap_hi))
         m = int(min(max(m, math.ceil(4.0 * math.log(span))), 1024))
-        frac = np.arange(m + 1)[None, :] / m
-        z = cap - gap_lo[:, None] * (gap_hi / gap_lo)[:, None] ** frac
-    else:
-        ratio = (grid[1:] / grid[:-1])[:, None] ** (np.arange(m + 1)[None, :] / m)
-        z = grid[:-1, None] * ratio                   # (n-1, m+1) substep knots
-    theta = ln_w(z) - pot.value(z)                    # log integrand
-    th_lo, th_hi = theta[:, :-1], theta[:, 1:]
-    d = np.abs(th_hi - th_lo)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shape_fac = np.where(d > 1e-6, -np.expm1(-d) / np.where(d > 0.0, d, 1.0),
-                             1.0 - 0.5 * d + d * d / 6.0)
-    ln_sub = np.log(np.diff(z, axis=1)) + np.maximum(th_lo, th_hi) + np.log(shape_fac)
-    ln_panel = np.logaddexp.reduce(ln_sub, axis=1)
+    frac = np.arange(m + 1)[None, :] / m
+    ln_panel = np.empty(len(grid) - 1)
+    # the (panels, m + 1) substep arrays are built 256 panels at a time;
+    # panels are independent, so the blocking changes no bit of ln_panel
+    for lo in range(0, len(ln_panel), 256):
+        rows = slice(lo, lo + 256)
+        if math.isfinite(cap):
+            z = cap - gap_lo[rows, None] * (gap_hi[rows] / gap_lo[rows])[:, None] ** frac
+        else:
+            ratio = (grid[1:][rows] / grid[:-1][rows])[:, None] ** frac
+            z = grid[:-1][rows, None] * ratio         # substep knots
+        theta = ln_w(z) - pot.value(z)                # log integrand
+        th_lo, th_hi = theta[:, :-1], theta[:, 1:]
+        d = np.abs(th_hi - th_lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shape_fac = np.where(d > 1e-6, -np.expm1(-d) / np.where(d > 0.0, d, 1.0),
+                                 1.0 - 0.5 * d + d * d / 6.0)
+        ln_sub = np.log(np.diff(z, axis=1)) + np.maximum(th_lo, th_hi) + np.log(shape_fac)
+        ln_panel[rows] = np.logaddexp.reduce(ln_sub, axis=1)
 
     s0 = quad_adaptive(lambda t: np.exp(ln_w(t) - pot.value(t)),
                        0.0, float(grid[0]), 1e-14)

@@ -1,11 +1,11 @@
 """Shared numeric substrate.
 
-Everything downstream leans on the five primitives collected here: a
-seeded random generator with documented stream splitting, inverse-CDF
-draws, an embedded-pair adaptive ODE stepper, adaptive Gauss-Kronrod
-quadrature, and a guarded monotone root finder.  Keeping them in one
-place makes the reproducibility story auditable: a run is a pure
-function of (seed, stream, config).
+Everything downstream leans on the primitives collected here: a seeded
+random generator with documented stream splitting, inverse-CDF draws,
+an embedded-pair adaptive ODE stepper, the matrix exponential, adaptive
+Gauss-Kronrod quadrature, and a guarded monotone root finder.  Keeping
+them in one place makes the reproducibility story auditable: a run is a
+pure function of (seed, stream, config).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     GridMismatch,
     NoBracket,
+    NumericalBlowup,
     StiffnessBudgetExceeded,
     ToleranceNotMet,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "draw_geometric",
     "StepperConfig",
     "integrate_adaptive",
+    "expm",
     "quad_adaptive",
     "find_root_monotone",
     "trapezoid",
@@ -191,6 +193,77 @@ def integrate_adaptive(
             raise StiffnessBudgetExceeded(f"step size collapsed at t={t:.6g}")
 
     return out
+
+
+# ---------------------------------------------------------------------------
+# matrix exponential (Pade 13 with scaling and squaring)
+# ---------------------------------------------------------------------------
+
+# Coefficients of the [13/13] Pade approximant and the 1-norm up to which
+# it is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl.
+# 26(4), 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_PADE13_THETA = 5.371920351148152
+
+
+def _pade_poly(out: np.ndarray, terms) -> np.ndarray:
+    """out = sum of c * m over (c, m) pairs, one temporary at a time."""
+    (c0, m0), *rest = terms
+    np.multiply(m0, c0, out=out)
+    for c, m in rest:
+        out += c * m
+    return out
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix by Pade-13 scaling and squaring.
+
+    a is scaled by 2^-s until its 1-norm is at most theta_13, the [13/13]
+    Pade approximant r = (V - U)^-1 (V + U) is formed from a^2, a^4 and
+    a^6, and r is squared s times (Higham 2005).  Buffers are reused so
+    that at most eight n x n arrays are live.
+
+    Raises
+    ------
+    NumericalBlowup
+        when the 1-norm of a is not finite.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a, 1))
+    if not math.isfinite(norm):
+        raise NumericalBlowup(f"expm: matrix 1-norm is {norm}")
+    s = max(0, math.frexp(norm / _PADE13_THETA)[1]) if norm > _PADE13_THETA else 0
+    a = np.ldexp(a, -s)                      # private copy, scaled exactly
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    diag = slice(None, None, n + 1)
+    w = _pade_poly(np.empty_like(a), ((b[13], a6), (b[11], a4), (b[9], a2)))
+    z = a6 @ w
+    _pade_poly(w, ((b[7], a6), (b[5], a4), (b[3], a2)))
+    z += w
+    z.flat[diag] += b[1]
+    u = np.matmul(a, z, out=w)
+    _pade_poly(z, ((b[12], a6), (b[10], a4), (b[8], a2)))
+    v = np.matmul(a6, z, out=a)
+    _pade_poly(z, ((b[6], a6), (b[4], a4), (b[2], a2)))
+    v += z
+    v.flat[diag] += b[0]
+    del a2, a4, a6
+    r = np.linalg.solve(np.subtract(v, u, out=z), np.add(v, u, out=v))
+    del u, v, z
+    if s:
+        spare = np.empty_like(r)
+        for _ in range(s):
+            np.matmul(r, r, out=spare)
+            r, spare = spare, r
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +41,20 @@ model.burst = exponential
 model.burst_b = 1.0
 numeric.y0 = 1.0
 numeric.n_jumps = 500
+"""
+
+
+EVOLVE_CFG = """\
+run.mode = evolve-master
+model.kind = discrete
+model.rate = linear
+model.rate_base = 2.0
+model.rate_slope = 0.3
+model.decay = 1.0
+model.burst = geometric
+model.burst_b = 0.5
+numeric.n_max = 40
+numeric.t_end = 6.0
 """
 
 
@@ -85,6 +100,9 @@ def test_parse_rejects_malformed_lines():
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ValidationError, match="not a recognized key"):
         parse_config(DISCRETE_CFG + "numeric.t_end = 4.0\n")
+    for key in ("rel_tol", "abs_tol"):    # the exact propagator has no tolerances
+        with pytest.raises(ValidationError, match="not a recognized key"):
+            parse_config(EVOLVE_CFG + f"numeric.{key} = 1e-8\n")
     with pytest.raises(ValidationError, match="unknown section"):
         parse_config(DISCRETE_CFG + "extra.thing = 1\n")
 
@@ -297,6 +315,43 @@ numeric.quad_tol = 1e-8
     summary = run_experiment(cfg)
     assert summary.scalars["drift_negative"] is True
     assert summary.scalars["max_margin"] < 0.0
+
+
+def test_evolve_master_reruns_are_byte_identical(tmp_path):
+    cfg = parse_config(EVOLVE_CFG, overrides={("output", "dir"): str(tmp_path / "a")})
+    first = run_experiment(cfg)
+    blobs = {name: (tmp_path / "a" / name).read_bytes() for name in first.artifacts}
+    again = run_experiment(cfg)
+    assert first.artifacts == again.artifacts == ["trace.csv", "final_pmf.csv"]
+    for name, blob in blobs.items():
+        assert (tmp_path / "a" / name).read_bytes() == blob
+    scalars = json.loads((tmp_path / "a" / "summary.json").read_text())["scalars"]
+    assert scalars["max_cap_mass"] == first.scalars["max_cap_mass"]
+    # the stationary law leaves about 1e-5 at state 40; a wider cap far less
+    assert 1e-7 < scalars["max_cap_mass"] < 1e-3
+    assert scalars["max_mass_drift"] <= 1e-12
+
+
+def test_evolve_master_rejects_empty_snapshot_counts(tmp_path):
+    for count in (0, -3):
+        cfg = parse_config(EVOLVE_CFG + f"numeric.n_snapshots = {count}\n",
+                           overrides={("output", "dir"): str(tmp_path / "z")})
+        with pytest.raises(ValidationError, match="n_snapshots"):
+            run_experiment(cfg)
+
+
+def test_evolve_master_extreme_horizons(tmp_path, capsys):
+    text = EVOLVE_CFG.replace("numeric.t_end = 6.0", "numeric.t_end = 1e300")
+    cfg = parse_config(text, overrides={("output", "dir"): str(tmp_path / "far")})
+    started = time.perf_counter()
+    summary = run_experiment(cfg)
+    assert time.perf_counter() - started < 1.0
+    assert summary.scalars["final_l1"] <= 1e-10
+    assert summary.scalars["max_mass_drift"] <= 1e-12
+    p = write_cfg(tmp_path, EVOLVE_CFG.replace("numeric.t_end = 6.0", "numeric.t_end = 1e308"))
+    # t_end / n_snapshots * |G| overflows
+    assert main(["evolve-master", "--config", str(p), "--out", str(tmp_path / "inf")]) == 2
+    assert "NumericalBlowup" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

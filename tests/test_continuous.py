@@ -597,6 +597,22 @@ def test_kernel_memory_stays_linear():
     assert peak <= 16 * 2 ** 20  # a dense n x n assembly peaks at 178 MiB
 
 
+def test_finite_support_assembly_memory_stays_linear():
+    # the substep count (about 90 here) is set by the panel next to the
+    # cap; built for all panels at once the substep arrays peak at 17 MiB
+    m = ContinuousBurstModel(HillRate(2.0, 2.0, 1.0, 1.0, 2.0), LinearDecay(1.0),
+                             SeparableBurstKernel(FiniteSupportNu(8.0, 4.0)))
+    grid = kernel_grid(m, 4096)
+    tracemalloc.start()
+    try:
+        kern = kernel_matrix(m, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    assert kern.residual(kernel_fixed_point(kern)) < 1e-9
+
+
 def test_density_from_fixed_point_exact_input():
     # feed the closed-form jump density; only quadrature error remains
     m = gamma_model()

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from burstkin.discrete import (
@@ -9,6 +12,7 @@ from burstkin.discrete import (
     HypergeometricFamily,
     NegativeBinomialFamily,
     Pmf,
+    _generator,
     count_modes_discrete,
     evolve_master,
     master_rhs_truncated,
@@ -236,6 +240,118 @@ def test_evolve_master_validates_inputs():
         evolve_master(m, np.array([1.0, 0.0]), 1.0)      # too few states
     with pytest.raises(ModelError):
         evolve_master(m, np.zeros(10), 0.0)              # no horizon
+    with pytest.raises(ModelError, match="2048"):
+        evolve_master(m, np.zeros(2050), 1.0)            # dense G too large
+    with pytest.raises(ModelError, match="n_snapshots"):
+        evolve_master(m, np.zeros(10), 1.0, n_snapshots=0)
+
+
+def convolution_rhs(model, values):
+    """The master-equation RHS as the convolution of the burst pmf with
+    lam * p; the reference for the dense generator."""
+    cap = len(values) - 1
+    n = np.arange(cap + 1)
+    lam = np.asarray(model.burst_rate.value(n), dtype=float)
+    gam = np.asarray(model.decay.value(n), dtype=float)
+    h_vec = np.asarray(model.burst_size.pmf(n), dtype=float)
+    h_vec[0] = 0.0
+    tail_vec = np.asarray(model.burst_size.tail(np.arange(cap)), dtype=float)
+    lp = lam * values
+    rhs = -gam * values
+    rhs[:-1] += gam[1:] * values[1:]
+    rhs[:cap] -= lp[:cap]
+    conv = np.convolve(h_vec, lp)[: cap + 1]
+    rhs[1:cap] += conv[1:cap]
+    rhs[cap] += float(np.dot(lp[:cap], tail_vec[::-1]))
+    return rhs
+
+
+RATE_FAMILIES = ("constant", "linear", "hill", "truncated-linear")
+
+
+@st.composite
+def discrete_models(draw):
+    """Normalizable models of every discrete rate family, geometric bursts."""
+    unit = st.floats(0.0, 1.0)
+    family = draw(st.sampled_from(RATE_FAMILIES))
+    gamma = 0.8 + 0.45 * draw(unit)
+    b = 0.3 + 0.4 * draw(unit)
+    level = gamma * (1.5 + 2.5 * draw(unit))
+    if family == "constant":
+        rate = ConstantRate(level)
+    elif family == "linear":
+        rate = LinearRate(level, gamma * (1.0 - b) * (0.2 + 0.4 * draw(unit)))
+    elif family == "hill":
+        rate = HillRate(level, 1.5 + 1.5 * draw(unit), 1.0, 0.3 + 0.7 * draw(unit),
+                        1.5 + 1.5 * draw(unit))
+    else:
+        rate = TruncatedLinearRate(level, -gamma * (0.1 + 0.2 * draw(unit)),
+                                   10.0 + 30.0 * draw(unit))
+    return DiscreteBurstModel(rate, LinearDecay(gamma), GeometricBurst(b))
+
+
+def test_master_rhs_matches_the_convolution_formula():
+    rng = np.random.default_rng(3)
+    models = [nb_model(1.5, 0.0, 1.0, 0.6), nb_model(2.0, 0.3, 1.0, 0.5),
+              DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.2),
+                                 GeometricBurst(0.4)),
+              DiscreteBurstModel(TruncatedLinearRate(3.0, -0.2, 12.0), LinearDecay(1.0),
+                                 TabulatedBurst((0.5, 0.3, 0.2))),
+              DiscreteBurstModel(ConstantRate(1.0),
+                                 TabulatedDecay(tuple(float(i * i) for i in range(40))),
+                                 GeometricBurst(0.5))]
+    for m in models:
+        for cap in (2, 3, 17, 39):
+            v = rng.random(cap + 1)
+            ref = convolution_rhs(m, v)
+            got = master_rhs_truncated(m, v)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(_generator(m, cap).sum(axis=0))) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=discrete_models(), cap=st.integers(3, 300),
+       t_end=st.floats(1e-3, 1e3), n_snapshots=st.integers(1, 30),
+       start=st.floats(0.0, 1.0))
+def test_evolve_master_matches_the_scipy_propagator(model, cap, t_end, n_snapshots, start):
+    v0 = np.zeros(cap + 1)
+    v0[int(start * cap)] = 1.0
+    trace = evolve_master(model, v0, t_end, n_snapshots=n_snapshots)
+    step = scipy.linalg.expm((t_end / n_snapshots) * _generator(model, cap))
+    # the exact propagator is column stochastic; scipy's squarings drift
+    # from unit column mass by up to 2.5e-12 over this range of horizons
+    step /= step.sum(axis=0)
+    ref = v0
+    for pmf in trace.pmfs:
+        ref = step @ ref
+        assert np.sum(np.abs(pmf.values - ref)) <= 1e-12
+        assert abs(pmf.mass() - 1.0) <= 1e-12
+    assert list(trace.times) == [t_end * (i + 1) / n_snapshots for i in range(n_snapshots)]
+
+
+def test_evolve_master_uneven_snapshots_compose():
+    m = nb_model(2.0, 0.3, 1.0, 0.5)
+    v0 = np.zeros(81)
+    v0[5] = 1.0
+    uneven = evolve_master(m, v0, 4.0, snapshot_times=[0.5, 1.75, 4.0])
+    even = evolve_master(m, v0, 4.0, n_snapshots=16)
+    assert np.sum(np.abs(uneven.pmfs[-1].values - even.pmfs[-1].values)) < 1e-12
+    gen = _generator(m, 80)
+    ref = scipy.linalg.expm(1.75 * gen) @ v0
+    assert np.sum(np.abs(uneven.pmfs[1].values - ref)) < 1e-12
+
+
+def test_evolve_master_memory_at_cap_400():
+    m = nb_model(2.0, 0.3, 1.0, 0.5)
+    v0 = np.zeros(401)
+    v0[0] = 1.0
+    tracemalloc.start()
+    try:
+        evolve_master(m, v0, 30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20   # one 401 x 401 array is 1.2 MiB
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from burstkin.errors import (
     GridMismatch,
     NoBracket,
+    NumericalBlowup,
     StiffnessBudgetExceeded,
     ToleranceNotMet,
 )
@@ -13,6 +15,7 @@ from burstkin.numerics import (
     StepperConfig,
     draw_geometric,
     draw_unit_exponential,
+    expm,
     find_root_monotone,
     integrate_adaptive,
     l1_distance,
@@ -95,6 +98,62 @@ def test_stepper_budget_error():
     cfg = StepperConfig(max_steps=5)
     with pytest.raises(StiffnessBudgetExceeded):
         integrate_adaptive(lambda t, y: -1000.0 * y, np.array([1.0]), 10.0, cfg)
+
+
+# ---------------------------------------------------------------------------
+# matrix exponential
+# ---------------------------------------------------------------------------
+
+def _expm_cases(rng):
+    """Matrices with 1-norms from 1e-3 to 1e4 whose exponential stays finite.
+
+    Generators (exp is stochastic) and skew-symmetric matrices (exp is
+    orthogonal) span both sides of theta_13 = 5.37, so expm runs with
+    and without squaring; plain Gaussian matrices join while the norm is
+    small enough for their exponential not to overflow.
+    """
+    for n in (2, 7, 40):
+        for norm in np.geomspace(1e-3, 1e4, 15):
+            off = rng.random((n, n))
+            np.fill_diagonal(off, 0.0)
+            gen = off - np.diag(off.sum(axis=0))
+            skew = rng.standard_normal((n, n))
+            skew -= skew.T
+            cases = [gen, skew] + ([rng.standard_normal((n, n))] if norm <= 10.0 else [])
+            for a in cases:
+                yield a * (norm / np.linalg.norm(a, 1))
+
+
+def test_expm_matches_scipy():
+    squared = plain = 0
+    for a in _expm_cases(np.random.default_rng(0)):
+        ref = scipy.linalg.expm(a)
+        norm = np.linalg.norm(a, 1)
+        # the exponential's condition number grows like the norm of a
+        tol = 50.0 * np.finfo(float).eps * max(1.0, norm)
+        assert np.linalg.norm(expm(a) - ref, 1) <= tol * np.linalg.norm(ref, 1)
+        squared += norm > 5.371920351148152
+        plain += norm <= 5.371920351148152
+    assert squared >= 40 and plain >= 40
+
+
+def test_expm_small_and_degenerate_inputs():
+    assert expm(np.array([[2.0]]))[0, 0] == pytest.approx(math.exp(2.0), rel=1e-15)
+    assert expm(np.array([[-700.0]]))[0, 0] == pytest.approx(math.exp(-700.0), rel=1e-12)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(expm(np.zeros((5, 5))) - np.eye(5))) <= 2.0 * eps
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])     # nilpotent: exp(a) = I + a
+    assert np.max(np.abs(expm(a) - np.array([[1.0, 1.0], [0.0, 1.0]]))) <= 4.0 * eps
+    before = a.copy()
+    expm(a * 100.0)
+    assert np.array_equal(a, before)
+
+
+def test_expm_rejects_a_non_finite_norm():
+    with pytest.raises(NumericalBlowup):
+        expm(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    with pytest.raises(NumericalBlowup):
+        expm(np.full((3, 3), np.nan))
 
 
 # ---------------------------------------------------------------------------
