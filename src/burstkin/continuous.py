@@ -15,6 +15,7 @@ choice because only differences of Q enter.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,6 +42,7 @@ from .models import (
     QuadraticRate,
 )
 from .numerics import (
+    UniformStream,
     draw_unit_exponential,
     find_root_monotone,
     make_rng,
@@ -228,12 +230,69 @@ def _log_simpson_weights(grid: np.ndarray) -> np.ndarray:
 # the hazard potential
 # ---------------------------------------------------------------------------
 
+# Newton in u = ln x stays where exp(u) is a positive finite float
+_LOG_X_MIN = -744.0
+_LOG_X_MAX = 709.0
+_NEWTON_ITER = 100
+
+
+def _scalar_forms(rate, g: float, ref: float):
+    """Q(x) and x Q'(x) = -rate(x)/decay as math-only functions of one float x > 0.
+
+    Q repeats the arithmetic of Potential._closed_form term for term, so
+    the float and array paths differ only in the rounding of ``math``
+    against numpy logarithms and powers.
+    """
+    log = math.log
+    log_ref = log(ref)
+    if isinstance(rate, ConstantRate):
+        a = rate.level / g
+        return (lambda x: a * (log_ref - log(x))), (lambda x: -a)
+    if isinstance(rate, LinearRate):
+        a, s = rate.base / g, rate.slope / g
+        return ((lambda x: a * (log_ref - log(x)) + s * (ref - x)),
+                (lambda x: -(a + s * x)))
+    if isinstance(rate, QuadraticRate):
+        a, s, c = rate.base / g, rate.slope / g, rate.quad / (2.0 * g)
+        return ((lambda x: a * (log_ref - log(x)) + s * (ref - x) + c * (ref * ref - x * x)),
+                (lambda x: -(a + x * (s + 2.0 * c * x))))
+    if isinstance(rate, HillRate):
+        lam, th = rate.scale, rate.numer_coeff
+        d0, d1, ne = rate.denom_const, rate.denom_coeff, rate.exponent
+        lead = lam / (g * d0)
+        curv = lam * (d1 / d0 - th) / (ne * d1 * g)
+        c_ref = log(d0 + d1 * ref ** ne)
+        log_d1 = log(d1)
+
+        def q(x):
+            try:
+                w = d0 + d1 * x ** ne
+            except OverflowError:
+                w = math.inf
+            # past the float range d0 no longer counts: ln w = ne ln x + ln d1
+            s = log(w) if w < math.inf else ne * log(x) + log_d1
+            return lead * (log_ref - log(x)) + curv * (s - c_ref)
+
+        def xdq(x):
+            if x > 1.0:     # rate in powers of x^-ne, which cannot overflow
+                w = x ** -ne
+                return -lam * (w + th) / (g * (d0 * w + d1))
+            z = x ** ne
+            return -lam * (1.0 + th * z) / (g * (d0 + d1 * z))
+
+        return q, xdq
+    raise ModelError(f"Potential: no closed form for {type(rate).__name__}")
+
+
 class Potential:
     """Q(x) = integral of burst_rate/decay from x up to the anchor x_ref.
 
     Strictly decreasing, +inf at the origin for every admissible model.
     Closed forms cover all shipped rate laws with first-order decay; the
-    quadrature path stays available as a cross-check.
+    quadrature path stays available as a cross-check.  A Python float
+    (or int) is evaluated by math-only scalar forms built once per
+    instance; arrays take the numpy path.  ``inverse_evals`` counts the
+    evaluations of Q that ``inverse`` has made.
     """
 
     def __init__(self, model: ContinuousBurstModel, x_ref: float = 1.0):
@@ -243,10 +302,20 @@ class Potential:
         self.x_ref = float(x_ref)
         self.rate = model.burst_rate
         self.gamma = model.decay.rate
+        self._q, self._xdq = _scalar_forms(self.rate, self.gamma, self.x_ref)
+        self._q_inf = self.at_infinity()
+        self.inverse_evals = 0
 
     # -- evaluation ----------------------------------------------------
 
     def value(self, x):
+        if isinstance(x, (float, int)):
+            x = float(x)
+            if x > 0.0:
+                return self._q(x)
+            if x == 0.0:
+                return math.inf
+            raise DomainError("Potential: defined for x > 0 only")
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
             raise DomainError("Potential: defined for x > 0 only")
@@ -288,6 +357,13 @@ class Potential:
 
     def slope(self, x):
         """dQ/dx = -burst_rate(x)/decay(x)."""
+        if isinstance(x, (float, int)):
+            x = float(x)
+            if x > 0.0:
+                return self._xdq(x) / x
+            if x == 0.0:
+                return -math.inf
+            raise DomainError("Potential: defined for x > 0 only")
         x_arr = np.asarray(x, dtype=float)
         out = -self.rate.value(x_arr) / (self.gamma * x_arr)
         return float(out) if np.ndim(x) == 0 else out
@@ -307,13 +383,20 @@ class Potential:
     def inverse(self, target: float, *, hint: float | None = None) -> float:
         """The x with Q(x) = target.
 
-        ``hint`` (a nearby state) tightens the initial bracket, which
-        matters inside simulation loops.  RangeError below the infimum
-        of Q; exactly at a finite infimum the inverse is +inf.
+        Safeguarded Newton in u = ln x: F(u) = Q(e^u) - target falls
+        strictly, with slope x Q'(x) = -burst_rate(x)/decay.  It starts
+        from ``hint`` (a nearby state, which matters inside simulation
+        loops) or from x_ref, keeps the tightest bracket of u it has
+        seen, and replaces a Newton step that leaves the bracket by
+        bisection, or by steps of doubling length while one side is
+        still open.  It stops once |Q(x) - target| <= 1e-13 max(1,
+        |target|), or when the bracket holds no float between its ends.
+        RangeError below the infimum of Q or for a root outside the
+        float range; exactly at a finite infimum the inverse is +inf.
         """
         if target == 0.0:
             return self.x_ref
-        q_inf = self.at_infinity()
+        q_inf = self._q_inf
         if target < q_inf:
             raise RangeError(f"target {target} below the infimum {q_inf} of the potential")
         if target == q_inf:
@@ -322,36 +405,51 @@ class Potential:
         if isinstance(r, ConstantRate):
             return self.x_ref * math.exp(-target * self.gamma / r.level)
 
-        if target > 0.0:
-            # the root sits in (0, x_ref]; descend geometrically
-            hi = self.x_ref
-            if hint is not None and 0.0 < hint < hi and self.value(hint) <= target:
-                hi = hint
-            lo = 0.5 * hi
-            for _ in range(1200):
-                if self.value(lo) >= target:
-                    break
-                hi = lo
-                lo *= 0.5
-            else:
-                raise RangeError("potential inverse: no bracket toward the origin")
+        q, xdq = self._q, self._xdq
+        tol = 1e-13 * max(1.0, abs(target))
+        if hint is not None and 0.0 < hint < math.inf:
+            u = math.log(hint)
         else:
-            # the root sits in [x_ref, inf); ascend geometrically
-            lo = self.x_ref
-            if hint is not None and hint > lo and self.value(hint) >= target:
-                lo = hint
-            hi = 2.0 * lo
-            for _ in range(600):
-                if self.value(hi) <= target:
-                    break
-                lo = hi
-                hi *= 2.0
-            else:
-                raise RangeError("potential inverse: no bracket toward infinity")
-
-        return float(find_root_monotone(
-            lambda x: self.value(x) - target, lo, hi,
-            tol=1e-13 * max(1.0, abs(target)), fprime=self.slope))
+            u = math.log(self.x_ref)
+        u = min(max(u, _LOG_X_MIN), _LOG_X_MAX)
+        lo, hi = -math.inf, math.inf        # F(lo) > 0 > F(hi)
+        reach = 1.0                         # outward step while a side is open
+        last = before = math.inf            # lengths of the last two steps
+        evals = 0
+        try:
+            for _ in range(_NEWTON_ITER):
+                x = math.exp(u)
+                f = q(x) - target
+                evals += 1
+                if abs(f) <= tol:
+                    return x
+                if f > 0.0:
+                    lo = u
+                else:
+                    hi = u
+                step = u - f / xdq(x)
+                # Newton must stay inside the bracket and at least halve the
+                # step before last, or it is replaced (Numerical Recipes' rtsafe)
+                if not (lo < step < hi and abs(step - u) <= 0.5 * before):
+                    if hi == math.inf:
+                        step = lo + reach
+                    elif lo == -math.inf:
+                        step = hi - reach
+                    else:
+                        step = 0.5 * (lo + hi)
+                    reach *= 2.0
+                step = min(max(step, _LOG_X_MIN), _LOG_X_MAX)
+                if step == u:
+                    if lo == -math.inf or hi == math.inf:
+                        raise RangeError(f"potential inverse: target {target} has no "
+                                         "root inside the float range")
+                    return x    # no float left between the bracket ends
+                before, last = last, abs(step - u)
+                u = step
+        finally:
+            self.inverse_evals += evals
+        raise NoConvergence(f"potential inverse: target {target} not reached "
+                            f"in {_NEWTON_ITER} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +501,7 @@ class PdmpTrajectory:
     wait_draws: np.ndarray   # unit exponentials driving the jump clocks
     burst_draws: np.ndarray  # jump sizes
     histogram: ExposureHistogram
+    inverse_evals: int       # evaluations of Q made by Potential.inverse
 
 
 def simulate_pdmp(
@@ -422,6 +521,10 @@ def simulate_pdmp(
     ln(y_prev/y_pre)/gamma and the exposure of bin [a, b) is ln(b/a)/gamma
     per full traversal.  The histogram is therefore exact given the jump
     skeleton; no time discretization enters.
+
+    The loop runs on Python floats: uniforms come from a UniformStream,
+    Q and its inverse take their scalar paths, and the crossed bins are
+    found by bisection.
     """
     if y0 <= 0.0:
         raise ModelError("simulate_pdmp: y0 must be > 0")
@@ -430,22 +533,21 @@ def simulate_pdmp(
     cap = model.burst_size.support_cap
     if y0 >= cap:
         raise ModelError(f"simulate_pdmp: y0 must sit inside the kernel support (0, {cap})")
+    if hist_edges is None and n_bins < 2:
+        raise ModelError(f"simulate_pdmp: n_bins must be >= 2, got {n_bins}")
     pot = Potential(model, x_ref)
     gamma = model.decay.rate
-    rng = make_rng(seed, stream)
 
     if hist_edges is None:
-        hi = default_grid(model, 8)[-1]
-        if math.isfinite(cap):
-            hi = cap
+        hi = cap if math.isfinite(cap) else default_grid(model, 8)[-1]
         lo = min(y0, 1e-6 * hi)
         hist_edges = np.exp(np.linspace(math.log(lo * 1e-2), math.log(hi), n_bins + 1))
     edges = np.asarray(hist_edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 3 or np.any(np.diff(edges) <= 0):
         raise ModelError("simulate_pdmp: need at least two increasing histogram bins")
-    log_edges = np.log(edges)
+    log_edges = np.log(edges).tolist()
     nbins = len(edges) - 1
-    exposure = np.zeros(nbins)
+    exposure = [0.0] * nbins
     below = 0.0
     above = 0.0
 
@@ -455,38 +557,39 @@ def simulate_pdmp(
     waits = np.zeros(n_jumps)
     bursts = np.zeros(n_jumps)
 
+    # the loop writes Python floats through memoryviews, no numpy call
+    times_w, pre_w, post_w, waits_w, bursts_w = map(
+        memoryview, (times, y_pre, y_post, waits, bursts))
+    uniforms = UniformStream(make_rng(seed, stream))
     y = float(y0)
     t = 0.0
     for k in range(n_jumps):
-        eps = draw_unit_exponential(rng)
+        eps = draw_unit_exponential(uniforms)
         y_end = pot.inverse(pot.value(y) + eps, hint=y)
         t += math.log(y / y_end) / gamma
 
         # analytic exposure of every bin the flow segment crosses
         la, lb = math.log(y_end), math.log(y)
-        i0 = max(int(np.searchsorted(log_edges, la, side="right")) - 1, 0)
-        i1 = min(int(np.searchsorted(log_edges, lb, side="left")), nbins)
-        if i1 > i0:
-            lo_clip = np.maximum(log_edges[i0:i1], la)
-            hi_clip = np.minimum(log_edges[i0 + 1:i1 + 1], lb)
-            exposure[i0:i1] += np.maximum(hi_clip - lo_clip, 0.0) / gamma
+        for i in range(max(bisect_right(log_edges, la) - 1, 0),
+                       min(bisect_left(log_edges, lb), nbins)):
+            exposure[i] += max(min(log_edges[i + 1], lb) - max(log_edges[i], la), 0.0) / gamma
         if la < log_edges[0]:
             below += (min(lb, log_edges[0]) - la) / gamma
         if lb > log_edges[-1]:
             above += (lb - max(la, log_edges[-1])) / gamma
 
-        e = model.burst_size.sample(rng, y_end)
-        times[k + 1] = t
-        y_pre[k] = y_end
-        y_post[k] = y_end + e
-        waits[k] = eps
-        bursts[k] = e
+        e = model.burst_size.sample(uniforms, y_end)
+        times_w[k + 1] = t
+        pre_w[k] = y_end
+        post_w[k] = y_end + e
+        waits_w[k] = eps
+        bursts_w[k] = e
         y = y_end + e
         if not math.isfinite(y) or y <= 0.0:
             raise NumericalBlowup(f"state left (0, inf) at jump {k}")
 
-    hist = ExposureHistogram(edges, exposure, below, above, t)
-    return PdmpTrajectory(times, y_pre, y_post, waits, bursts, hist)
+    hist = ExposureHistogram(edges, np.array(exposure), below, above, t)
+    return PdmpTrajectory(times, y_pre, y_post, waits, bursts, hist, pot.inverse_evals)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .models import (
     TabulatedDecay,
 )
 from .numerics import (
-    draw_unit_exponential,
+    DRAW_BLOCK,
     expm,
     # unused here; perfbench/baseline.py still reads and patches the name
     integrate_adaptive,  # noqa: F401
@@ -502,13 +502,14 @@ def evolve_master(
 # ---------------------------------------------------------------------------
 
 class _RateCache:
-    """Vectorized block evaluation of the two rate laws, grown on demand."""
+    """Both rate laws as lists of Python floats, evaluated in vectorized blocks
+    and grown on demand."""
 
     def __init__(self, model: DiscreteBurstModel, block: int = 256):
         self.model = model
         self.block = block
-        self.lam = np.empty(0)
-        self.gam = np.empty(0)
+        self.lam: list = []
+        self.gam: list = []
 
     def ensure(self, n: int) -> None:
         if n < len(self.lam):
@@ -518,8 +519,10 @@ class _RateCache:
             # prefetch no further than the table; reaching past it still raises
             hi = max(n + 1, min(hi, len(self.model.decay.table)))
         idx = np.arange(len(self.lam), hi)
-        self.lam = np.concatenate([self.lam, np.asarray(self.model.burst_rate.value(idx), float)])
-        self.gam = np.concatenate([self.gam, np.asarray(self.model.decay.value(idx), float)])
+        lam = np.asarray(self.model.burst_rate.value(idx), float).tolist()
+        gam = np.asarray(self.model.decay.value(idx), float).tolist()
+        self.lam.extend(lam)
+        self.gam.extend(gam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,42 +553,65 @@ def simulate_jump_chain(
     occupancy estimate weights each visited state by its realized
     holding time.  Every state has a positive total rate (rate(0) > 0
     and decay(n) > 0 for n >= 1), so the chain always takes n_jumps.
+
+    The loop runs on Python floats: uniforms come in blocks, rates from
+    the cache's lists, and the path goes straight into the output arrays,
+    so memory is those arrays and little else.
     """
     if n0 < 0:
         raise ModelError("simulate_jump_chain: n0 must be >= 0")
+    if n_jumps < 1:
+        raise ModelError("simulate_jump_chain: need at least one jump")
     rng = make_rng(seed, stream)
+    size_at = model.burst_size.size_at
+    log1p = math.log1p
     cache = _RateCache(model)
     cache.ensure(n0 + 1)
+    lam, gam = cache.lam, cache.gam     # grown in place by ensure
 
     times = np.zeros(n_jumps + 1)
     states = np.zeros(n_jumps + 1, dtype=np.int64)
     waits = np.zeros(n_jumps)
     bursts = np.zeros(n_jumps, dtype=np.int64)
-    occupancy = np.zeros(max(16, n0 + 1))
+    occupancy = [0.0] * max(16, n0 + 1)
 
+    # the loop writes Python floats and ints through memoryviews, no numpy call
+    times_w, states_w, waits_w, bursts_w = map(memoryview, (times, states, waits, bursts))
+
+    # uniforms in blocks of DRAW_BLOCK, read in place; a jump takes at most
+    # three, and unread ones carry over, so the draws are those of scalar
+    # rng.random() calls in order (UniformStream, inlined)
+    draws: list = []
+    pos = 0
     n = int(n0)
     states[0] = n
     t = 0.0
     for k in range(n_jumps):
-        cache.ensure(n)
-        lam = cache.lam[n]
-        gam = cache.gam[n]
-        total = lam + gam
-        eps = draw_unit_exponential(rng)
+        if pos > len(draws) - 3:
+            draws = draws[pos:] + rng.random(DRAW_BLOCK).tolist()
+            pos = 0
+        if n >= len(lam):
+            cache.ensure(n)
+        total = lam[n] + gam[n]
+        eps = -log1p(-draws[pos])   # draw_unit_exponential
         dt = eps / total
         if n >= len(occupancy):
-            occupancy = np.concatenate([occupancy, np.zeros(len(occupancy) + n)])
+            occupancy.extend([0.0] * (len(occupancy) + n))
         occupancy[n] += dt
         t += dt
-        if rng.random() < gam / total:
+        if draws[pos + 1] < gam[n] / total:
             n -= 1
+            pos += 2
         else:
-            n += model.burst_size.sample(rng)
-            bursts[k] = n - states[k]
-        times[k + 1] = t
-        states[k + 1] = n
-        waits[k] = eps
+            size = size_at(draws[pos + 2])
+            n += size
+            bursts_w[k] = size
+            pos += 3
+        times_w[k + 1] = t
+        states_w[k + 1] = n
+        waits_w[k] = eps
 
+    occupancy = np.array(occupancy)
     hi = int(np.max(np.nonzero(occupancy)[0])) if np.any(occupancy > 0) else 0
     occ = occupancy[: hi + 1]
     occ_pmf = Pmf(occ / t if t > 0 else occ)

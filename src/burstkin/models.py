@@ -14,13 +14,15 @@ construction and evaluates vectorized.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
 
 from .errors import ModelError
-from .numerics import draw_geometric, draw_unit_exponential
+from .numerics import draw_geometric, draw_unit_exponential, geometric_quantile
 
 __all__ = [
     "ConstantRate", "LinearRate", "QuadraticRate", "HillRate",
@@ -294,11 +296,13 @@ class GeometricBurst:
     """P(k) = (1-b) b^(k-1) on k = 1, 2, ...; mean 1/(1-b)."""
 
     b: float
+    log_b: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_finite("GeometricBurst", self.b)
         if not (0.0 < self.b < 1.0):
             raise ModelError(f"GeometricBurst: b must lie in (0, 1), got {self.b}")
+        object.__setattr__(self, "log_b", math.log(self.b))
 
     def pmf(self, k):
         k_arr = np.asarray(k, dtype=float)
@@ -317,12 +321,18 @@ class GeometricBurst:
     def sample(self, rng) -> int:
         return draw_geometric(rng, self.b)
 
+    def size_at(self, u: float) -> int:
+        """The size sample() makes of the uniform u in [0, 1)."""
+        return geometric_quantile(u, self.log_b)
+
 
 @dataclass(frozen=True)
 class TabulatedBurst:
     """Burst-size table h_1 .. h_K; must sum to 1 within 1e-9 (then renormalized)."""
 
     weights: tuple[float, ...]
+    # running sums of the weights, the inverse-CDF table of sample()
+    cumulative: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -333,7 +343,9 @@ class TabulatedBurst:
         s = float(math.fsum(w.tolist()))
         if abs(s - 1.0) > 1e-9:
             raise ModelError(f"TabulatedBurst: weights sum to {s!r}, outside 1 +/- 1e-9")
-        object.__setattr__(self, "weights", tuple(float(v) / s for v in w))
+        weights = tuple(float(v) / s for v in w)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "cumulative", tuple(accumulate(weights)))
 
     def pmf(self, k):
         k_arr = np.asarray(k)
@@ -357,9 +369,11 @@ class TabulatedBurst:
         return float(math.fsum((k + 1) * w for k, w in enumerate(self.weights)))
 
     def sample(self, rng) -> int:
-        u = rng.random()
-        cum = np.cumsum(self.weights)
-        return int(np.searchsorted(cum, u, side="right")) + 1
+        return self.size_at(rng.random())
+
+    def size_at(self, u: float) -> int:
+        """The size sample() makes of the uniform u in [0, 1)."""
+        return bisect_right(self.cumulative, u) + 1
 
 
 BurstPmf = Union[GeometricBurst, TabulatedBurst]

@@ -27,6 +27,7 @@ from .errors import (
 
 __all__ = [
     "make_rng",
+    "UniformStream",
     "draw_unit_exponential",
     "draw_geometric",
     "StepperConfig",
@@ -61,6 +62,37 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
+# uniforms drawn per refill of a UniformStream
+DRAW_BLOCK = 256
+
+
+class UniformStream:
+    """The uniforms of a generator, drawn DRAW_BLOCK at a time.
+
+    ``random()`` hands out rng.random(DRAW_BLOCK) as Python floats, one
+    at a time, and refills when the block runs out.  A block is the next
+    DRAW_BLOCK values of the scalar sequence, so the draws consumed are
+    exactly those of repeated ``rng.random()`` calls, at the cost of a
+    list index instead of a generator call.  Anything written against
+    ``rng.random()`` accepts the stream in place of the generator.
+    """
+
+    __slots__ = ("rng", "_block", "_pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self._block: list = []
+        self._pos = 0
+
+    def random(self) -> float:
+        pos = self._pos
+        if pos == len(self._block):
+            self._block = self.rng.random(DRAW_BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._block[pos]
+
+
 def draw_unit_exponential(rng: np.random.Generator) -> float:
     """Unit-mean exponential via the inverse CDF, -ln U with U in (0, 1].
 
@@ -76,10 +108,18 @@ def draw_geometric(rng: np.random.Generator, b: float) -> int:
 
     Uses ceil(ln U / ln b); the measure-zero endpoint U = 1 maps to 1.
     """
-    u = 1.0 - rng.random()  # in (0, 1]
-    if u >= 1.0:
+    return geometric_quantile(rng.random(), math.log(b))
+
+
+def geometric_quantile(u: float, log_b: float) -> int:
+    """The geometric size that draw_geometric makes of the uniform u in [0, 1).
+
+    Takes ln b rather than b so that callers drawing many sizes compute it once.
+    """
+    v = 1.0 - u  # in (0, 1]
+    if v >= 1.0:
         return 1
-    return max(1, math.ceil(math.log(u) / math.log(b)))
+    return max(1, math.ceil(math.log(v) / log_b))
 
 
 # ---------------------------------------------------------------------------

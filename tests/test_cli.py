@@ -14,7 +14,7 @@ from burstkin.cli import (
     run_experiment,
     run_sweep,
 )
-from burstkin.errors import ParseError, ValidationError
+from burstkin.errors import ModelError, ParseError, ValidationError
 
 
 DISCRETE_CFG = """\
@@ -225,6 +225,50 @@ def test_cli_exit_code_for_numeric_failure(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "NotNormalizable" in capsys.readouterr().err
+
+
+SIM_MODELS = {
+    "simulate-discrete": "model.kind = discrete\nmodel.rate = constant\n"
+                         "model.rate_level = 1.0\nmodel.decay = 1.0\n"
+                         "model.burst = geometric\nmodel.burst_b = 0.5\n",
+    "simulate-pdmp": "model.kind = continuous\nmodel.rate = constant\n"
+                     "model.rate_level = 2.0\nmodel.decay = 1.0\n"
+                     "model.burst = exponential\nmodel.burst_b = 1.0\n",
+}
+
+
+@pytest.mark.parametrize("mode, numeric", [
+    ("simulate-discrete", "numeric.n0 = 0\nnumeric.n_jumps = -1\n"),
+    ("simulate-discrete", "numeric.n0 = 0\nnumeric.n_jumps = 0\n"),
+    ("simulate-pdmp", "numeric.y0 = 1.0\nnumeric.n_jumps = 50\nnumeric.n_bins = -5\n"),
+    ("simulate-pdmp", "numeric.y0 = 1.0\nnumeric.n_jumps = 50\nnumeric.n_bins = 1\n"),
+])
+def test_simulators_refuse_empty_runs_before_writing(tmp_path, capsys, mode, numeric):
+    # n_jumps < 1 and n_bins < 2 are config errors: exit 1, no artifact
+    text = f"run.mode = {mode}\n{SIM_MODELS[mode]}{numeric}"
+    cfg = parse_config(text, overrides={("output", "dir"): str(tmp_path / "run")})
+    with pytest.raises(ModelError):
+        run_experiment(cfg)
+    assert not list((tmp_path / "run").glob("*.csv"))
+    p = write_cfg(tmp_path, text)
+    assert main([mode, "--config", str(p), "--out", str(tmp_path / "cli")]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not list((tmp_path / "cli").glob("*"))
+
+
+def test_pdmp_reports_potential_evals_per_jump(tmp_path):
+    linear = PDMP_CFG.replace("model.rate = constant\nmodel.rate_level = 2.0",
+                              "model.rate = linear\nmodel.rate_base = 1.5\n"
+                              "model.rate_slope = 0.3")
+    counts = {}
+    for name, text in (("constant", PDMP_CFG), ("linear", linear)):
+        cfg = parse_config(text, overrides={("output", "dir"): str(tmp_path / name)})
+        counts[name] = run_experiment(cfg).scalars["potential_evals_per_jump"]
+        blob = json.loads((tmp_path / name / "summary.json").read_text())
+        assert blob["scalars"]["potential_evals_per_jump"] == counts[name]
+    # the constant rate inverts in closed form; Newton needs a handful
+    assert counts["constant"] == 0.0
+    assert 1.0 <= counts["linear"] <= 8.0
 
 
 def test_cli_modes_continuous(tmp_path):

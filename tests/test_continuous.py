@@ -38,7 +38,12 @@ from burstkin.errors import (
     RangeError,
     WindowTooSmall,
 )
-from burstkin.numerics import trapezoid
+from burstkin.numerics import (
+    draw_unit_exponential,
+    find_root_monotone,
+    make_rng,
+    trapezoid,
+)
 from burstkin.models import (
     ConstantRate,
     ContinuousBurstModel,
@@ -219,9 +224,136 @@ def test_potential_domain_and_wrappers():
     assert Potential(m, x_ref=1.0).value(0.25) == pytest.approx(2.0 * math.log(4.0))
 
 
+@st.composite
+def potentials(draw):
+    """A Potential of each continuous rate family, anchored at 1 or 3.7."""
+    unit = st.floats(0.0, 1.0)
+    family = draw(st.sampled_from(("constant", "linear", "quadratic", "hill")))
+    level = 0.2 + 4.8 * draw(unit)
+    if family == "constant":
+        rate = ConstantRate(level)
+    elif family == "linear":
+        rate = LinearRate(level, 3.0 * draw(unit))
+    elif family == "quadratic":
+        rate = QuadraticRate(level, 3.0 * draw(unit), draw(unit))
+    else:
+        # numer_coeff 0 shuts the rate off: Q has a finite infimum
+        numer = draw(st.sampled_from((0.0, 3.0 * draw(unit))))
+        rate = HillRate(level, numer, 0.5 + 1.5 * draw(unit), 0.3 + 1.7 * draw(unit),
+                        0.5 + 3.5 * draw(unit))
+    model = ContinuousBurstModel(rate, LinearDecay(0.5 + 1.5 * draw(unit)),
+                                 ExponentialBurstKernel(1.0))
+    return Potential(model, x_ref=draw(st.sampled_from((1.0, 3.7))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pot=potentials(), log_x=st.floats(-12.0, 12.0), log_hint=st.floats(-3.0, 3.0))
+def test_potential_float_path_and_newton_inverse(pot, log_x, log_hint):
+    x = math.exp(log_x)
+    q = pot.value(x)
+    assert type(q) is float
+    assert abs(q - pot.value(np.array([x]))[0]) <= 1e-14 * (1.0 + abs(q))
+    slope = pot.slope(x)
+    assert type(slope) is float
+    assert abs(slope - pot.slope(np.array([x]))[0]) <= 1e-14 * abs(slope)
+    assert pot.value(0.0) == math.inf
+    for bad in (-x, math.nan):
+        with pytest.raises(DomainError):
+            pot.value(bad)
+        with pytest.raises(DomainError):
+            pot.slope(bad)
+    # x on either side of x_ref gives targets on either side of 0
+    if q <= pot.at_infinity():
+        # x so large that Q rounds onto or below a finite infimum
+        if q == pot.at_infinity():
+            assert pot.inverse(q) == math.inf
+        else:
+            with pytest.raises(RangeError):
+                pot.inverse(q)
+        return
+    for hint in (None, x * math.exp(log_hint)):
+        root = pot.inverse(q, hint=hint)
+        assert abs(pot.value(root) - q) <= 1e-13 * max(1.0, abs(q))
+
+
+def test_potential_inverse_counts_its_evaluations():
+    constant = Potential(gamma_model())
+    constant.inverse(1.5)
+    assert constant.inverse_evals == 0
+    pot = Potential(ContinuousBurstModel(LinearRate(1.5, 0.3), LinearDecay(1.0),
+                                         ExponentialBurstKernel(1.0)))
+    pot.inverse(1.5, hint=0.8)
+    assert 1 <= pot.inverse_evals <= 8
+    before = pot.inverse_evals
+    with pytest.raises(RangeError):   # the root lies below the smallest float
+        pot.inverse(1e4)
+    assert pot.inverse_evals > before
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
+
+PDMP_FAMILIES = {
+    "constant": ContinuousBurstModel(ConstantRate(2.2), LinearDecay(1.05),
+                                     ExponentialBurstKernel(0.9)),
+    "linear": ContinuousBurstModel(LinearRate(2.4, 0.3), LinearDecay(0.95),
+                                   ExponentialBurstKernel(1.1)),
+    "hill": ContinuousBurstModel(HillRate(2.3, 2.2, 1.0, 1.2, 2.3), LinearDecay(1.0),
+                                 ExponentialBurstKernel(1.0)),
+    "quadratic": ContinuousBurstModel(QuadraticRate(2.1, 0.12, 0.25), LinearDecay(1.1),
+                                      SeparableBurstKernel(GaussianExpNu(1.0, 0.4))),
+}
+
+
+def bracketed_pdmp(model, y0, n_jumps, seed):
+    """simulate_pdmp's jump skeleton as it ran before Newton in ln x: scalar
+    draws from the generator, and an inverse that brackets the root by
+    halving or doubling x from the anchor (or the hint) before handing it
+    to find_root_monotone.  Returns (times, y_pre)."""
+    pot = Potential(model, 1.0)
+    rng = make_rng(seed, 0)
+
+    def inverse(target, hint):
+        if isinstance(model.burst_rate, ConstantRate):
+            return math.exp(-target * model.decay.rate / model.burst_rate.level)
+        if target > 0.0:
+            hi = 1.0
+            if 0.0 < hint < hi and pot.value(hint) <= target:
+                hi = hint
+            lo = 0.5 * hi
+            while pot.value(lo) < target:
+                hi, lo = lo, 0.5 * lo
+        else:
+            lo = 1.0
+            if hint > lo and pot.value(hint) >= target:
+                lo = hint
+            hi = 2.0 * lo
+            while pot.value(hi) > target:
+                lo, hi = hi, 2.0 * hi
+        return find_root_monotone(lambda x: pot.value(x) - target, lo, hi,
+                                  tol=1e-13 * max(1.0, abs(target)), fprime=pot.slope)
+
+    times, y_pre = [0.0], []
+    y = y0
+    for _ in range(n_jumps):
+        y_end = inverse(pot.value(y) + draw_unit_exponential(rng), y)
+        times.append(times[-1] + math.log(y / y_end) / model.decay.rate)
+        y_pre.append(y_end)
+        y = y_end + model.burst_size.sample(rng, y_end)
+    return np.array(times), np.array(y_pre)
+
+
+@pytest.mark.parametrize("family", sorted(PDMP_FAMILIES))
+def test_simulate_pdmp_matches_the_bracketed_inverse(family):
+    # both inverses stop within 1e-13 max(1, |target|) of the root, so
+    # the two skeletons agree to round-off, not bit for bit
+    model = PDMP_FAMILIES[family]
+    tr = simulate_pdmp(model, 1.0, 2000, seed=17)
+    times, y_pre = bracketed_pdmp(model, 1.0, 2000, seed=17)
+    assert np.max(np.abs(tr.y_pre - y_pre) / y_pre) <= 1e-10
+    assert np.max(np.abs(tr.times[1:] - times[1:]) / times[1:]) <= 1e-10
+
 
 def test_simulate_pdmp_is_reproducible():
     m = gamma_model()

@@ -36,8 +36,10 @@ from burstkin.models import (
     LinearRate,
     TabulatedBurst,
     TabulatedDecay,
+    TabulatedRate,
     TruncatedLinearRate,
 )
+from burstkin.numerics import DRAW_BLOCK, make_rng
 
 
 def nb_model(lam0=1.0, lam1=0.0, gamma=1.0, b=0.5):
@@ -408,6 +410,149 @@ def test_simulation_inside_a_short_decay_table():
 def test_simulation_rejects_bad_start():
     with pytest.raises(ModelError):
         simulate_jump_chain(nb_model(), -1, 10, seed=0)
+    for n_jumps in (0, -1):
+        with pytest.raises(ModelError):
+            simulate_jump_chain(nb_model(), 0, n_jumps, seed=0)
+
+
+def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
+    """The jump chain as it ran before the block-drawn stream: one scalar
+    rng.random() per draw, numpy rate arrays grown by concatenation, the
+    burst laws' own inverse CDFs, and every output written per jump."""
+    rng = make_rng(seed, stream)
+    lam_arr, gam_arr = np.empty(0), np.empty(0)
+
+    def ensure(n):
+        nonlocal lam_arr, gam_arr
+        if n < len(lam_arr):
+            return
+        hi = max(n + 1, len(lam_arr) + 256)
+        if isinstance(model.decay, TabulatedDecay):
+            hi = max(n + 1, min(hi, len(model.decay.table)))
+        idx = np.arange(len(lam_arr), hi)
+        lam_arr = np.concatenate([lam_arr, np.asarray(model.burst_rate.value(idx), float)])
+        gam_arr = np.concatenate([gam_arr, np.asarray(model.decay.value(idx), float)])
+
+    def burst_size():
+        law = model.burst_size
+        if isinstance(law, GeometricBurst):
+            u = 1.0 - rng.random()
+            if u >= 1.0:
+                return 1
+            return max(1, math.ceil(math.log(u) / math.log(law.b)))
+        u = rng.random()
+        return int(np.searchsorted(np.cumsum(law.weights), u, side="right")) + 1
+
+    ensure(n0 + 1)
+    times = np.zeros(n_jumps + 1)
+    states = np.zeros(n_jumps + 1, dtype=np.int64)
+    waits = np.zeros(n_jumps)
+    bursts = np.zeros(n_jumps, dtype=np.int64)
+    occupancy = np.zeros(max(16, n0 + 1))
+    n = n0
+    states[0] = n
+    t = 0.0
+    for k in range(n_jumps):
+        ensure(n)
+        lam, gam = lam_arr[n], gam_arr[n]
+        total = lam + gam
+        eps = -math.log1p(-rng.random())
+        dt = eps / total
+        if n >= len(occupancy):
+            occupancy = np.concatenate([occupancy, np.zeros(len(occupancy) + n)])
+        occupancy[n] += dt
+        t += dt
+        if rng.random() < gam / total:
+            n -= 1
+        else:
+            n += burst_size()
+            bursts[k] = n - states[k]
+        times[k + 1] = t
+        states[k + 1] = n
+        waits[k] = eps
+    hi = int(np.max(np.nonzero(occupancy)[0]))
+    return times, states, waits, bursts, occupancy[: hi + 1] / t, t
+
+
+@st.composite
+def chain_models(draw):
+    """Every discrete rate family x geometric/tabulated bursts x linear/short
+    tabulated decay; fast-growing rates run off a short table."""
+    unit = st.floats(0.0, 1.0)
+    family = draw(st.sampled_from(RATE_FAMILIES + ("tabulated",)))
+    gamma = 0.8 + 0.45 * draw(unit)
+    level = gamma * (0.3 + 3.7 * draw(unit))
+    if family == "constant":
+        rate = ConstantRate(level)
+    elif family == "linear":
+        rate = LinearRate(level, gamma * 0.5 * draw(unit))
+    elif family == "hill":
+        rate = HillRate(level, 1.5 * draw(unit), 1.0, 0.3 + 0.7 * draw(unit),
+                        0.5 + 2.5 * draw(unit))
+    elif family == "truncated-linear":
+        rate = TruncatedLinearRate(level, -gamma * (0.1 + 0.2 * draw(unit)),
+                                   10.0 + 30.0 * draw(unit))
+    else:
+        rate = TabulatedRate(tuple(level * (0.1 + draw(unit))
+                                   for _ in range(draw(st.integers(1, 30)))))
+    if draw(st.booleans()):
+        burst = GeometricBurst(0.2 + 0.6 * draw(unit))
+    else:
+        weights = [0.05 + draw(unit) for _ in range(draw(st.integers(1, 6)))]
+        burst = TabulatedBurst(tuple(w / math.fsum(weights) for w in weights))
+    if draw(st.booleans()):
+        decay = LinearDecay(gamma)
+    else:
+        decay = TabulatedDecay((0.0,) + tuple(gamma * (n + 3.0 * draw(unit))
+                                              for n in range(1, draw(st.integers(2, 40)))))
+    return DiscreteBurstModel(rate, decay, burst)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(model=chain_models(),
+       n_jumps=st.sampled_from((DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
+                                3 * DRAW_BLOCK + 7)),
+       n0=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), stream=st.integers(0, 3))
+def test_jump_chain_is_bit_identical_to_the_scalar_loop(model, n_jumps, n0, seed, stream):
+    try:
+        ref = scalar_jump_chain(model, n0, n_jumps, seed, stream)
+    except ModelError:
+        # the path ran past a decay table: the chain must refuse it too
+        with pytest.raises(ModelError):
+            simulate_jump_chain(model, n0, n_jumps, seed, stream=stream)
+        return
+    got = simulate_jump_chain(model, n0, n_jumps, seed, stream=stream)
+    outputs = (got.times, got.states, got.wait_draws, got.burst_sizes,
+               got.occupancy.values)
+    for mine, theirs in zip(outputs, ref[:5]):
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+    assert got.total_time == ref[5]
+
+
+def test_jump_chain_past_a_decay_table_still_raises():
+    decay = TabulatedDecay((0.0,) + tuple(0.5 * n for n in range(1, 8)))
+    m = DiscreteBurstModel(ConstantRate(5.0), decay, GeometricBurst(0.6))
+    with pytest.raises(ModelError):
+        scalar_jump_chain(m, 0, 200, 1)
+    with pytest.raises(ModelError):
+        simulate_jump_chain(m, 0, 200, seed=1)
+
+
+def test_jump_chain_memory_is_its_output_arrays():
+    # the loop keeps one block of Python objects, not the whole path
+    m = DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
+                           GeometricBurst(0.5))
+    n_jumps = 300_000
+    tracemalloc.start()
+    try:
+        res = simulate_jump_chain(m, 0, n_jumps, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (res.times, res.states, res.wait_draws, res.burst_sizes))
+    assert outputs == 32 * n_jumps + 16
+    assert peak <= outputs + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

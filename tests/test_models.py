@@ -143,6 +143,26 @@ def test_tabulated_burst():
         TabulatedBurst((0.5, 0.1))
 
 
+def test_tabulated_burst_draws_match_the_numpy_inverse_cdf():
+    # the prebuilt running sums and bisect_right pick the same size as
+    # np.cumsum + searchsorted(side="right"), bit for bit, including
+    # uniforms that sit exactly on a cumulative weight
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        t = TabulatedBurst(tuple(rng.dirichlet(np.ones(rng.integers(1, 12)))))
+        cum = np.cumsum(t.weights)
+        assert t.cumulative == tuple(cum.tolist())
+        for u in rng.random(20).tolist() + cum.tolist() + [0.0]:
+            assert t.size_at(u) == int(np.searchsorted(cum, u, side="right")) + 1
+
+
+def test_geometric_size_at_matches_sample():
+    g = GeometricBurst(0.45)
+    a, b = make_rng(8, 0), make_rng(8, 0)
+    assert [g.sample(a) for _ in range(500)] == [g.size_at(b.random()) for _ in range(500)]
+    assert g.size_at(0.0) == 1
+
+
 def test_burst_helpers():
     g = GeometricBurst(0.5)
     assert g.mean() == pytest.approx(2.0)

@@ -12,7 +12,9 @@ from burstkin.errors import (
     ToleranceNotMet,
 )
 from burstkin.numerics import (
+    DRAW_BLOCK,
     StepperConfig,
+    UniformStream,
     draw_geometric,
     draw_unit_exponential,
     expm,
@@ -61,6 +63,21 @@ def test_geometric_draws_support_and_mean():
     draws = np.array([draw_geometric(r, 0.7) for _ in range(20000)])
     assert draws.min() >= 1
     assert abs(draws.mean() - 1.0 / 0.3) < 0.1
+
+
+def test_uniform_stream_is_the_scalar_sequence():
+    # the blocks, read one value at a time, are the scalar draws exactly,
+    # across every refill
+    n = 3 * DRAW_BLOCK + 7
+    scalar = make_rng(42, 3)
+    stream = UniformStream(make_rng(42, 3))
+    assert [stream.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
+    # and the draw helpers take the stream in place of the generator
+    scalar = make_rng(5, 0)
+    stream = UniformStream(make_rng(5, 0))
+    for _ in range(DRAW_BLOCK + 1):
+        assert draw_unit_exponential(stream) == draw_unit_exponential(scalar)
+        assert draw_geometric(stream, 0.7) == draw_geometric(scalar, 0.7)
 
 
 # ---------------------------------------------------------------------------
