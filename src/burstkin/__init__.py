@@ -18,7 +18,6 @@ from .continuous import (
     default_grid,
     density_from_fixed_point,
     ergodicity_margin,
-    ergodicity_margin_raw,
     ergodicity_scan,
     geometric_grid,
     kernel_fixed_point,

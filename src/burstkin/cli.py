@@ -183,7 +183,6 @@ _MODE_NUMERIC = {
         "n_knots": (int, False, 4096),
         "x_ref": (float, False, 1.0),
         "tol": (float, False, 1e-10),
-        "max_iter": (int, False, 5000),
         "leak_tol": (float, False, 2e-5),
     },
     "invert-phi": {
@@ -207,7 +206,7 @@ _MODE_NUMERIC = {
 # canonical key order for rendering
 _NUMERIC_ORDER = (
     "n_max", "t_end", "n0", "y0", "n_jumps", "n_snapshots", "n_knots",
-    "n_bins", "n_scan", "n_probes", "max_iter", "x_ref", "y_probe",
+    "n_bins", "n_scan", "n_probes", "x_ref", "y_probe",
     "window_lo", "window_hi", "tail_tol", "tol", "leak_tol", "quad_tol",
     "floor", "seed", "stream",
 )
@@ -552,7 +551,7 @@ def _run_kernel_fixed_point(cfg, model, out: Path):
     num = cfg.numeric
     grid = cont.kernel_grid(model, num["n_knots"], leak_tol=num["leak_tol"])
     kern = cont.kernel_matrix(model, grid, x_ref=num["x_ref"])
-    v_star = cont.kernel_fixed_point(kern, tol=num["tol"], max_iter=num["max_iter"])
+    v_star = cont.kernel_fixed_point(kern, tol=num["tol"])
     u_star = cont.density_from_fixed_point(model, v_star, x_ref=num["x_ref"])
     write_density_csv(out / "vstar.csv", v_star.grid, v_star.values)
     write_density_csv(out / "density.csv", u_star.grid, u_star.values)

@@ -29,6 +29,7 @@ from .errors import (
     NotIntegrable,
     NumericalBlowup,
     RangeError,
+    ToleranceNotMet,
     WindowTooSmall,
 )
 from .models import (
@@ -70,7 +71,6 @@ __all__ = [
     "ModeReportContinuous",
     "count_modes_continuous",
     "ergodicity_margin",
-    "ergodicity_margin_raw",
     "ergodicity_scan",
 ]
 
@@ -288,11 +288,10 @@ class Potential:
     """Q(x) = integral of burst_rate/decay from x up to the anchor x_ref.
 
     Strictly decreasing, +inf at the origin for every admissible model.
-    Closed forms cover all shipped rate laws with first-order decay; the
-    quadrature path stays available as a cross-check.  A Python float
-    (or int) is evaluated by math-only scalar forms built once per
-    instance; arrays take the numpy path.  ``inverse_evals`` counts the
-    evaluations of Q that ``inverse`` has made.
+    Closed forms cover all shipped rate laws with first-order decay.  A
+    Python float (or int) is evaluated by math-only scalar forms built
+    once per instance; arrays take the numpy path.  ``inverse_evals``
+    counts the evaluations of Q that ``inverse`` has made.
     """
 
     def __init__(self, model: ContinuousBurstModel, x_ref: float = 1.0):
@@ -345,15 +344,6 @@ class Potential:
             return (lead * log_ref_over_x
                     + curv * (np.log(d0 + d1 * x ** ne) - math.log(d0 + d1 * ref ** ne)))
         raise ModelError(f"Potential: no closed form for {type(r).__name__}")
-
-    def value_quadrature(self, x: float, tol: float = 1e-12) -> float:
-        """Direct quadrature of burst_rate/decay; cross-check for the closed form."""
-        x = float(x)
-        if x <= 0.0:
-            raise DomainError("Potential: defined for x > 0 only")
-        lo, hi = (x, self.x_ref) if x <= self.x_ref else (self.x_ref, x)
-        val = quad_adaptive(lambda y: self.rate.value(y) / (self.gamma * y), lo, hi, tol)
-        return val if x <= self.x_ref else -val
 
     def slope(self, x):
         """dQ/dx = -burst_rate(x)/decay(x)."""
@@ -759,9 +749,10 @@ class KernelGrid:
     e^{dq} and column j < i through e^{-dq-dl}, one recurrence each, so
     ``apply`` costs O(n) time and memory.  Column j integrates to one
     exactly under ``weights`` once divided by ``raw_column_sums``, the
-    raw quadrature sums.  ``scale`` is the model's natural state scale,
-    where power iteration starts by default.  ``matrix`` materializes the
-    dense n x n array, k(x_i, y_j) at [i, j]: an O(n^2) diagnostic.
+    raw quadrature sums R_j.  ``ln_balance`` is ln A_j + ln R_j - Q_j,
+    the log of the operator's fixed point up to a constant (see
+    kernel_fixed_point).  ``matrix`` materializes the dense n x n array,
+    k(x_i, y_j) at [i, j]: an O(n^2) diagnostic.
     """
 
     grid: np.ndarray
@@ -770,7 +761,7 @@ class KernelGrid:
     dq: np.ndarray
     dl: np.ndarray
     raw_column_sums: np.ndarray
-    scale: float
+    ln_balance: np.ndarray
 
     def _raw(self, z: np.ndarray) -> np.ndarray:
         """The raw kernel times z, rows of z on the knots."""
@@ -872,7 +863,7 @@ def kernel_matrix(
     stay accurate even where the integrand swings by many orders of
     magnitude across one log panel.  Columns are validated (GridTooNarrow
     below 1 - 1e-4 of their mass) then closed to exactly stochastic, so
-    downstream iteration conserves mass to rounding.
+    ``apply`` conserves mass to rounding.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 8 or np.any(np.diff(grid) <= 0):
@@ -894,48 +885,30 @@ def kernel_matrix(
         worst = float(np.min(raw_sums))
         raise GridTooNarrow(
             f"kernel column mass down to {worst:.6f}; widen or refine the grid")
-    return KernelGrid(grid, weights, diag, dq, dl, raw_sums, _natural_scale(model))
+    return KernelGrid(grid, weights, diag, dq, dl, raw_sums, ln_a + np.log(raw_sums) - q)
 
 
-def kernel_fixed_point(
-    kernel: KernelGrid,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
-    v0: np.ndarray | None = None,
-) -> GridDensity:
-    """Stationary density of the discretized jump kernel by power iteration.
+def kernel_fixed_point(kernel: KernelGrid, tol: float = 1e-10) -> GridDensity:
+    """Stationary density of the discretized jump kernel, in closed form.
 
-    Iterates are averaged over a short trailing window (a truncated
-    running mean) to damp rotating modes; the stop test is the weighted
-    L1 residual of the averaged iterate.
+    With alpha_i = w_i A_i the closed operator P_ij = w_i k_ij / R_j
+    carries mass m_j = w_j v_j, v_j = A_j R_j e^{-Q_j}, to
+    m_j P_ij = alpha_i alpha_j S_min(i,j), which is symmetric in i and
+    j: the chain is reversible, and detailed balance makes v its fixed
+    point exactly (Kelly, Reversibility and Stochastic Networks, 1979).
+    v is formed as exp(ln_balance - max), so no factor overflows.
+    ``tol`` is a certificate: one ``apply`` measures the weighted L1
+    residual, and a residual above it raises ToleranceNotMet.
     """
-    w = kernel.weights
-    if v0 is None:
-        # decaying past the natural scale keeps the start's mass off the
-        # top of a wide grid, where the discretized chain barely mixes
-        v = np.exp(-(kernel.grid - kernel.grid[0]) / kernel.scale)
-    else:
-        v = np.asarray(v0, dtype=float).copy()
-        if v.shape != kernel.grid.shape or np.any(v < 0) or not np.any(v > 0):
-            raise ModelError("kernel_fixed_point: start must be nonnegative on the grid")
-    v /= float(np.dot(w, v))
-
-    window: list[np.ndarray] = []
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        v = kernel.apply(v)
-        v /= float(np.dot(w, v))
-        window.append(v)
-        if len(window) > 8:
-            window.pop(0)
-        if it % 4 == 0 or it == max_iter:
-            avg = np.mean(window, axis=0)
-            avg /= float(np.dot(w, avg))
-            residual = float(np.dot(w, np.abs(kernel.apply(avg) - avg)))
-            if residual <= tol:
-                return GridDensity(kernel.grid, avg / trapezoid(avg, kernel.grid))
-    raise NoConvergence(f"power iteration stalled at residual {residual:.3e} "
-                        f"after {max_iter} iterations")
+    ln_v = kernel.ln_balance
+    v = np.exp(ln_v - np.max(ln_v))
+    if not np.all(np.isfinite(v)):
+        raise NumericalBlowup("kernel fixed point is not a finite vector")
+    v_star = GridDensity(kernel.grid, v / trapezoid(v, kernel.grid))
+    residual = kernel.residual(v_star)
+    if not residual <= tol:
+        raise ToleranceNotMet(f"kernel fixed point residual {residual:.3e} above {tol:.3e}")
+    return v_star
 
 
 def density_from_fixed_point(
@@ -999,10 +972,12 @@ def phi_from_density_grid(
 
     Inverts the density balance
 
-        rate(x) = hazard(x) decay(x) + decay(x) d/dx ln(decay(x) u(x)),
+        rate(x) = decay(x) d/dx [ln(decay(x) u(x)) - ln nu(x)],
 
-    with the log derivative taken as a second-order finite difference on
-    the (possibly nonuniform) grid.  The window is trimmed to
+    the hazard -d/dx ln nu folded into the difference: ln(decay u / nu)
+    = -Q - ln c stays smooth up to a finite support cap, where ln u and
+    ln nu are not.  The derivative is a second-order finite difference
+    on the (possibly nonuniform) grid.  The window is trimmed to
     u > floor * max(u); endpoints drop out.  Returns the evaluation
     points and the rate estimate there.
     """
@@ -1012,15 +987,14 @@ def phi_from_density_grid(
     if int(np.sum(keep)) < 3:
         raise NumericalBlowup("density window too thin for finite differences")
     x = grid[keep]
-    g = np.log(decay.value(x) * u[keep])
+    g = np.log(decay.value(x) * u[keep]) - burst.nu.log_value(x)
 
     h1 = x[1:-1] - x[:-2]
     h2 = x[2:] - x[1:-1]
     num = h1 * h1 * g[2:] - h2 * h2 * g[:-2] - (h1 * h1 - h2 * h2) * g[1:-1]
     dg = num / (h1 * h2 * (h1 + h2))
     xc = x[1:-1]
-    rate = decay.value(xc) * (burst.nu.log_slope(xc) + dg)
-    return xc, rate
+    return xc, decay.value(xc) * dg
 
 
 def phi_from_density_analytic(
@@ -1153,39 +1127,6 @@ def ergodicity_margin(
         m1 = np.asarray(burst.mean_burst(z), dtype=float)
         drift = m1 * model.burst_rate.value(z) / (gamma * z) - 1.0
         return drift * np.exp(np.minimum(q_y - pot.value(z), 0.0))
-
-    return quad_adaptive(integrand, 0.0, y_probe, quad_tol)
-
-
-def ergodicity_margin_raw(
-    rate_fn: Callable[[np.ndarray], np.ndarray],
-    decay_fn: Callable[[np.ndarray], np.ndarray],
-    mean_burst_fn: Callable[[np.ndarray], np.ndarray],
-    y_probe: float,
-    *,
-    quad_tol: float = 1e-10,
-) -> float:
-    """The same margin from raw callables, hazard integrals by quadrature.
-
-    Useful for what-if scans over rate shapes that the model classes
-    refuse, for instance a rate proportional to the decay itself.
-    """
-    if y_probe <= 0.0:
-        raise DomainError("ergodicity margin: y_probe must be > 0")
-
-    def q_diff(z: float) -> float:
-        # integral from z to y_probe of rate/decay
-        return quad_adaptive(lambda t: np.asarray(rate_fn(t), dtype=float)
-                             / np.asarray(decay_fn(t), dtype=float),
-                             z, y_probe, quad_tol)
-
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
-        drift = (np.asarray(mean_burst_fn(z), dtype=float)
-                 * np.asarray(rate_fn(z), dtype=float)
-                 / np.asarray(decay_fn(z), dtype=float) - 1.0)
-        weight = np.array([math.exp(-q_diff(float(t))) for t in np.atleast_1d(z)])
-        return drift * weight.reshape(np.shape(drift))
 
     return quad_adaptive(integrand, 0.0, y_probe, quad_tol)
 

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     GridMismatch,
     NoBracket,
+    NoConvergence,
     NumericalBlowup,
     StiffnessBudgetExceeded,
     ToleranceNotMet,
@@ -420,11 +421,17 @@ def find_root_monotone(
     fprime: Callable[[float], float] | None = None,
     max_iter: int = 200,
 ) -> float:
-    """Root of a monotone f on [lo, hi] by bisection with secant/Newton refinement.
+    """Root of a monotone f on [lo, hi] by a safeguarded Newton/secant bracket.
 
-    Stops when |f(x)| <= tol or the bracket width drops below
-    tol * max(1, |x|).  Raises NoBracket when f(lo) and f(hi) share a
-    strict sign.
+    Each step tries Newton from the latest point (with ``fprime``), then
+    the secant through the bracket ends, and bisects when the candidate
+    leaves the bracket or the bracket failed to halve over two steps.
+    Candidates stay half a tolerance inside the bracket, so a step that
+    lands next to the root crosses it (Brent's minimum step).  Returns
+    the bracket midpoint once the width is at most tol * max(|a|, |b|),
+    a bound relative to the root, or once no float lies between the
+    ends.  NoBracket when f(lo) and f(hi) share a strict sign,
+    NoConvergence after ``max_iter`` steps.
     """
     flo = float(f(lo))
     fhi = float(f(hi))
@@ -437,37 +444,36 @@ def find_root_monotone(
 
     a, fa = float(lo), flo
     b, fb = float(hi), fhi
-    x, fx = a, fa
+    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)   # always a bracket end
+    last = before = math.inf            # bracket widths after the last two steps
     for _ in range(max_iter):
-        # candidate from Newton (if derivative given) else secant, else midpoint
-        cand = None
+        width = b - a
+        eps = tol * max(abs(a), abs(b))
+        mid = 0.5 * (a + b)
+        if width <= eps or not a < mid < b:     # converged, or no float in between
+            return mid
+        cand = math.nan
         if fprime is not None:
             d = float(fprime(x))
-            if d != 0.0 and math.isfinite(d):
-                step = x - fx / d
-                if a < step < b:
-                    cand = step
-        if cand is None and fb != fa:
-            step = b - fb * (b - a) / (fb - fa)
-            if a < step < b:
-                cand = step
-        if cand is None:
-            cand = 0.5 * (a + b)
-        # guard: never let the candidate hug a bracket edge too closely
-        width = b - a
-        cand = min(max(cand, a + 0.01 * width), b - 0.01 * width)
-
-        x = cand
-        fx = float(f(x))
-        if fx == 0.0 or abs(fx) <= tol:
+            if d != 0.0:
+                cand = x - fx / d
+        if not a < cand < b and fb != fa:
+            cand = b - fb * width / (fb - fa)
+        if not a < cand < b or width > 0.5 * before:
+            cand = mid
+        cand = min(max(cand, a + 0.5 * eps), b - 0.5 * eps)
+        if not a < cand < b:            # half a tolerance is below one float step
+            cand = mid
+        x, fx = cand, float(f(cand))
+        if fx == 0.0:
             return x
-        if fa * fx < 0.0:
-            b, fb = x, fx
-        else:
+        if (fx < 0.0) == (fa < 0.0):
             a, fa = x, fx
-        if (b - a) <= tol * max(1.0, abs(x)):
-            return 0.5 * (a + b)
-    return 0.5 * (a + b)
+        else:
+            b, fb = x, fx
+        before, last = last, width
+    raise NoConvergence(f"root bracket [{a:.17g}, {b:.17g}] still open after "
+                        f"{max_iter} steps")
 
 
 # ---------------------------------------------------------------------------

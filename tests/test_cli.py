@@ -57,6 +57,21 @@ numeric.n_max = 40
 numeric.t_end = 6.0
 """
 
+KERNEL_CFG = """\
+run.mode = kernel-fixed-point
+model.kind = continuous
+model.rate = hill
+model.rate_scale = 2.0
+model.rate_numer = 2.0
+model.rate_denom_const = 1.0
+model.rate_denom_coeff = 1.0
+model.rate_exponent = 2.0
+model.decay = 1.0
+model.burst = exponential
+model.burst_b = 1.0
+numeric.n_knots = 1024
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -103,6 +118,9 @@ def test_parse_rejects_unknown_keys():
     for key in ("rel_tol", "abs_tol"):    # the exact propagator has no tolerances
         with pytest.raises(ValidationError, match="not a recognized key"):
             parse_config(EVOLVE_CFG + f"numeric.{key} = 1e-8\n")
+    # the closed-form kernel fixed point has no iteration cap
+    with pytest.raises(ValidationError, match="not a recognized key"):
+        parse_config(KERNEL_CFG + "numeric.max_iter = 5000\n")
     with pytest.raises(ValidationError, match="unknown section"):
         parse_config(DISCRETE_CFG + "extra.thing = 1\n")
 
@@ -374,6 +392,22 @@ def test_evolve_master_reruns_are_byte_identical(tmp_path):
     # the stationary law leaves about 1e-5 at state 40; a wider cap far less
     assert 1e-7 < scalars["max_cap_mass"] < 1e-3
     assert scalars["max_mass_drift"] <= 1e-12
+
+
+def test_kernel_fixed_point_reruns_are_byte_identical(tmp_path):
+    cfg = parse_config(KERNEL_CFG, overrides={("output", "dir"): str(tmp_path / "a")})
+    first = run_experiment(cfg)
+    assert first.artifacts == ["vstar.csv", "density.csv"]
+    blobs = {name: (tmp_path / "a" / name).read_bytes() for name in first.artifacts}
+    residual = json.loads((tmp_path / "a" / "summary.json").read_text())["scalars"][
+        "fixed_point_residual"]
+    again = run_experiment(cfg)
+    assert again.artifacts == first.artifacts
+    for name, blob in blobs.items():
+        assert (tmp_path / "a" / name).read_bytes() == blob
+    scalars = json.loads((tmp_path / "a" / "summary.json").read_text())["scalars"]
+    assert scalars["fixed_point_residual"] == residual
+    assert residual <= 1e-13
 
 
 def test_evolve_master_rejects_empty_snapshot_counts(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,13 +12,13 @@ from burstkin.continuous import (
     Potential,
     _kernel_log_factors,
     _log_simpson_weights,
+    _natural_scale,
     _prefix_scan,
     _suffix_scan,
     count_modes_continuous,
     default_grid,
     density_from_fixed_point,
     ergodicity_margin,
-    ergodicity_margin_raw,
     ergodicity_scan,
     geometric_grid,
     kernel_fixed_point,
@@ -33,15 +34,18 @@ from burstkin.errors import (
     DomainError,
     GridTooNarrow,
     ModelError,
+    NoConvergence,
     NotIntegrable,
     NumericalBlowup,
     RangeError,
+    ToleranceNotMet,
     WindowTooSmall,
 )
 from burstkin.numerics import (
     draw_unit_exponential,
     find_root_monotone,
     make_rng,
+    quad_adaptive,
     trapezoid,
 )
 from burstkin.models import (
@@ -161,13 +165,20 @@ RATE_LAWS = [
 ]
 
 
+def potential_by_quadrature(pot, x, tol=1e-12):
+    """Q(x) by direct quadrature of burst_rate/decay: the closed forms' oracle."""
+    lo, hi = (x, pot.x_ref) if x <= pot.x_ref else (pot.x_ref, x)
+    val = quad_adaptive(lambda y: pot.rate.value(y) / (pot.gamma * y), lo, hi, tol)
+    return val if x <= pot.x_ref else -val
+
+
 @pytest.mark.parametrize("rate", RATE_LAWS, ids=lambda r: type(r).__name__)
 def test_potential_closed_form_matches_quadrature(rate):
     m = ContinuousBurstModel(rate, LinearDecay(1.3), ExponentialBurstKernel(0.5))
     pot = Potential(m, x_ref=1.0)
     assert pot.value(1.0) == 0.0
     for x in (0.05, 0.4, 1.0, 2.5, 9.0):
-        assert pot.value(x) == pytest.approx(pot.value_quadrature(x), abs=1e-10)
+        assert pot.value(x) == pytest.approx(potential_by_quadrature(pot, x), abs=1e-10)
     xs = np.array([0.05, 0.4, 1.0, 2.5, 9.0])
     assert np.all(np.diff(pot.value(xs)) < 0)  # strictly decreasing
 
@@ -556,15 +567,52 @@ def test_kernel_fixed_point_matches_analytic_law():
     assert float(np.dot(w, np.abs(u.values - g * np.exp(-g)))) < 2e-3
 
 
+def power_iteration(model, kernel, v0=None, tol=1e-10, max_iter=5000):
+    """The solver the closed form replaced, kept as its oracle and to build
+    start-dependent vectors: power iteration from ``v0``, or from a start
+    decaying past the model's natural scale, averaged over the last 8
+    iterates and stopped on the averaged iterate's weighted L1 residual."""
+    w = kernel.weights
+    if v0 is None:
+        v = np.exp(-(kernel.grid - kernel.grid[0]) / _natural_scale(model))
+    else:
+        v = np.asarray(v0, dtype=float).copy()
+    v /= float(np.dot(w, v))
+    window = []
+    for it in range(1, max_iter + 1):
+        v = kernel.apply(v)
+        v /= float(np.dot(w, v))
+        window = window[-7:] + [v]
+        if it % 4 == 0:
+            avg = np.mean(window, axis=0)
+            avg /= float(np.dot(w, avg))
+            if float(np.dot(w, np.abs(kernel.apply(avg) - avg))) <= tol:
+                return GridDensity(kernel.grid, avg / trapezoid(avg, kernel.grid))
+    raise NoConvergence(f"power iteration did not reach {tol} in {max_iter} steps")
+
+
 def test_kernel_fixed_point_start_independent():
     m = gamma_model()
     k = kernel_matrix(m, kernel_grid(m, 512))
     a = kernel_fixed_point(k, tol=1e-10)
-    b = kernel_fixed_point(k, tol=1e-10, v0=np.exp(-k.grid))
+    b = power_iteration(m, k, v0=np.exp(-k.grid))
     w = k.weights
     aa = a.values / float(np.dot(w, a.values))
     bb = b.values / float(np.dot(w, b.values))
     assert float(np.dot(w, np.abs(aa - bb))) < 1e-8
+
+
+def test_kernel_fixed_point_certifies_its_residual():
+    m = gamma_model()
+    k = kernel_matrix(m, kernel_grid(m, 256))
+    assert k.residual(kernel_fixed_point(k, tol=1e-13)) <= 1e-13
+    tilted = dataclasses.replace(k, ln_balance=k.ln_balance + 0.1 * np.log(k.grid))
+    with pytest.raises(ToleranceNotMet):
+        kernel_fixed_point(tilted)
+    broken = k.ln_balance.copy()
+    broken[7] = np.nan
+    with pytest.raises(NumericalBlowup):
+        kernel_fixed_point(dataclasses.replace(k, ln_balance=broken))
 
 
 def test_kernel_finite_support_fixed_point():
@@ -688,10 +736,36 @@ def test_kernel_operator_matches_the_dense_assembly(model, n_knots):
         float(np.dot(k.weights, v)), rel=1e-13)
 
 
+@settings(max_examples=40, deadline=None)
+@given(model=gated_models(), n_knots=st.integers(192, 512))
+@example(model=_WIDE, n_knots=512)
+@example(model=gamma_model(), n_knots=512)
+def test_kernel_fixed_point_is_the_detailed_balance_vector(model, n_knots):
+    grid = kernel_grid(model, n_knots)
+    try:
+        k = kernel_matrix(model, grid)
+    except GridTooNarrow:
+        return      # too few knots for this draw; the dense test covers the refusal
+    v = kernel_fixed_point(k, tol=1e-13)
+    w = k.weights
+    assert k.residual(v) <= 1e-13
+    # the closed chain P_ij = w_i k_ij / R_j moves the mass m_j = w_j v_j
+    # as much from j to i as from i to j
+    raw, raw_sums = _dense_kernel(model, grid)
+    flow = w[:, None] * raw / raw_sums * (w * v.values)
+    assert np.max(np.abs(flow - flow.T)) <= 1e-12 * np.max(flow)
+    # stopped at 1e-10 the oracle's own error reaches 7e-9 on some draws
+    ref = power_iteration(model, k, tol=1e-12)
+    a = v.values / float(np.dot(w, v.values))
+    b = ref.values / float(np.dot(w, ref.values))
+    assert float(np.dot(w, np.abs(a - b))) <= 1e-8
+
+
 def test_kernel_fixed_point_on_a_wide_grid():
     # the leak estimate tends to slope * b / decay, so the grid runs to its
-    # 1e12 stop; a start spread over the grid strands its mass up there,
-    # where the discretized chain barely mixes, and still certifies
+    # 1e12 stop, where the discretized chain barely mixes; power iteration
+    # from a start spread over the grid stranded mass up there and still
+    # certified, while the closed form needs no start
     m = _WIDE
     grid = kernel_grid(m, 2048)
     assert grid[-1] > 1e12
@@ -707,8 +781,7 @@ def test_mean_identity_flags_a_stranded_fixed_point():
     m = _WIDE
     k = kernel_matrix(m, kernel_grid(m, 512))
     good = density_from_fixed_point(m, kernel_fixed_point(k, tol=1e-10))
-    stranded = density_from_fixed_point(
-        m, kernel_fixed_point(k, tol=1e-10, v0=np.ones(len(k.grid))))
+    stranded = density_from_fixed_point(m, power_iteration(m, k, v0=np.ones(len(k.grid))))
     assert mean_identity_residual(m, good) < 1e-2
     assert mean_identity_residual(m, stranded) > 0.5
     # the exact law: a gamma density, shape base/decay, rate 1/b - slope/decay
@@ -794,6 +867,18 @@ def test_phi_recovery_from_grid():
     assert len(x) == len(phi)
 
 
+@pytest.mark.parametrize("cap,exponent", [(10.0, 2.0), (4.0, 0.5), (6.0, 0.4), (3.0, 3.0)])
+@pytest.mark.parametrize("rate", [ConstantRate(3.0), ConstantRate(1.2), LinearRate(1.0, 0.5)],
+                         ids=["constant3", "constant1.2", "linear"])
+def test_phi_recovery_from_grid_up_to_a_finite_cap(rate, cap, exponent):
+    # ln u and ln nu both plunge at the cap; their difference does not
+    m = ContinuousBurstModel(rate, LinearDecay(1.0),
+                             SeparableBurstKernel(FiniteSupportNu(cap, exponent)))
+    u = stationary_density(m, n_knots=1024)
+    x, phi = phi_from_density_grid(m.decay, m.burst_size, u)
+    assert np.max(np.abs(phi / rate.value(x) - 1.0)) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # mode census
 # ---------------------------------------------------------------------------
@@ -844,16 +929,6 @@ def test_ergodicity_margin_closed_form_case():
     assert ergodicity_margin(m, 1.0) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(DomainError):
         ergodicity_margin(m, 0.0)
-
-
-def test_ergodicity_margin_raw_callables():
-    # rate proportional to the decay itself; the model classes refuse this
-    # shape (no closed-form potential), the raw path handles it
-    got = ergodicity_margin_raw(lambda z: 2.0 * np.asarray(z, dtype=float),
-                                lambda z: np.asarray(z, dtype=float),
-                                lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                                0.8, quad_tol=1e-8)
-    assert got == pytest.approx((1.0 - math.exp(-1.6)) / 2.0, abs=1e-8)
 
 
 def test_ergodicity_scan_orders_probes():

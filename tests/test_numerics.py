@@ -7,6 +7,7 @@ import scipy.linalg
 from burstkin.errors import (
     GridMismatch,
     NoBracket,
+    NoConvergence,
     NumericalBlowup,
     StiffnessBudgetExceeded,
     ToleranceNotMet,
@@ -208,6 +209,21 @@ def test_root_with_derivative():
     x = find_root_monotone(lambda x: math.exp(x) - 5.0, 0.0, 3.0,
                            fprime=lambda x: math.exp(x))
     assert abs(x - math.log(5.0)) < 1e-12
+
+
+def test_root_width_is_relative_to_the_root():
+    # an absolute bracket width of 1e-12 would leave 4e-10 relative here
+    r = 2.4e-3
+    x = find_root_monotone(lambda x: x ** 3 - r ** 3, 0.0, 1.0, tol=1e-12)
+    assert abs(x - r) <= 1e-12 * r
+    x = find_root_monotone(lambda x: math.log(x / r), 1e-9, 1.0, tol=1e-12,
+                           fprime=lambda x: 1.0 / x)
+    assert abs(x - r) <= 1e-12 * r
+
+
+def test_root_unconverged_raises():
+    with pytest.raises(NoConvergence):
+        find_root_monotone(lambda x: x ** 3 - 2.0, 0.0, 2.0, max_iter=2)
 
 
 def test_root_no_bracket():
