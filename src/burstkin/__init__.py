@@ -17,7 +17,6 @@ from .continuous import (
     count_modes_continuous,
     default_grid,
     density_from_fixed_point,
-    ergodicity_margin,
     ergodicity_scan,
     geometric_grid,
     kernel_fixed_point,
@@ -52,7 +51,6 @@ from .errors import (
     GridMismatch,
     GridTooNarrow,
     ModelError,
-    NoBracket,
     NoConvergence,
     NotIntegrable,
     NotNormalizable,
@@ -87,10 +85,8 @@ from .models import (
 )
 from .numerics import (
     StepperConfig,
-    draw_geometric,
     draw_unit_exponential,
     expm,
-    find_root_monotone,
     integrate_adaptive,
     l1_distance,
     make_rng,

@@ -221,12 +221,6 @@ class ExperimentConfig:
     numeric: dict = field(default_factory=dict)
     out_dir: str = "out"
 
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentConfig):
-            return NotImplemented
-        return (self.mode == other.mode and self.model == other.model
-                and self.numeric == other.numeric and self.out_dir == other.out_dir)
-
     def build_model(self):
         m = self.model
         rate = _build_rate(m)
@@ -604,6 +598,8 @@ def _run_ergodicity(cfg, model, out: Path):
     num = cfg.numeric
     if num["n_probes"] < 1:
         raise ValidationError("numeric.n_probes must be >= 1")
+    if num["y_probe"] <= 0.0:
+        raise ValidationError(f"numeric.y_probe must be > 0, got {num['y_probe']}")
     probes = np.geomspace(num["y_probe"] * 1e-2, num["y_probe"], num["n_probes"])
     margins, running = cont.ergodicity_scan(model, probes, quad_tol=num["quad_tol"])
     write_pairs_csv(out / "margins.csv", "y,margin", probes, margins)

@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     GridTooNarrow,
     ModelError,
-    NoConvergence,
     NotIntegrable,
     NumericalBlowup,
     RangeError,
@@ -45,7 +44,7 @@ from .models import (
 from .numerics import (
     UniformStream,
     draw_unit_exponential,
-    find_root_monotone,
+    find_root,
     make_rng,
     quad_adaptive,
     trapezoid,
@@ -70,7 +69,6 @@ __all__ = [
     "phi_from_density_analytic",
     "ModeReportContinuous",
     "count_modes_continuous",
-    "ergodicity_margin",
     "ergodicity_scan",
 ]
 
@@ -233,7 +231,6 @@ def _log_simpson_weights(grid: np.ndarray) -> np.ndarray:
 # Newton in u = ln x stays where exp(u) is a positive finite float
 _LOG_X_MIN = -744.0
 _LOG_X_MAX = 709.0
-_NEWTON_ITER = 100
 
 
 def _scalar_forms(rate, g: float, ref: float):
@@ -373,16 +370,14 @@ class Potential:
     def inverse(self, target: float, *, hint: float | None = None) -> float:
         """The x with Q(x) = target.
 
-        Safeguarded Newton in u = ln x: F(u) = Q(e^u) - target falls
-        strictly, with slope x Q'(x) = -burst_rate(x)/decay.  It starts
-        from ``hint`` (a nearby state, which matters inside simulation
-        loops) or from x_ref, keeps the tightest bracket of u it has
-        seen, and replaces a Newton step that leaves the bracket by
-        bisection, or by steps of doubling length while one side is
-        still open.  It stops once |Q(x) - target| <= 1e-13 max(1,
-        |target|), or when the bracket holds no float between its ends.
-        RangeError below the infimum of Q or for a root outside the
-        float range; exactly at a finite infimum the inverse is +inf.
+        Safeguarded Newton in u = ln x (numerics.find_root): F(u) =
+        Q(e^u) - target falls strictly, with slope x Q'(x) =
+        -burst_rate(x)/decay.  It starts from ``hint`` (a nearby state,
+        which matters inside simulation loops) or from x_ref, and stops
+        once |Q(x) - target| <= 1e-13 max(1, |target|), or when the
+        bracket holds no float between its ends.  RangeError below the
+        infimum of Q or for a root outside the float range; exactly at a
+        finite infimum the inverse is +inf.
         """
         if target == 0.0:
             return self.x_ref
@@ -395,51 +390,19 @@ class Potential:
         if isinstance(r, ConstantRate):
             return self.x_ref * math.exp(-target * self.gamma / r.level)
 
-        q, xdq = self._q, self._xdq
-        tol = 1e-13 * max(1.0, abs(target))
+        q, xdq, exp = self._q, self._xdq, math.exp
+
+        def f(u):
+            self.inverse_evals += 1
+            return q(exp(u)) - target
+
         if hint is not None and 0.0 < hint < math.inf:
             u = math.log(hint)
         else:
             u = math.log(self.x_ref)
         u = min(max(u, _LOG_X_MIN), _LOG_X_MAX)
-        lo, hi = -math.inf, math.inf        # F(lo) > 0 > F(hi)
-        reach = 1.0                         # outward step while a side is open
-        last = before = math.inf            # lengths of the last two steps
-        evals = 0
-        try:
-            for _ in range(_NEWTON_ITER):
-                x = math.exp(u)
-                f = q(x) - target
-                evals += 1
-                if abs(f) <= tol:
-                    return x
-                if f > 0.0:
-                    lo = u
-                else:
-                    hi = u
-                step = u - f / xdq(x)
-                # Newton must stay inside the bracket and at least halve the
-                # step before last, or it is replaced (Numerical Recipes' rtsafe)
-                if not (lo < step < hi and abs(step - u) <= 0.5 * before):
-                    if hi == math.inf:
-                        step = lo + reach
-                    elif lo == -math.inf:
-                        step = hi - reach
-                    else:
-                        step = 0.5 * (lo + hi)
-                    reach *= 2.0
-                step = min(max(step, _LOG_X_MIN), _LOG_X_MAX)
-                if step == u:
-                    if lo == -math.inf or hi == math.inf:
-                        raise RangeError(f"potential inverse: target {target} has no "
-                                         "root inside the float range")
-                    return x    # no float left between the bracket ends
-                before, last = last, abs(step - u)
-                u = step
-        finally:
-            self.inverse_evals += evals
-        raise NoConvergence(f"potential inverse: target {target} not reached "
-                            f"in {_NEWTON_ITER} steps")
+        return exp(find_root(f, u, 1e-13 * max(1.0, abs(target)),
+                             fprime=lambda u: xdq(exp(u)), domain=(_LOG_X_MIN, _LOG_X_MAX)))
 
 
 # ---------------------------------------------------------------------------
@@ -1043,10 +1006,14 @@ def count_modes_continuous(
         f(x) = rate(x) - hazard(x) decay(x) - decay'(x),
 
     so interior maxima are + to - crossings of f and minima the reverse.
-    Without an explicit window the scan expands upward until f is
-    decisively negative; a window that ends while f is still positive
-    raises WindowTooSmall, since a crossing may sit beyond it.
+    ``n_scan`` log-spaced points (at least 2) bracket the crossings, and
+    numerics.find_root refines each by secant and bisection.  Without an
+    explicit window the scan expands upward until f is decisively
+    negative; a window that ends while f is still positive raises
+    WindowTooSmall, since a crossing may sit beyond it.
     """
+    if n_scan < 2:
+        raise ModelError(f"count_modes_continuous: n_scan must be >= 2, got {n_scan}")
     hazard = model.burst_size.nu.log_slope
 
     def f(x):
@@ -1081,17 +1048,21 @@ def count_modes_continuous(
     roots: list[float] = []
     kinds: list[str] = []
     prev_sign = 0
-    prev_x = None
+    prev_x = prev_val = None
     for x_cur, val in zip(xs.tolist(), fs.tolist()):
         cur = (val > 0) - (val < 0)
         if cur == 0:
             continue  # exact zero: wait for a strict sign before deciding
         if prev_sign != 0 and cur != prev_sign:
-            root = find_root_monotone(lambda t: float(f(t)), prev_x, x_cur, tol=1e-12)
-            roots.append(float(root))
+            # prev_sign * f falls across the bracket, as find_root wants; at
+            # |f| <= 1e-13 of the bracket's scan values the root sits within
+            # about 1e-13 of the bracket width
+            roots.append(find_root(lambda t: prev_sign * float(f(t)), 0.5 * (prev_x + x_cur),
+                                   1e-13 * max(abs(prev_val), abs(val)), lo=prev_x, hi=x_cur))
             kinds.append("max" if prev_sign > 0 else "min")
         prev_sign = cur
         prev_x = x_cur
+        prev_val = val
 
     boundary = float(f(lo)) < 0.0
     return ModeReportContinuous(tuple(roots), tuple(kinds), boundary)
@@ -1101,43 +1072,45 @@ def count_modes_continuous(
 # mean-ergodicity margin
 # ---------------------------------------------------------------------------
 
-def ergodicity_margin(
-    model: ContinuousBurstModel,
-    y_probe: float,
-    *,
-    quad_tol: float = 1e-10,
-) -> float:
-    """Drift margin integral_0^y (m1 rate/decay - 1) e^{Q(y)-Q(z)} dz.
-
-    m1 is the mean burst size from state z.  A margin that stays
-    negative as y grows certifies a mean-ergodic jump chain (and with it
-    a unique stationary law); persistent positive values say the drift
-    condition fails.  Only potential differences enter, so the anchor
-    point drops out.
-    """
-    if y_probe <= 0.0:
-        raise DomainError("ergodicity margin: y_probe must be > 0")
-    pot = Potential(model, x_ref=1.0)
-    gamma = model.decay.rate
-    burst = model.burst_size
-    q_y = pot.value(y_probe)
-
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
-        m1 = np.asarray(burst.mean_burst(z), dtype=float)
-        drift = m1 * model.burst_rate.value(z) / (gamma * z) - 1.0
-        return drift * np.exp(np.minimum(q_y - pot.value(z), 0.0))
-
-    return quad_adaptive(integrand, 0.0, y_probe, quad_tol)
-
-
 def ergodicity_scan(
     model: ContinuousBurstModel,
     probes: Sequence[float],
     *,
     quad_tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Margins at increasing probe points plus their running supremum."""
+    """Drift margins at the sorted probes, plus their running supremum.
+
+    The margin at y is M(y) = integral_0^y (m1 rate/decay - 1) e^{Q(y)-Q(z)} dz,
+    m1 the mean burst size from state z.  A margin that stays negative
+    as y grows certifies a mean-ergodic jump chain (and with it a unique
+    stationary law); persistent positive values say the drift condition
+    fails.  Only potential differences enter, so the anchor point drops
+    out.  One pass over the sorted probes carries the margin forward,
+
+        M(y+) = e^{Q(y+)-Q(y)} M(y) + integral_y^{y+} (...) e^{Q(y+)-Q(z)} dz,
+
+    so each stretch of the axis is integrated once, each piece to
+    ``quad_tol``.  DomainError for a probe that is not > 0.
+    """
     ps = sorted(float(p) for p in probes)
-    margins = np.array([ergodicity_margin(model, p, quad_tol=quad_tol) for p in ps])
+    if not all(p > 0.0 for p in ps):
+        raise DomainError("ergodicity margin: probes must be > 0")
+    pot = Potential(model, x_ref=1.0)
+    gamma = model.decay.rate
+    burst = model.burst_size
+    margins = []
+    y, q_y, margin = 0.0, math.inf, 0.0
+    for p in ps:
+        q_p = pot.value(p)
+
+        def integrand(z):
+            z = np.asarray(z, dtype=float)
+            m1 = np.asarray(burst.mean_burst(z), dtype=float)
+            drift = m1 * model.burst_rate.value(z) / (gamma * z) - 1.0
+            return drift * np.exp(np.minimum(q_p - pot.value(z), 0.0))
+
+        margin = math.exp(q_p - q_y) * margin + quad_adaptive(integrand, y, p, quad_tol)
+        margins.append(margin)
+        y, q_y = p, q_p
+    margins = np.array(margins)
     return margins, np.maximum.accumulate(margins)

@@ -51,10 +51,6 @@ class ToleranceNotMet(NumericError):
     """Adaptive quadrature exhausted its panel budget above tolerance."""
 
 
-class NoBracket(NumericError):
-    """Root finding was handed an interval without a sign change."""
-
-
 class NoConvergence(NumericError):
     """Fixed-point iteration stalled above tolerance."""
 

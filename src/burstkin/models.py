@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ModelError
-from .numerics import draw_geometric, draw_unit_exponential, geometric_quantile
+from .numerics import draw_unit_exponential, geometric_quantile
 
 __all__ = [
     "ConstantRate", "LinearRate", "QuadraticRate", "HillRate",
@@ -67,9 +67,6 @@ class ConstantRate:
         out = np.full(np.shape(x), float(self.level))
         return _ret(x, out)
 
-    def derivative(self, x):
-        return _ret(x, np.zeros(np.shape(x)))
-
     __call__ = value
 
 
@@ -88,9 +85,6 @@ class LinearRate:
 
     def value(self, x):
         return _ret(x, self.base + self.slope * np.asarray(x, dtype=float))
-
-    def derivative(self, x):
-        return _ret(x, np.full(np.shape(x), float(self.slope)))
 
     __call__ = value
 
@@ -111,10 +105,6 @@ class QuadraticRate:
     def value(self, x):
         x = np.asarray(x, dtype=float)
         return _ret(x, self.base + self.slope * x + self.quad * x * x)
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        return _ret(x, self.slope + 2.0 * self.quad * x)
 
     __call__ = value
 
@@ -150,15 +140,6 @@ class HillRate:
         out = self.scale * (1.0 + self.numer_coeff * z) / (self.denom_const + self.denom_coeff * z)
         return _ret(x, out)
 
-    def derivative(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        z = x_arr ** self.exponent
-        num = self.scale * (self.numer_coeff * self.denom_const - self.denom_coeff)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dz = self.exponent * x_arr ** (self.exponent - 1.0)
-        out = num * dz / (self.denom_const + self.denom_coeff * z) ** 2
-        return _ret(x, out)
-
     __call__ = value
 
 
@@ -188,11 +169,6 @@ class TruncatedLinearRate:
         out = np.where(x_arr <= self.cutoff, np.maximum(raw, 0.0), 0.0)
         return _ret(x, out)
 
-    def derivative(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        live = (x_arr <= self.cutoff) & (self.base + self.slope * x_arr > 0)
-        return _ret(x, np.where(live, self.slope, 0.0))
-
     __call__ = value
 
 
@@ -219,9 +195,6 @@ class TabulatedRate:
         padded = np.asarray(self.table + (0.0,), dtype=float)
         out = padded[np.clip(idx, 0, len(self.table))]
         return _ret(n, out)
-
-    def derivative(self, n):
-        raise ModelError("TabulatedRate has no derivative")
 
     __call__ = value
 
@@ -318,11 +291,8 @@ class GeometricBurst:
     def mean(self) -> float:
         return 1.0 / (1.0 - self.b)
 
-    def sample(self, rng) -> int:
-        return draw_geometric(rng, self.b)
-
     def size_at(self, u: float) -> int:
-        """The size sample() makes of the uniform u in [0, 1)."""
+        """The burst size drawn by the uniform u in [0, 1), by the inverse CDF."""
         return geometric_quantile(u, self.log_b)
 
 
@@ -331,7 +301,7 @@ class TabulatedBurst:
     """Burst-size table h_1 .. h_K; must sum to 1 within 1e-9 (then renormalized)."""
 
     weights: tuple[float, ...]
-    # running sums of the weights, the inverse-CDF table of sample()
+    # running sums of the weights, the inverse-CDF table of size_at()
     cumulative: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -368,11 +338,8 @@ class TabulatedBurst:
     def mean(self) -> float:
         return float(math.fsum((k + 1) * w for k, w in enumerate(self.weights)))
 
-    def sample(self, rng) -> int:
-        return self.size_at(rng.random())
-
     def size_at(self, u: float) -> int:
-        """The size sample() makes of the uniform u in [0, 1)."""
+        """The burst size drawn by the uniform u in [0, 1), by the inverse CDF."""
         return bisect_right(self.cumulative, u) + 1
 
 

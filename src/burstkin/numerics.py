@@ -3,7 +3,7 @@
 Everything downstream leans on the primitives collected here: a seeded
 random generator with documented stream splitting, inverse-CDF draws,
 an embedded-pair adaptive ODE stepper, the matrix exponential, adaptive
-Gauss-Kronrod quadrature, and a guarded monotone root finder.  Keeping
+Gauss-Kronrod quadrature, and a safeguarded Newton root finder.  Keeping
 them in one place makes the reproducibility story auditable: a run is a
 pure function of (seed, stream, config).
 """
@@ -18,10 +18,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    DomainError,
     GridMismatch,
-    NoBracket,
     NoConvergence,
     NumericalBlowup,
+    RangeError,
     StiffnessBudgetExceeded,
     ToleranceNotMet,
 )
@@ -30,12 +31,10 @@ __all__ = [
     "make_rng",
     "UniformStream",
     "draw_unit_exponential",
-    "draw_geometric",
     "StepperConfig",
     "integrate_adaptive",
     "expm",
     "quad_adaptive",
-    "find_root_monotone",
     "trapezoid",
     "l1_distance",
     "tv_distance",
@@ -104,18 +103,11 @@ def draw_unit_exponential(rng: np.random.Generator) -> float:
     return -math.log1p(-rng.random())
 
 
-def draw_geometric(rng: np.random.Generator, b: float) -> int:
-    """Geometric burst size on {1, 2, ...} with P(k) = (1-b) b^(k-1).
-
-    Uses ceil(ln U / ln b); the measure-zero endpoint U = 1 maps to 1.
-    """
-    return geometric_quantile(rng.random(), math.log(b))
-
-
 def geometric_quantile(u: float, log_b: float) -> int:
-    """The geometric size that draw_geometric makes of the uniform u in [0, 1).
+    """Geometric size on {1, 2, ...}, P(k) = (1-b) b^(k-1), of the uniform u in [0, 1).
 
-    Takes ln b rather than b so that callers drawing many sizes compute it once.
+    ceil(ln(1-u) / ln b); u = 0 maps to 1.  Takes ln b rather than b so
+    that callers drawing many sizes compute it once.
     """
     v = 1.0 - u  # in (0, 1]
     if v >= 1.0:
@@ -237,7 +229,7 @@ def integrate_adaptive(
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential (Pade 13 with scaling and squaring)
+# matrix exponential (Pade 13)
 # ---------------------------------------------------------------------------
 
 # Coefficients of the [13/13] Pade approximant and the 1-norm up to which
@@ -261,25 +253,28 @@ def _pade_poly(out: np.ndarray, terms) -> np.ndarray:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix by Pade-13 scaling and squaring.
+    """exp(a) of a square matrix of 1-norm at most theta_13, by one Pade-13 step.
 
-    a is scaled by 2^-s until its 1-norm is at most theta_13, the [13/13]
-    Pade approximant r = (V - U)^-1 (V + U) is formed from a^2, a^4 and
-    a^6, and r is squared s times (Higham 2005).  Buffers are reused so
-    that at most eight n x n arrays are live.
+    The [13/13] Pade approximant r = (V - U)^-1 (V + U) is formed from
+    a^2, a^4 and a^6 (Higham 2005); it is exact to double precision up to
+    that norm.  Callers with larger matrices scale by 2^-s and square the
+    result s times themselves (see discrete._propagator).  Buffers are
+    reused so that at most eight n x n arrays are live.
 
     Raises
     ------
+    DomainError
+        when the 1-norm of a exceeds theta_13.
     NumericalBlowup
         when the 1-norm of a is not finite.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.array(a, dtype=float)             # private copy: the step writes into it
     n = a.shape[0]
     norm = float(np.linalg.norm(a, 1))
     if not math.isfinite(norm):
         raise NumericalBlowup(f"expm: matrix 1-norm is {norm}")
-    s = max(0, math.frexp(norm / _PADE13_THETA)[1]) if norm > _PADE13_THETA else 0
-    a = np.ldexp(a, -s)                      # private copy, scaled exactly
+    if norm > _PADE13_THETA:
+        raise DomainError(f"expm: matrix 1-norm {norm:.6g} above theta_13 = {_PADE13_THETA}")
     b = _PADE13
     a2 = a @ a
     a4 = a2 @ a2
@@ -297,14 +292,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     v += z
     v.flat[diag] += b[0]
     del a2, a4, a6
-    r = np.linalg.solve(np.subtract(v, u, out=z), np.add(v, u, out=v))
-    del u, v, z
-    if s:
-        spare = np.empty_like(r)
-        for _ in range(s):
-            np.matmul(r, r, out=spare)
-            r, spare = spare, r
-    return r
+    return np.linalg.solve(np.subtract(v, u, out=z), np.add(v, u, out=v))
 
 
 # ---------------------------------------------------------------------------
@@ -412,68 +400,65 @@ def quad_adaptive(
 # root finding
 # ---------------------------------------------------------------------------
 
-def find_root_monotone(
+# evaluations find_root makes before it gives up
+_ROOT_STEPS = 100
+
+
+def find_root(
     f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
+    x: float,
+    tol: float,
     *,
     fprime: Callable[[float], float] | None = None,
-    max_iter: int = 200,
+    lo: float = -math.inf,
+    hi: float = math.inf,
+    domain: tuple[float, float] = (-math.inf, math.inf),
 ) -> float:
-    """Root of a monotone f on [lo, hi] by a safeguarded Newton/secant bracket.
+    """Root of an f that falls through zero, by safeguarded Newton (rtsafe).
 
-    Each step tries Newton from the latest point (with ``fprime``), then
-    the secant through the bracket ends, and bisects when the candidate
-    leaves the bracket or the bracket failed to halve over two steps.
-    Candidates stay half a tolerance inside the bracket, so a step that
-    lands next to the root crosses it (Brent's minimum step).  Returns
-    the bracket midpoint once the width is at most tol * max(|a|, |b|),
-    a bound relative to the root, or once no float lies between the
-    ends.  NoBracket when f(lo) and f(hi) share a strict sign,
-    NoConvergence after ``max_iter`` steps.
+    Newton runs from ``x`` with slope ``fprime``, or without one along
+    the secant through the bracket ends.  Every evaluation tightens the
+    bracket [lo, hi], f(lo) > 0 > f(hi), which may start open on either
+    side.  A step that leaves the bracket, or fails to halve the step
+    before last (Numerical Recipes' rtsafe), becomes a bisection, or an
+    outward step of doubling length while one side is still open.  Steps
+    are clipped to ``domain``.  Returns the first x with |f(x)| <= tol,
+    or the bracket end it sits on once no float lies between the ends.
+    RangeError when an open side cannot close inside ``domain``,
+    NoConvergence after _ROOT_STEPS evaluations.
     """
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if flo * fhi > 0.0:
-        raise NoBracket(f"no sign change on [{lo:.6g}, {hi:.6g}]")
-
-    a, fa = float(lo), flo
-    b, fb = float(hi), fhi
-    x, fx = (a, fa) if abs(fa) <= abs(fb) else (b, fb)   # always a bracket end
-    last = before = math.inf            # bracket widths after the last two steps
-    for _ in range(max_iter):
-        width = b - a
-        eps = tol * max(abs(a), abs(b))
-        mid = 0.5 * (a + b)
-        if width <= eps or not a < mid < b:     # converged, or no float in between
-            return mid
-        cand = math.nan
-        if fprime is not None:
-            d = float(fprime(x))
-            if d != 0.0:
-                cand = x - fx / d
-        if not a < cand < b and fb != fa:
-            cand = b - fb * width / (fb - fa)
-        if not a < cand < b or width > 0.5 * before:
-            cand = mid
-        cand = min(max(cand, a + 0.5 * eps), b - 0.5 * eps)
-        if not a < cand < b:            # half a tolerance is below one float step
-            cand = mid
-        x, fx = cand, float(f(cand))
-        if fx == 0.0:
+    f_lo = f_hi = math.nan              # bracket values, for the secant
+    reach = 1.0                         # outward step while a side is open
+    last = before = math.inf            # lengths of the last two steps
+    for _ in range(_ROOT_STEPS):
+        fx = f(x)
+        if abs(fx) <= tol:
             return x
-        if (fx < 0.0) == (fa < 0.0):
-            a, fa = x, fx
+        if fx > 0.0:
+            lo, f_lo = x, fx
         else:
-            b, fb = x, fx
-        before, last = last, width
-    raise NoConvergence(f"root bracket [{a:.17g}, {b:.17g}] still open after "
-                        f"{max_iter} steps")
+            hi, f_hi = x, fx
+        if fprime is not None:
+            step = x - fx / fprime(x)
+        else:
+            step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not (lo < step < hi and abs(step - x) <= 0.5 * before):
+            if hi == math.inf:
+                step = lo + reach
+            elif lo == -math.inf:
+                step = hi - reach
+            else:
+                step = 0.5 * (lo + hi)
+            reach *= 2.0
+        step = min(max(step, domain[0]), domain[1])
+        if step == x:
+            if lo == -math.inf or hi == math.inf:
+                raise RangeError(f"root finder: f keeps its sign up to the end of {domain}")
+            return x    # no float left between the bracket ends
+        before, last = last, abs(step - x)
+        x = step
+    raise NoConvergence(f"root finder: bracket [{lo:.17g}, {hi:.17g}] still open "
+                        f"after {_ROOT_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,33 @@ model.burst_b = 1.0
     assert float(root) == pytest.approx(1.0, abs=1e-8)
 
 
+HILL_EXP_MODEL = """\
+model.kind = continuous
+model.rate = hill
+model.rate_scale = 2.0
+model.rate_numer = 2.0
+model.rate_denom_const = 1.0
+model.rate_denom_coeff = 0.0625
+model.rate_exponent = 4.0
+model.decay = 1.0
+model.burst = exponential
+model.burst_b = 0.2
+"""
+
+
+@pytest.mark.parametrize("mode, numeric", [
+    ("ergodicity", "numeric.y_probe = 0.0\n"),
+    ("modes", "numeric.n_scan = -1\n"),
+    ("modes", "numeric.n_scan = 0\n"),
+    ("modes", "numeric.n_scan = 1\n"),    # would report no roots for a three-root model
+])
+def test_scan_sizes_out_of_range_are_config_errors(tmp_path, capsys, mode, numeric):
+    p = write_cfg(tmp_path, f"run.mode = {mode}\n{HILL_EXP_MODEL}{numeric}")
+    assert main([mode, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_all_runner_modes_produce_artifacts(tmp_path):
     base_cont = """\
 model.kind = continuous

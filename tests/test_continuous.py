@@ -18,7 +18,6 @@ from burstkin.continuous import (
     count_modes_continuous,
     default_grid,
     density_from_fixed_point,
-    ergodicity_margin,
     ergodicity_scan,
     geometric_grid,
     kernel_fixed_point,
@@ -43,7 +42,6 @@ from burstkin.errors import (
 )
 from burstkin.numerics import (
     draw_unit_exponential,
-    find_root_monotone,
     make_rng,
     quad_adaptive,
     trapezoid,
@@ -318,10 +316,10 @@ PDMP_FAMILIES = {
 
 
 def bracketed_pdmp(model, y0, n_jumps, seed):
-    """simulate_pdmp's jump skeleton as it ran before Newton in ln x: scalar
-    draws from the generator, and an inverse that brackets the root by
-    halving or doubling x from the anchor (or the hint) before handing it
-    to find_root_monotone.  Returns (times, y_pre)."""
+    """simulate_pdmp's jump skeleton from independent parts: scalar draws
+    from the generator, and an inverse that brackets the root by halving or
+    doubling x from the anchor (or the hint), then bisects the bracket down
+    to adjacent floats.  Returns (times, y_pre)."""
     pot = Potential(model, 1.0)
     rng = make_rng(seed, 0)
 
@@ -342,8 +340,14 @@ def bracketed_pdmp(model, y0, n_jumps, seed):
             hi = 2.0 * lo
             while pot.value(hi) > target:
                 lo, hi = hi, 2.0 * hi
-        return find_root_monotone(lambda x: pot.value(x) - target, lo, hi,
-                                  tol=1e-13 * max(1.0, abs(target)), fprime=pot.slope)
+        while True:     # Q falls: the root stays in [lo, hi]
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return mid
+            if pot.value(mid) > target:
+                lo = mid
+            else:
+                hi = mid
 
     times, y_pre = [0.0], []
     y = y0
@@ -357,8 +361,9 @@ def bracketed_pdmp(model, y0, n_jumps, seed):
 
 @pytest.mark.parametrize("family", sorted(PDMP_FAMILIES))
 def test_simulate_pdmp_matches_the_bracketed_inverse(family):
-    # both inverses stop within 1e-13 max(1, |target|) of the root, so
-    # the two skeletons agree to round-off, not bit for bit
+    # Newton stops within 1e-13 max(1, |target|) of the root and bisection
+    # at adjacent floats, so the two skeletons agree to round-off, not bit
+    # for bit
     model = PDMP_FAMILIES[family]
     tr = simulate_pdmp(model, 1.0, 2000, seed=17)
     times, y_pre = bracketed_pdmp(model, 1.0, 2000, seed=17)
@@ -915,6 +920,8 @@ def test_modes_window_too_small():
         count_modes_continuous(m, window=(0.001, 2.0))
     with pytest.raises(ModelError):
         count_modes_continuous(m, window=(2.0, 1.0))
+    with pytest.raises(ModelError):     # one point brackets nothing
+        count_modes_continuous(m, n_scan=1)
 
 
 # ---------------------------------------------------------------------------
@@ -925,10 +932,44 @@ def test_ergodicity_margin_closed_form_case():
     # flat-rate model: the margin integral collapses to 0.5 - y/2... times
     # an exact weight, giving m1/2 - y/2 at probe y
     m = hill_flat_model(ExponentialBurstKernel(0.5))
-    assert ergodicity_margin(m, 100.0) == pytest.approx(-49.5, abs=1e-6)
-    assert ergodicity_margin(m, 1.0) == pytest.approx(0.0, abs=1e-10)
-    with pytest.raises(DomainError):
-        ergodicity_margin(m, 0.0)
+    assert ergodicity_scan(m, [100.0])[0][0] == pytest.approx(-49.5, abs=1e-6)
+    assert ergodicity_scan(m, [1.0])[0][0] == pytest.approx(0.0, abs=1e-10)
+    for bad in ([0.0], [1.0, -2.0], [math.nan]):
+        with pytest.raises(DomainError):
+            ergodicity_scan(m, bad)
+
+
+def direct_margin(model, y):
+    """The margin at y by one quadrature from 0, as a reference for the scan."""
+    pot = Potential(model)
+    q_y = pot.value(y)
+
+    def integrand(z):
+        m1 = model.burst_size.mean_burst(z)
+        drift = m1 * model.burst_rate.value(z) / (model.decay.rate * z) - 1.0
+        return drift * np.exp(np.minimum(q_y - pot.value(z), 0.0))
+
+    return quad_adaptive(integrand, 0.0, y, 1e-12)
+
+
+@pytest.mark.parametrize("model", [
+    ContinuousBurstModel(HillRate(2.3, 2.2, 1.0, 1.2, 2.3), LinearDecay(1.0),
+                         ExponentialBurstKernel(1.0)),
+    ContinuousBurstModel(LinearRate(1.2, 0.3), LinearDecay(0.9),
+                         SeparableBurstKernel(GaussianExpNu(1.0, 0.4))),
+    ContinuousBurstModel(QuadraticRate(1.1, 0.2, 0.1), LinearDecay(1.2),
+                         SeparableBurstKernel(FiniteSupportNu(6.0, 0.4))),
+    ContinuousBurstModel(ConstantRate(1.5), LinearDecay(1.0),
+                         SeparableBurstKernel(PowerTailNu(1.0, 4.0))),
+], ids=["hill-exponential", "linear-gaussian", "quadratic-finite", "constant-power"])
+def test_ergodicity_scan_carries_the_margin_forward(model):
+    # unsorted probes with repeats: the one-pass scan reports the sorted
+    # probes' margins, each equal to its own quadrature from 0
+    probes = [3.0, 0.05, 1.0, 3.0, 0.4, 5.5, 0.05]
+    margins, running = ergodicity_scan(model, probes)
+    want = [direct_margin(model, y) for y in sorted(probes)]
+    assert margins == pytest.approx(want, abs=1e-9, rel=0.0)
+    assert np.array_equal(running, np.maximum.accumulate(margins))
 
 
 def test_ergodicity_scan_orders_probes():

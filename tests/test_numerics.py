@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from burstkin.models import GeometricBurst
 from burstkin.errors import (
+    DomainError,
     GridMismatch,
-    NoBracket,
     NoConvergence,
     NumericalBlowup,
+    RangeError,
     StiffnessBudgetExceeded,
     ToleranceNotMet,
 )
@@ -16,10 +18,9 @@ from burstkin.numerics import (
     DRAW_BLOCK,
     StepperConfig,
     UniformStream,
-    draw_geometric,
     draw_unit_exponential,
     expm,
-    find_root_monotone,
+    find_root,
     integrate_adaptive,
     l1_distance,
     make_rng,
@@ -59,9 +60,10 @@ def test_unit_exponential_golden_and_positive():
 
 def test_geometric_draws_support_and_mean():
     r = make_rng(123, 0)
-    assert [draw_geometric(r, 0.5) for _ in range(8)] == [1, 3, 1, 1, 1, 3, 1, 1]
+    half = GeometricBurst(0.5)
+    assert [half.size_at(r.random()) for _ in range(8)] == [1, 3, 1, 1, 1, 3, 1, 1]
     r = make_rng(9, 0)
-    draws = np.array([draw_geometric(r, 0.7) for _ in range(20000)])
+    draws = np.array([GeometricBurst(0.7).size_at(r.random()) for _ in range(20000)])
     assert draws.min() >= 1
     assert abs(draws.mean() - 1.0 / 0.3) < 0.1
 
@@ -76,9 +78,10 @@ def test_uniform_stream_is_the_scalar_sequence():
     # and the draw helpers take the stream in place of the generator
     scalar = make_rng(5, 0)
     stream = UniformStream(make_rng(5, 0))
+    burst = GeometricBurst(0.7)
     for _ in range(DRAW_BLOCK + 1):
         assert draw_unit_exponential(stream) == draw_unit_exponential(scalar)
-        assert draw_geometric(stream, 0.7) == draw_geometric(scalar, 0.7)
+        assert burst.size_at(stream.random()) == burst.size_at(scalar.random())
 
 
 # ---------------------------------------------------------------------------
@@ -123,48 +126,51 @@ def test_stepper_budget_error():
 # ---------------------------------------------------------------------------
 
 def _expm_cases(rng):
-    """Matrices with 1-norms from 1e-3 to 1e4 whose exponential stays finite.
+    """Matrices with 1-norms from 1e-3 up to theta_13 = 5.3719.
 
     Generators (exp is stochastic) and skew-symmetric matrices (exp is
-    orthogonal) span both sides of theta_13 = 5.37, so expm runs with
-    and without squaring; plain Gaussian matrices join while the norm is
-    small enough for their exponential not to overflow.
+    orthogonal) span the whole range on which one Pade-13 step is
+    accurate.  Plain Gaussian matrices join up to a norm of 3: past it
+    scipy's own result for them drifts from a 40-digit mpmath reference
+    by more than the tolerance (1.6e-13 at norm 4.2, where expm is off
+    by 2.3e-15).
     """
     for n in (2, 7, 40):
-        for norm in np.geomspace(1e-3, 1e4, 15):
+        for norm in np.geomspace(1e-3, 5.37, 15):
             off = rng.random((n, n))
             np.fill_diagonal(off, 0.0)
             gen = off - np.diag(off.sum(axis=0))
             skew = rng.standard_normal((n, n))
             skew -= skew.T
-            cases = [gen, skew] + ([rng.standard_normal((n, n))] if norm <= 10.0 else [])
+            cases = [gen, skew] + ([rng.standard_normal((n, n))] if norm <= 3.0 else [])
             for a in cases:
                 yield a * (norm / np.linalg.norm(a, 1))
 
 
 def test_expm_matches_scipy():
-    squared = plain = 0
     for a in _expm_cases(np.random.default_rng(0)):
         ref = scipy.linalg.expm(a)
         norm = np.linalg.norm(a, 1)
         # the exponential's condition number grows like the norm of a
         tol = 50.0 * np.finfo(float).eps * max(1.0, norm)
         assert np.linalg.norm(expm(a) - ref, 1) <= tol * np.linalg.norm(ref, 1)
-        squared += norm > 5.371920351148152
-        plain += norm <= 5.371920351148152
-    assert squared >= 40 and plain >= 40
+    # above theta_13 the caller scales and squares (discrete._propagator)
+    with pytest.raises(DomainError):
+        expm(np.array([[-700.0]]))
 
 
 def test_expm_small_and_degenerate_inputs():
     assert expm(np.array([[2.0]]))[0, 0] == pytest.approx(math.exp(2.0), rel=1e-15)
-    assert expm(np.array([[-700.0]]))[0, 0] == pytest.approx(math.exp(-700.0), rel=1e-12)
+    assert expm(np.array([[-5.0]]))[0, 0] == pytest.approx(math.exp(-5.0), rel=1e-14)
     eps = np.finfo(float).eps
     assert np.max(np.abs(expm(np.zeros((5, 5))) - np.eye(5))) <= 2.0 * eps
     a = np.array([[0.0, 1.0], [0.0, 0.0]])     # nilpotent: exp(a) = I + a
     assert np.max(np.abs(expm(a) - np.array([[1.0, 1.0], [0.0, 1.0]]))) <= 4.0 * eps
-    before = a.copy()
-    expm(a * 100.0)
-    assert np.array_equal(a, before)
+    # the Pade step writes into a private copy, never into its argument
+    b = a * 5.0
+    before = b.copy()
+    expm(b)
+    assert np.array_equal(b, before)
 
 
 def test_expm_rejects_a_non_finite_norm():
@@ -201,34 +207,39 @@ def test_quad_panel_budget():
 # ---------------------------------------------------------------------------
 
 def test_root_cube():
-    x = find_root_monotone(lambda x: x ** 3 - 2.0, 0.0, 2.0)
+    # no derivative: the secant through the bracket ends
+    x = find_root(lambda x: 2.0 - x ** 3, 1.0, 1e-15, lo=0.0, hi=2.0)
     assert abs(x - 2.0 ** (1.0 / 3.0)) < 1e-12
 
 
 def test_root_with_derivative():
-    x = find_root_monotone(lambda x: math.exp(x) - 5.0, 0.0, 3.0,
-                           fprime=lambda x: math.exp(x))
+    # Newton from an open bracket
+    x = find_root(lambda x: 5.0 - math.exp(x), 0.0, 1e-14, fprime=lambda x: -math.exp(x))
     assert abs(x - math.log(5.0)) < 1e-12
 
 
 def test_root_width_is_relative_to_the_root():
-    # an absolute bracket width of 1e-12 would leave 4e-10 relative here
+    # tol = 0 runs until no float lies between the bracket ends, a width
+    # relative to the root: an absolute width of 1e-12 would leave 4e-10 here
     r = 2.4e-3
-    x = find_root_monotone(lambda x: x ** 3 - r ** 3, 0.0, 1.0, tol=1e-12)
+    x = find_root(lambda x: r ** 3 - x ** 3, 0.5, 0.0, lo=0.0, hi=1.0)
     assert abs(x - r) <= 1e-12 * r
-    x = find_root_monotone(lambda x: math.log(x / r), 1e-9, 1.0, tol=1e-12,
-                           fprime=lambda x: 1.0 / x)
+    x = find_root(lambda x: math.log(r / x), 0.5, 0.0, fprime=lambda x: -1.0 / x,
+                  lo=1e-9, hi=1.0)
     assert abs(x - r) <= 1e-12 * r
 
 
 def test_root_unconverged_raises():
+    # a jump at 1/3 never meets |f| <= tol; bisecting a bracket of width
+    # 2e300 down to adjacent floats takes about 1000 steps
     with pytest.raises(NoConvergence):
-        find_root_monotone(lambda x: x ** 3 - 2.0, 0.0, 2.0, max_iter=2)
+        find_root(lambda x: 1.0 if x < 1.0 / 3.0 else -1.0, 0.0, 0.0, lo=-1e300, hi=1e300)
 
 
-def test_root_no_bracket():
-    with pytest.raises(NoBracket):
-        find_root_monotone(lambda x: x + 10.0, 0.0, 1.0)
+def test_root_open_side_that_cannot_close():
+    # f stays positive up to the domain's end: the upper side never closes
+    with pytest.raises(RangeError):
+        find_root(lambda x: 10.0 - x, 0.5, 1e-12, fprime=lambda x: -1.0, domain=(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
