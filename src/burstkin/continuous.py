@@ -342,19 +342,6 @@ class Potential:
                     + curv * (np.log(d0 + d1 * x ** ne) - math.log(d0 + d1 * ref ** ne)))
         raise ModelError(f"Potential: no closed form for {type(r).__name__}")
 
-    def slope(self, x):
-        """dQ/dx = -burst_rate(x)/decay(x)."""
-        if isinstance(x, (float, int)):
-            x = float(x)
-            if x > 0.0:
-                return self._xdq(x) / x
-            if x == 0.0:
-                return -math.inf
-            raise DomainError("Potential: defined for x > 0 only")
-        x_arr = np.asarray(x, dtype=float)
-        out = -self.rate.value(x_arr) / (self.gamma * x_arr)
-        return float(out) if np.ndim(x) == 0 else out
-
     def at_infinity(self) -> float:
         """Limit of Q at +inf; finite only for a rate that shuts off out there."""
         r = self.rate

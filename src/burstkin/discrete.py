@@ -413,6 +413,12 @@ def master_rhs_truncated(model: DiscreteBurstModel, p: np.ndarray | Pmf) -> np.n
     return _generator(model, cap) @ values
 
 
+# entries below sqrt(tiny) are dropped from the squared propagator: the
+# product of two kept entries is a normal float, so no matmul runs on
+# subnormals, which BLAS multiplies several times slower
+_DROP = math.sqrt(np.finfo(float).tiny)
+
+
 def _propagator(gen: np.ndarray, dt: float) -> np.ndarray:
     """exp(dt G) for a generator with zero column sums.
 
@@ -422,15 +428,26 @@ def _propagator(gen: np.ndarray, dt: float) -> np.ndarray:
     rounding error in its unit eigenvalue; over the ~1000 squarings of a
     horizon like 1e300 that error would under- or overflow, while the
     renormalized squares settle on the stationary law.
+
+    Entries with |p| < _DROP (about 1.5e-154) are set to zero in the
+    expm result and after each renormalized squaring.  Each drop takes
+    less than (n + 1) _DROP of mass from a column of n + 1 states, and a
+    column-stochastic squaring at most doubles an L1 perturbation, so
+    after h squarings the columns differ from the undropped ones by at
+    most 2^(h + 1) (n + 1) _DROP, about 1e-138 of the 2^h n eps that
+    rounding already allows.
     """
     with np.errstate(over="ignore"):       # an infinite norm raises in expm
         a = dt * gen
         halvings = max(0, math.frexp(float(np.linalg.norm(a, 1)))[1])
         p = expm(np.ldexp(a, -halvings, out=a))
+    # each mask is read off the buffer that is dead until the next swap
     spare = np.empty_like(p)
+    p[np.abs(p, out=spare) < _DROP] = 0.0
     for _ in range(halvings):
         np.matmul(p, p, out=spare)
         spare /= spare.sum(axis=0)
+        spare[np.abs(spare, out=p) < _DROP] = 0.0
         p, spare = spare, p
     return p
 
@@ -554,9 +571,12 @@ def simulate_jump_chain(
     holding time.  Every state has a positive total rate (rate(0) > 0
     and decay(n) > 0 for n >= 1), so the chain always takes n_jumps.
 
-    The loop runs on Python floats: uniforms come in blocks, rates from
-    the cache's lists, and the path goes straight into the output arrays,
-    so memory is those arrays and little else.
+    The loop only fixes the path: on Python floats, with uniforms in
+    blocks and per-state decay probabilities in a list, it writes the
+    wait draws, states and burst sizes straight into the output arrays.
+    Holding times, occupancy and jump epochs then follow in numpy with
+    the same operations in the same order, so memory is those arrays and
+    little else.
     """
     if n0 < 0:
         raise ModelError("simulate_jump_chain: n0 must be >= 0")
@@ -567,39 +587,35 @@ def simulate_jump_chain(
     log1p = math.log1p
     cache = _RateCache(model)
     cache.ensure(n0 + 1)
-    lam, gam = cache.lam, cache.gam     # grown in place by ensure
+    pdec: list = []     # decay/(rate+decay) per state, caught up with the cache
 
     times = np.zeros(n_jumps + 1)
     states = np.zeros(n_jumps + 1, dtype=np.int64)
     waits = np.zeros(n_jumps)
     bursts = np.zeros(n_jumps, dtype=np.int64)
-    occupancy = [0.0] * max(16, n0 + 1)
 
     # the loop writes Python floats and ints through memoryviews, no numpy call
-    times_w, states_w, waits_w, bursts_w = map(memoryview, (times, states, waits, bursts))
+    states_w, waits_w, bursts_w = map(memoryview, (states, waits, bursts))
 
     # uniforms in blocks of DRAW_BLOCK, read in place; a jump takes at most
     # three, and unread ones carry over, so the draws are those of scalar
     # rng.random() calls in order (UniformStream, inlined)
     draws: list = []
-    pos = 0
+    n_draws = n_cached = pos = 0
     n = int(n0)
     states[0] = n
-    t = 0.0
     for k in range(n_jumps):
-        if pos > len(draws) - 3:
+        if pos > n_draws - 3:
             draws = draws[pos:] + rng.random(DRAW_BLOCK).tolist()
+            n_draws = len(draws)
             pos = 0
-        if n >= len(lam):
+        if n >= n_cached:
             cache.ensure(n)
-        total = lam[n] + gam[n]
-        eps = -log1p(-draws[pos])   # draw_unit_exponential
-        dt = eps / total
-        if n >= len(occupancy):
-            occupancy.extend([0.0] * (len(occupancy) + n))
-        occupancy[n] += dt
-        t += dt
-        if draws[pos + 1] < gam[n] / total:
+            pdec.extend(g / (r + g) for r, g in zip(cache.lam[n_cached:],
+                                                    cache.gam[n_cached:]))
+            n_cached = len(pdec)
+        waits_w[k] = -log1p(-draws[pos])   # draw_unit_exponential
+        if draws[pos + 1] < pdec[n]:
             n -= 1
             pos += 2
         else:
@@ -607,11 +623,19 @@ def simulate_jump_chain(
             n += size
             bursts_w[k] = size
             pos += 3
-        times_w[k + 1] = t
         states_w[k + 1] = n
-        waits_w[k] = eps
 
-    occupancy = np.array(occupancy)
+    # holding time eps/(rate+decay) of each visited state, summed per state
+    # and along the path in the order the jumps were taken; mode="clip"
+    # stops take from buffering a copy of its output
+    visited, dts = states[:-1], times[1:]
+    total = np.add(cache.lam, cache.gam)
+    np.take(total, visited, out=dts, mode="clip")
+    np.divide(waits, dts, out=dts)
+    occupancy = np.bincount(visited, weights=dts)
+    np.cumsum(dts, out=dts)
+    t = float(times[-1])
+
     hi = int(np.max(np.nonzero(occupancy)[0])) if np.any(occupancy > 0) else 0
     occ = occupancy[: hi + 1]
     occ_pmf = Pmf(occ / t if t > 0 else occ)

@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ModelError
-from .numerics import draw_unit_exponential, geometric_quantile
+from .numerics import draw_unit_exponential
 
 __all__ = [
     "ConstantRate", "LinearRate", "QuadraticRate", "HillRate",
@@ -292,8 +292,14 @@ class GeometricBurst:
         return 1.0 / (1.0 - self.b)
 
     def size_at(self, u: float) -> int:
-        """The burst size drawn by the uniform u in [0, 1), by the inverse CDF."""
-        return geometric_quantile(u, self.log_b)
+        """The burst size drawn by the uniform u in [0, 1), by the inverse CDF.
+
+        ceil(ln(1 - u) / ln b); u = 0 maps to 1.
+        """
+        v = 1.0 - u  # in (0, 1]
+        if v >= 1.0:
+            return 1
+        return max(1, math.ceil(math.log(v) / self.log_b))
 
 
 @dataclass(frozen=True)

@@ -103,18 +103,6 @@ def draw_unit_exponential(rng: np.random.Generator) -> float:
     return -math.log1p(-rng.random())
 
 
-def geometric_quantile(u: float, log_b: float) -> int:
-    """Geometric size on {1, 2, ...}, P(k) = (1-b) b^(k-1), of the uniform u in [0, 1).
-
-    ceil(ln(1-u) / ln b); u = 0 maps to 1.  Takes ln b rather than b so
-    that callers drawing many sizes compute it once.
-    """
-    v = 1.0 - u  # in (0, 1]
-    if v >= 1.0:
-        return 1
-    return max(1, math.ceil(math.log(v) / log_b))
-
-
 # ---------------------------------------------------------------------------
 # adaptive ODE stepping (Dormand-Prince 5(4) embedded pair)
 # ---------------------------------------------------------------------------

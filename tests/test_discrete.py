@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
 from burstkin.discrete import (
@@ -12,7 +12,9 @@ from burstkin.discrete import (
     HypergeometricFamily,
     NegativeBinomialFamily,
     Pmf,
+    _DROP,
     _generator,
+    _propagator,
     count_modes_discrete,
     evolve_master,
     master_rhs_truncated,
@@ -39,7 +41,7 @@ from burstkin.models import (
     TabulatedRate,
     TruncatedLinearRate,
 )
-from burstkin.numerics import DRAW_BLOCK, make_rng
+from burstkin.numerics import DRAW_BLOCK, expm, make_rng
 
 
 def nb_model(lam0=1.0, lam1=0.0, gamma=1.0, b=0.5):
@@ -341,6 +343,37 @@ def test_evolve_master_uneven_snapshots_compose():
     gen = _generator(m, 80)
     ref = scipy.linalg.expm(1.75 * gen) @ v0
     assert np.sum(np.abs(uneven.pmfs[1].values - ref)) < 1e-12
+
+
+def undropped_propagator(gen, dt):
+    """_propagator's scaling and renormalized squaring, keeping every entry."""
+    a = dt * gen
+    halvings = max(0, math.frexp(float(np.linalg.norm(a, 1)))[1])
+    p = expm(np.ldexp(a, -halvings))
+    for _ in range(halvings):
+        p = p @ p
+        p /= p.sum(axis=0)
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=discrete_models(), cap=st.integers(3, 400),
+       t_end=st.floats(1e-3, 1e3), n_snapshots=st.integers(1, 30),
+       start=st.floats(0.0, 1.0))
+# a benchmark-sized cell: 2-14% of the entries of its first nine squares lie below _DROP
+@example(model=nb_model(2.0, 0.3, 1.0, 0.5), cap=400, t_end=30.0, n_snapshots=25, start=0.0)
+def test_propagator_drop_is_invisible_in_the_snapshots(model, cap, t_end, n_snapshots, start):
+    gen = _generator(model, cap)
+    dt = t_end / n_snapshots
+    step = _propagator(gen, dt)
+    assert np.all(np.abs(step[step != 0.0]) >= _DROP)
+    ref_step = undropped_propagator(gen, dt)
+    v = np.zeros(cap + 1)
+    v[int(start * cap)] = 1.0
+    ref = v
+    for _ in range(n_snapshots):
+        v, ref = step @ v, ref_step @ ref
+        assert np.sum(np.abs(v - ref)) <= 1e-100
 
 
 def test_evolve_master_memory_at_cap_400():
