@@ -232,43 +232,66 @@ def _log_simpson_weights(grid: np.ndarray) -> np.ndarray:
 _LOG_X_MIN = -744.0
 _LOG_X_MAX = 709.0
 
+# the elementary functions Q is written in: math for one float, numpy
+# ufuncs for an array
+_FLOAT_FNS = (math.log, math.log1p, math.exp, max)
+_ARRAY_FNS = (np.log, np.log1p, np.exp, np.maximum)
 
-def _scalar_forms(rate, g: float, ref: float):
-    """Q(x) and x Q'(x) = -rate(x)/decay as math-only functions of one float x > 0.
 
-    Q repeats the arithmetic of Potential._closed_form term for term, so
-    the float and array paths differ only in the rounding of ``math``
-    against numpy logarithms and powers.
+def _rate_law(rate, g: float, ref: float, fns=_FLOAT_FNS):
+    """The closed forms of a rate law under first-order decay at rate g.
+
+    Returns (q, xdq, q_inf, ratio_inf, inverse):
+
+    - q(x): Q(x) anchored at ref, one expression over the elementary
+      functions fns = (log, log1p, exp, maximum), _FLOAT_FNS for a Python
+      float and _ARRAY_FNS for an array.  No form raises or turns NaN for
+      x > 0; a quadratic law's Q is -inf past x ~ 1e154, as it should be;
+    - xdq(x) = x Q'(x) = -rate(x)/g, math-only, for a float;
+    - q_inf and ratio_inf: the limits of Q and of rate/g at +inf;
+    - inverse(target): the x with Q(x) = target where a closed form
+      exists, else None.
     """
-    log = math.log
-    log_ref = log(ref)
+    log, log1p, exp, maximum = fns
+    log_ref = math.log(ref)
     if isinstance(rate, ConstantRate):
         a = rate.level / g
-        return (lambda x: a * (log_ref - log(x))), (lambda x: -a)
-    if isinstance(rate, LinearRate):
+
+        def inverse(target):
+            t = -target * g / rate.level
+            x = ref * math.exp(t) if t <= _LOG_X_MAX else math.inf
+            if not 0.0 < x < math.inf:
+                raise RangeError(f"target {target}: the root lies outside the float range")
+            return x
+
+        return (lambda x: a * (log_ref - log(x))), (lambda x: -a), -math.inf, a, inverse
+    if isinstance(rate, (LinearRate, QuadraticRate)):
         a, s = rate.base / g, rate.slope / g
-        return ((lambda x: a * (log_ref - log(x)) + s * (ref - x)),
-                (lambda x: -(a + s * x)))
-    if isinstance(rate, QuadraticRate):
-        a, s, c = rate.base / g, rate.slope / g, rate.quad / (2.0 * g)
+        c = getattr(rate, "quad", 0.0) / (2.0 * g)
+        ratio_inf = a if s == c == 0.0 else math.inf
+        if c == 0.0:    # no x * x term, which would make 0 * inf past 1e154
+            return ((lambda x: a * (log_ref - log(x)) + s * (ref - x)),
+                    (lambda x: -(a + s * x)), -math.inf, ratio_inf, None)
         return ((lambda x: a * (log_ref - log(x)) + s * (ref - x) + c * (ref * ref - x * x)),
-                (lambda x: -(a + x * (s + 2.0 * c * x))))
+                (lambda x: -(a + x * (s + 2.0 * c * x))), -math.inf, ratio_inf, None)
     if isinstance(rate, HillRate):
         lam, th = rate.scale, rate.numer_coeff
         d0, d1, ne = rate.denom_const, rate.denom_coeff, rate.exponent
-        lead = lam / (g * d0)
+        lead = lam / (g * d0)                      # rate(0)/g
+        kappa = lam * th / d1 / g                  # rate(inf)/g
         curv = lam * (d1 / d0 - th) / (ne * d1 * g)
-        c_ref = log(d0 + d1 * ref ** ne)
-        log_d1 = log(d1)
+        knee = (math.log(d0) - math.log(d1)) / ne  # ln x where d1 x^ne = d0
+
+        def s(d):
+            # Q up to a constant, in d = ln x - knee: slope -lead below the
+            # knee and -kappa above it, plus curv times what is left of
+            # ln(d0 + d1 x^ne), the softplus remainder ln(1 + e^{-ne |d|})
+            return -lead * d + (lead - kappa) * maximum(d, 0.0) + curv * log1p(exp(-ne * abs(d)))
+
+        s_ref = s(log_ref - knee)
 
         def q(x):
-            try:
-                w = d0 + d1 * x ** ne
-            except OverflowError:
-                w = math.inf
-            # past the float range d0 no longer counts: ln w = ne ln x + ln d1
-            s = log(w) if w < math.inf else ne * log(x) + log_d1
-            return lead * (log_ref - log(x)) + curv * (s - c_ref)
+            return s(log(x) - knee) - s_ref
 
         def xdq(x):
             if x > 1.0:     # rate in powers of x^-ne, which cannot overflow
@@ -277,7 +300,11 @@ def _scalar_forms(rate, g: float, ref: float):
             z = x ** ne
             return -lam * (1.0 + th * z) / (g * (d0 + d1 * z))
 
-        return q, xdq
+        # a rate that shuts off leaves Q the finite infimum -s_ref: past the
+        # knee s is then exactly 0 plus a nonnegative term, so no rounded
+        # Q(x) falls below it
+        q_inf = -s_ref if th == 0.0 else -math.inf
+        return q, xdq, q_inf, kappa, None
     raise ModelError(f"Potential: no closed form for {type(rate).__name__}")
 
 
@@ -285,10 +312,11 @@ class Potential:
     """Q(x) = integral of burst_rate/decay from x up to the anchor x_ref.
 
     Strictly decreasing, +inf at the origin for every admissible model.
-    Closed forms cover all shipped rate laws with first-order decay.  A
-    Python float (or int) is evaluated by math-only scalar forms built
-    once per instance; arrays take the numpy path.  ``inverse_evals``
-    counts the evaluations of Q that ``inverse`` has made.
+    Closed forms cover all shipped rate laws with first-order decay, each
+    written once (_rate_law) and built twice per instance: over math for
+    a Python float (or int), over numpy ufuncs for an array.
+    ``inverse_evals`` counts the evaluations of Q that ``inverse`` has
+    made.
     """
 
     def __init__(self, model: ContinuousBurstModel, x_ref: float = 1.0):
@@ -298,8 +326,9 @@ class Potential:
         self.x_ref = float(x_ref)
         self.rate = model.burst_rate
         self.gamma = model.decay.rate
-        self._q, self._xdq = _scalar_forms(self.rate, self.gamma, self.x_ref)
-        self._q_inf = self.at_infinity()
+        self._q, self._xdq, self._q_inf, _, self._closed_inverse = _rate_law(
+            self.rate, self.gamma, self.x_ref)
+        self._q_array = _rate_law(self.rate, self.gamma, self.x_ref, _ARRAY_FNS)[0]
         self.inverse_evals = 0
 
     # -- evaluation ----------------------------------------------------
@@ -315,56 +344,30 @@ class Potential:
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
             raise DomainError("Potential: defined for x > 0 only")
-        with np.errstate(divide="ignore"):
-            out = self._closed_form(x_arr)
+        with np.errstate(divide="ignore", over="ignore"):  # Q = +inf at 0, -inf past the range
+            out = self._q_array(x_arr)
         return float(out) if np.ndim(x) == 0 else out
 
+    # the tracer in perfbench patches value and __call__ on the class
     __call__ = value
-
-    def _closed_form(self, x: np.ndarray) -> np.ndarray:
-        g = self.gamma
-        ref = self.x_ref
-        r = self.rate
-        log_ref_over_x = math.log(ref) - np.log(x)
-        if isinstance(r, ConstantRate):
-            return (r.level / g) * log_ref_over_x
-        if isinstance(r, LinearRate):
-            return (r.base / g) * log_ref_over_x + (r.slope / g) * (ref - x)
-        if isinstance(r, QuadraticRate):
-            return ((r.base / g) * log_ref_over_x + (r.slope / g) * (ref - x)
-                    + (r.quad / (2.0 * g)) * (ref * ref - x * x))
-        if isinstance(r, HillRate):
-            lam, th = r.scale, r.numer_coeff
-            d0, d1, ne = r.denom_const, r.denom_coeff, r.exponent
-            lead = lam / (g * d0)
-            curv = lam * (d1 / d0 - th) / (ne * d1 * g)
-            return (lead * log_ref_over_x
-                    + curv * (np.log(d0 + d1 * x ** ne) - math.log(d0 + d1 * ref ** ne)))
-        raise ModelError(f"Potential: no closed form for {type(r).__name__}")
 
     def at_infinity(self) -> float:
         """Limit of Q at +inf; finite only for a rate that shuts off out there."""
-        r = self.rate
-        if isinstance(r, HillRate) and r.numer_coeff == 0.0:
-            g = self.gamma
-            return (r.scale / (g * r.denom_const)) * math.log(self.x_ref) + \
-                (r.scale / (r.exponent * r.denom_const * g)) * \
-                math.log(r.denom_coeff / (r.denom_const + r.denom_coeff * self.x_ref ** r.exponent))
-        return -math.inf
+        return self._q_inf
 
     # -- generalized inverse -------------------------------------------
 
     def inverse(self, target: float, *, hint: float | None = None) -> float:
         """The x with Q(x) = target.
 
-        Safeguarded Newton in u = ln x (numerics.find_root): F(u) =
-        Q(e^u) - target falls strictly, with slope x Q'(x) =
-        -burst_rate(x)/decay.  It starts from ``hint`` (a nearby state,
-        which matters inside simulation loops) or from x_ref, and stops
-        once |Q(x) - target| <= 1e-13 max(1, |target|), or when the
-        bracket holds no float between its ends.  RangeError below the
-        infimum of Q or for a root outside the float range; exactly at a
-        finite infimum the inverse is +inf.
+        In closed form for a constant rate; otherwise safeguarded Newton
+        in u = ln x (numerics.find_root): F(u) = Q(e^u) - target falls
+        strictly, with slope x Q'(x) = -burst_rate(x)/decay.  It starts
+        from ``hint`` (a nearby state, which matters inside simulation
+        loops) or from x_ref, and stops once |Q(x) - target| <= 1e-13
+        max(1, |target|), or when the bracket holds no float between its
+        ends.  RangeError below the infimum of Q or for a root outside
+        the float range; exactly at a finite infimum the inverse is +inf.
         """
         if target == 0.0:
             return self.x_ref
@@ -373,9 +376,8 @@ class Potential:
             raise RangeError(f"target {target} below the infimum {q_inf} of the potential")
         if target == q_inf:
             return math.inf
-        r = self.rate
-        if isinstance(r, ConstantRate):
-            return self.x_ref * math.exp(-target * self.gamma / r.level)
+        if self._closed_inverse is not None:
+            return self._closed_inverse(target)
 
         q, xdq, exp = self._q, self._xdq, math.exp
 
@@ -536,21 +538,6 @@ def simulate_pdmp(
 # stationary densities, analytic route
 # ---------------------------------------------------------------------------
 
-def _rate_at_infinity(rate) -> float:
-    """Limit of the burst rate at large x; inf when it grows without bound."""
-    if isinstance(rate, ConstantRate):
-        return rate.level
-    if isinstance(rate, LinearRate):
-        return math.inf if rate.slope > 0 else rate.base
-    if isinstance(rate, QuadraticRate):
-        return math.inf if (rate.quad > 0 or rate.slope > 0) else rate.base
-    if isinstance(rate, HillRate):
-        if rate.numer_coeff > 0:
-            return rate.scale * rate.numer_coeff / rate.denom_coeff
-        return 0.0
-    raise ModelError(f"unsupported rate form {type(rate).__name__}")
-
-
 def _screen(model: ContinuousBurstModel, nu) -> None:
     """Reject kernel/rate pairings that provably fail the tail balance.
 
@@ -561,15 +548,16 @@ def _screen(model: ContinuousBurstModel, nu) -> None:
     r = model.burst_rate
     gamma = model.decay.rate
     if isinstance(nu, PowerTailNu):
-        need = _rate_at_infinity(r) / gamma + 1.0
+        _, _, _, ratio_inf, _ = _rate_law(r, gamma, 1.0)
+        need = ratio_inf + 1.0
         if not nu.exponent > need:
             raise NotIntegrable(
                 f"power-tail exponent {nu.exponent} too small: the tail balance "
                 f"needs > rate_at_infinity/decay + 1 = {need:.6g}")
     elif isinstance(nu, GaussianExpNu):
-        if isinstance(r, QuadraticRate) and r.quad > 0.0:
-            if nu.quad == 0.0 or r.quad / (2.0 * gamma) > nu.quad:
-                raise NotIntegrable("quadratic rate growth beats the burst tail")
+        quad = getattr(r, "quad", 0.0)
+        if quad > 0.0 and (nu.quad == 0.0 or quad / (2.0 * gamma) > nu.quad):
+            raise NotIntegrable("quadratic rate growth beats the burst tail")
         if nu.quad == 0.0:
             slope = getattr(r, "slope", 0.0)
             if slope > 0.0 and slope / gamma >= nu.lin:

@@ -67,8 +67,6 @@ class ConstantRate:
         out = np.full(np.shape(x), float(self.level))
         return _ret(x, out)
 
-    __call__ = value
-
 
 @dataclass(frozen=True)
 class LinearRate:
@@ -85,8 +83,6 @@ class LinearRate:
 
     def value(self, x):
         return _ret(x, self.base + self.slope * np.asarray(x, dtype=float))
-
-    __call__ = value
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,6 @@ class QuadraticRate:
     def value(self, x):
         x = np.asarray(x, dtype=float)
         return _ret(x, self.base + self.slope * x + self.quad * x * x)
-
-    __call__ = value
 
 
 @dataclass(frozen=True)
@@ -136,11 +130,13 @@ class HillRate:
             raise ModelError("HillRate: exponent must be > 0")
 
     def value(self, x):
-        z = np.asarray(x, dtype=float) ** self.exponent
-        out = self.scale * (1.0 + self.numer_coeff * z) / (self.denom_const + self.denom_coeff * z)
+        # in powers of x^-e above x = 1, so z stays in [0, 1] and never overflows
+        x_arr = np.asarray(x, dtype=float)
+        big = x_arr > 1.0
+        z = x_arr ** np.where(big, -self.exponent, self.exponent)
+        th, d0, d1 = self.numer_coeff, self.denom_const, self.denom_coeff
+        out = self.scale * np.where(big, (z + th) / (d0 * z + d1), (1.0 + th * z) / (d0 + d1 * z))
         return _ret(x, out)
-
-    __call__ = value
 
 
 @dataclass(frozen=True)
@@ -169,8 +165,6 @@ class TruncatedLinearRate:
         out = np.where(x_arr <= self.cutoff, np.maximum(raw, 0.0), 0.0)
         return _ret(x, out)
 
-    __call__ = value
-
 
 @dataclass(frozen=True)
 class TabulatedRate:
@@ -195,8 +189,6 @@ class TabulatedRate:
         padded = np.asarray(self.table + (0.0,), dtype=float)
         out = padded[np.clip(idx, 0, len(self.table))]
         return _ret(n, out)
-
-    __call__ = value
 
 
 RateSeq = Union[ConstantRate, LinearRate, HillRate, TruncatedLinearRate, TabulatedRate]
@@ -223,8 +215,6 @@ class LinearDecay:
 
     def derivative(self, x):
         return _ret(x, np.full(np.shape(x), float(self.rate)))
-
-    __call__ = value
 
 
 @dataclass(frozen=True)
@@ -253,8 +243,6 @@ class TabulatedDecay:
             raise ModelError(f"TabulatedDecay: state outside table of length {len(self.table)}")
         out = np.asarray(self.table, dtype=float)[idx]
         return _ret(n, out)
-
-    __call__ = value
 
 
 DegradationSeq = Union[LinearDecay, TabulatedDecay]

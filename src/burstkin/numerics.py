@@ -407,10 +407,11 @@ def find_root(
     Newton runs from ``x`` with slope ``fprime``, or without one along
     the secant through the bracket ends.  Every evaluation tightens the
     bracket [lo, hi], f(lo) > 0 > f(hi), which may start open on either
-    side.  A step that leaves the bracket, or fails to halve the step
-    before last (Numerical Recipes' rtsafe), becomes a bisection, or an
-    outward step of doubling length while one side is still open.  Steps
-    are clipped to ``domain``.  Returns the first x with |f(x)| <= tol,
+    side.  A step that leaves the bracket, follows a zero slope, or fails
+    to halve the step before last (Numerical Recipes' rtsafe), becomes a
+    bisection, or an outward step of doubling length while one side is
+    still open.  Steps are clipped to ``domain``.  Returns the first x
+    with |f(x)| <= tol,
     or the bracket end it sits on once no float lies between the ends.
     RangeError when an open side cannot close inside ``domain``,
     NoConvergence after _ROOT_STEPS evaluations.
@@ -427,7 +428,8 @@ def find_root(
         else:
             hi, f_hi = x, fx
         if fprime is not None:
-            step = x - fx / fprime(x)
+            slope = fprime(x)
+            step = x - fx / slope if slope != 0.0 else math.nan
         else:
             step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not (lo < step < hi and abs(step - x) <= 0.5 * before):

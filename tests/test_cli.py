@@ -323,6 +323,41 @@ model.burst_b = 0.2
 """
 
 
+# a switch-like Hill law: x^250 overflows for every x above 17
+STEEP_HILL_MODEL = HILL_EXP_MODEL.replace(
+    "model.rate_denom_coeff = 0.0625\nmodel.rate_exponent = 4.0",
+    "model.rate_denom_coeff = 1.0\nmodel.rate_exponent = 250.0").replace(
+    "model.burst_b = 0.2", "model.burst_b = 1.0")
+
+
+@pytest.mark.parametrize("mode, numeric", [
+    ("stationary-continuous", ""),
+    ("stationary-continuous", "numeric.x_ref = 20.0\n"),   # anchor past the overflow
+    ("kernel-fixed-point", ""),
+    ("modes", ""),
+    ("invert-phi", ""),
+])
+def test_steep_hill_modes_return_results(tmp_path, mode, numeric):
+    p = write_cfg(tmp_path, f"run.mode = {mode}\n{STEEP_HILL_MODEL}{numeric}")
+    assert main([mode, "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    blob = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert blob["artifacts"]
+    assert all(math.isfinite(v) for v in blob["scalars"].values())
+
+
+@pytest.mark.parametrize("rate", [
+    "model.rate = constant\nmodel.rate_level = 0.01",
+    "model.rate = linear\nmodel.rate_base = 0.01\nmodel.rate_slope = 0.1",
+])
+def test_pdmp_root_below_the_float_range_exits_2(tmp_path, capsys, rate):
+    # at rate 0.01 one wait in about 1700 flows the state below e^-744
+    text = PDMP_CFG.replace("model.rate = constant\nmodel.rate_level = 2.0", rate).replace(
+        "numeric.n_jumps = 500", "numeric.n_jumps = 20000")
+    p = write_cfg(tmp_path, text)
+    assert main(["simulate-pdmp", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "RangeError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode, numeric", [
     ("ergodicity", "numeric.y_probe = 0.0\n"),
     ("modes", "numeric.n_scan = -1\n"),

@@ -235,7 +235,8 @@ def test_potential_domain_and_wrappers():
 
 @st.composite
 def potentials(draw):
-    """A Potential of each continuous rate family, anchored at 1 or 3.7."""
+    """A Potential of each continuous rate family, anchored at 1, 3.7 or 20;
+    Hill exponents reach 300, where x^ne overflows for x beyond 11."""
     unit = st.floats(0.0, 1.0)
     family = draw(st.sampled_from(("constant", "linear", "quadratic", "hill")))
     level = 0.2 + 4.8 * draw(unit)
@@ -249,24 +250,28 @@ def potentials(draw):
         # numer_coeff 0 shuts the rate off: Q has a finite infimum
         numer = draw(st.sampled_from((0.0, 3.0 * draw(unit))))
         rate = HillRate(level, numer, 0.5 + 1.5 * draw(unit), 0.3 + 1.7 * draw(unit),
-                        0.5 + 3.5 * draw(unit))
+                        draw(st.one_of(st.floats(0.5, 4.0), st.floats(4.0, 300.0))))
     model = ContinuousBurstModel(rate, LinearDecay(0.5 + 1.5 * draw(unit)),
                                  ExponentialBurstKernel(1.0))
-    return Potential(model, x_ref=draw(st.sampled_from((1.0, 3.7))))
+    return Potential(model, x_ref=draw(st.sampled_from((1.0, 3.7, 20.0))))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(pot=potentials(), log_x=st.floats(-12.0, 12.0), log_hint=st.floats(-3.0, 3.0))
+@given(pot=potentials(), log_x=st.one_of(st.floats(-12.0, 12.0), st.floats(-700.0, 700.0)),
+       log_hint=st.floats(-3.0, 3.0))
 def test_potential_float_path_and_newton_inverse(pot, log_x, log_hint):
     x = math.exp(log_x)
     q = pot.value(x)
     assert type(q) is float
-    assert abs(q - pot.value(np.array([x]))[0]) <= 1e-14 * (1.0 + abs(q))
+    # past x = 1e154 a quadratic law's Q and slope are -inf on every path
+    q_array = pot.value(np.array([x]))[0]
+    assert q == q_array or abs(q - q_array) <= 1e-14 * (1.0 + abs(q))
     # the scalar x dQ/dx that inverse's Newton steps use, against the rate law
     slope = pot._xdq(x) / x
     assert type(slope) is float
-    exact = -pot.rate.value(x) / (pot.gamma * x)
-    assert abs(slope - exact) <= 1e-14 * abs(exact)
+    with np.errstate(over="ignore"):
+        exact = -pot.rate.value(x) / (pot.gamma * x)
+    assert slope == exact or abs(slope - exact) <= 1e-14 * abs(exact)
     assert pot.value(0.0) == math.inf
     for bad in (-x, math.nan):
         with pytest.raises(DomainError):
@@ -275,7 +280,8 @@ def test_potential_float_path_and_newton_inverse(pot, log_x, log_hint):
     if q <= pot.at_infinity():
         # x so large that Q rounds onto or below a finite infimum
         if q == pot.at_infinity():
-            assert pot.inverse(q) == math.inf
+            # Q(x_ref) = 0 exactly, even where the infimum rounds to 0
+            assert pot.inverse(q) == (pot.x_ref if q == 0.0 else math.inf)
         else:
             with pytest.raises(RangeError):
                 pot.inverse(q)
@@ -297,6 +303,19 @@ def test_potential_inverse_counts_its_evaluations():
     with pytest.raises(RangeError):   # the root lies below the smallest float
         pot.inverse(1e4)
     assert pot.inverse_evals > before
+
+
+def test_constant_rate_inverse_stays_in_the_float_range():
+    model = ContinuousBurstModel(ConstantRate(0.01), LinearDecay(1.0),
+                                 ExponentialBurstKernel(1.0))
+    pot = Potential(model)
+    assert pot.value(pot.inverse(7.0)) == pytest.approx(7.0, rel=1e-13)   # x = e^-700
+    for target in (8.0, -8.0):        # x = e^-800 underflows, e^800 overflows
+        with pytest.raises(RangeError):
+            pot.inverse(target)
+    # one wait in about 1700 flows the state below the smallest float
+    with pytest.raises(RangeError):
+        simulate_pdmp(model, 1.0, 20000, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,16 @@ def test_rate_values():
         assert np.allclose(rate.value(x), ref(x), rtol=1e-14)
 
 
+def test_hill_rate_past_the_overflow_of_x_to_the_exponent():
+    # x^40 overflows at x = 1e8: the value is the limit scale * numer / denom_coeff
+    r = HillRate(1.5, 3.0, 1.0, 1.0, 40.0)
+    assert r.value(1e8) == 4.5
+    x = np.array([0.0, 0.5, 1.0, 2.0, 1e8, 1e300])
+    expected = [1.5, 1.5 * (1.0 + 3.0 * 0.5 ** 40) / (1.0 + 0.5 ** 40), 3.0,
+                1.5 * (2.0 ** -40 + 3.0) / (2.0 ** -40 + 1.0), 4.5, 4.5]
+    assert np.allclose(r.value(x), expected, rtol=1e-15)
+
+
 def test_rate_scalar_in_scalar_out():
     r = HillRate(1.0, 1.0, 1.0, 1.0, 1.0)
     assert isinstance(r.value(2.0), float)

@@ -229,6 +229,12 @@ def test_root_width_is_relative_to_the_root():
     assert abs(x - r) <= 1e-12 * r
 
 
+def test_root_zero_slope_falls_back_to_the_bracket():
+    # the slope vanishes at the start: an outward step, not a division by zero
+    x = find_root(lambda x: 1.0 - x ** 3, 0.0, 1e-15, fprime=lambda x: -3.0 * x * x)
+    assert abs(x - 1.0) < 1e-15
+
+
 def test_root_unconverged_raises():
     # a jump at 1/3 never meets |f| <= tol; bisecting a bracket of width
     # 2e300 down to adjacent floats takes about 1000 steps
