@@ -565,7 +565,15 @@ def _run_invert_phi(cfg, model, out: Path):
                                          floor=num["floor"])
     write_pairs_csv(out / "phi.csv", "x,phi", xs, phi)
     truth = np.asarray(model.burst_rate.value(xs), dtype=float)
-    scalars = {"max_relative_error": float(np.max(np.abs(phi / truth - 1.0)))}
+    # the error is relative only where the true rate is a normal double:
+    # past an underflow to 0 it is undefined, and on a subnormal rate the
+    # ratio can overflow
+    live = truth >= np.finfo(float).tiny
+    scalars = {
+        "max_relative_error": float(np.max(np.abs(phi[live] / truth[live] - 1.0),
+                                           initial=0.0)),
+        "rate_underflow_points": int(np.count_nonzero(~live)),
+    }
     return scalars, ["phi.csv"]
 
 

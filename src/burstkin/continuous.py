@@ -629,6 +629,13 @@ def stationary_density(
 
 _SCAN_BLOCK = 64
 
+# substeps per panel of the S integral in _kernel_log_factors: the base
+# count, the count per unit log gap ratio below a finite cap, and the most
+# any panel gets
+_SUBSTEPS = 8
+_CAP_SUBSTEP_SCALE = 256.0
+_MAX_SUBSTEPS = 1024
+
 
 def _suffix_scan(log_fac: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """y_i = terms_i + e^{log_fac_i} y_{i+1} from the top knot down.
@@ -723,7 +730,7 @@ class KernelGrid:
 
 
 def _kernel_log_factors(
-    model: ContinuousBurstModel, grid: np.ndarray, x_ref: float, substeps: int,
+    model: ContinuousBurstModel, grid: np.ndarray, x_ref: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ln A, Q and ln S of k(x, y) = A(x) e^{Q(y)} S(min(x, y)) on the grid."""
     nu = model.burst_size.nu
@@ -740,36 +747,44 @@ def _kernel_log_factors(
         return -nu.log_value(z) + np.log(model.burst_rate.value(z)) - np.log(gamma * z)
 
     # ln S_abs[j] = ln of the integral of w(z) e^{-Q(z)} over (0, x_j],
-    # accumulated with exponential-fitted panels on geometric substeps
-    m = max(int(substeps), 1)
+    # accumulated with exponential-fitted panels on geometric substeps,
+    # _SUBSTEPS of them per panel unless a finite cap asks for more
+    counts = np.full(len(grid) - 1, _SUBSTEPS)
     if math.isfinite(cap):
         # the integrand has a power singularity at the cap, so substep
-        # nodes go geometrically in the remaining gap cap - z; the count
-        # scales with the worst panel's gap ratio to keep each substep's
-        # log swing small
+        # nodes go geometrically in the remaining gap cap - z.  Each panel
+        # gets a count that scales with its own gap ratio, to keep each
+        # substep's log swing small, rounded up to a power of two so that
+        # the counts form a few groups: only the panels next to the cap
+        # need more than the base count (Davis & Rabinowitz, Methods of
+        # Numerical Integration, on grading toward an endpoint singularity)
         gap_lo = cap - grid[:-1]
         gap_hi = cap - grid[1:]
-        span = float(np.max(gap_lo / gap_hi))
-        m = int(min(max(m, math.ceil(4.0 * math.log(span))), 1024))
-    frac = np.arange(m + 1)[None, :] / m
+        need = np.maximum(np.ceil(_CAP_SUBSTEP_SCALE * np.log(gap_lo / gap_hi)), _SUBSTEPS)
+        counts = np.minimum(2.0 ** np.ceil(np.log2(need)), _MAX_SUBSTEPS).astype(int)
     ln_panel = np.empty(len(grid) - 1)
-    # the (panels, m + 1) substep arrays are built 256 panels at a time;
-    # panels are independent, so the blocking changes no bit of ln_panel
-    for lo in range(0, len(ln_panel), 256):
-        rows = slice(lo, lo + 256)
-        if math.isfinite(cap):
-            z = cap - gap_lo[rows, None] * (gap_hi[rows] / gap_lo[rows])[:, None] ** frac
-        else:
-            ratio = (grid[1:][rows] / grid[:-1][rows])[:, None] ** frac
-            z = grid[:-1][rows, None] * ratio         # substep knots
-        theta = ln_w(z) - pot.value(z)                # log integrand
-        th_lo, th_hi = theta[:, :-1], theta[:, 1:]
-        d = np.abs(th_hi - th_lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shape_fac = np.where(d > 1e-6, -np.expm1(-d) / np.where(d > 0.0, d, 1.0),
-                                 1.0 - 0.5 * d + d * d / 6.0)
-        ln_sub = np.log(np.diff(z, axis=1)) + np.maximum(th_lo, th_hi) + np.log(shape_fac)
-        ln_panel[rows] = np.logaddexp.reduce(ln_sub, axis=1)
+    for m in sorted(set(counts.tolist())):
+        frac = np.arange(m + 1)[None, :] / m
+        panels = np.flatnonzero(counts == m)
+        # the (panels, m + 1) substep arrays are built a block of at most
+        # 256 * (_SUBSTEPS + 1) nodes at a time; panels are independent,
+        # so neither the grouping nor the blocking changes a bit of ln_panel
+        block = max(256 * (_SUBSTEPS + 1) // (m + 1), 1)
+        for lo in range(0, len(panels), block):
+            rows = panels[lo:lo + block]
+            if math.isfinite(cap):
+                z = cap - gap_lo[rows, None] * (gap_hi[rows] / gap_lo[rows])[:, None] ** frac
+            else:
+                ratio = (grid[1:][rows] / grid[:-1][rows])[:, None] ** frac
+                z = grid[:-1][rows, None] * ratio         # substep knots
+            theta = ln_w(z) - pot.value(z)                # log integrand
+            th_lo, th_hi = theta[:, :-1], theta[:, 1:]
+            d = np.abs(th_hi - th_lo)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                shape_fac = np.where(d > 1e-6, -np.expm1(-d) / np.where(d > 0.0, d, 1.0),
+                                     1.0 - 0.5 * d + d * d / 6.0)
+            ln_sub = np.log(np.diff(z, axis=1)) + np.maximum(th_lo, th_hi) + np.log(shape_fac)
+            ln_panel[rows] = np.logaddexp.reduce(ln_sub, axis=1)
 
     s0 = quad_adaptive(lambda t: np.exp(ln_w(t) - pot.value(t)),
                        0.0, float(grid[0]), 1e-14)
@@ -783,7 +798,6 @@ def kernel_matrix(
     grid: np.ndarray,
     *,
     x_ref: float = 1.0,
-    _substeps: int = 8,
 ) -> KernelGrid:
     """Assemble the jump-chain kernel on a log grid, in O(n) time and memory.
 
@@ -808,7 +822,7 @@ def kernel_matrix(
         raise ModelError("kernel_matrix: need an increasing grid with >= 8 knots")
     if grid[0] <= 0.0:
         raise ModelError("kernel_matrix: grid must be strictly positive")
-    ln_a, q, ln_s_abs = _kernel_log_factors(model, grid, x_ref, _substeps)
+    ln_a, q, ln_s_abs = _kernel_log_factors(model, grid, x_ref)
     diag = ln_a + q + ln_s_abs
     dq = np.diff(q)
     dl = np.diff(ln_s_abs)

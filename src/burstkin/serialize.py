@@ -8,7 +8,7 @@ meaningful check.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,29 +29,43 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def write_csv(path, header: str, rows: Iterable[Sequence[str]]) -> None:
+# rows formatted by one % over a repeated row format
+_CHUNK = 4096
+
+
+def write_csv(path, header: str, row_format: str, columns: Sequence[Sequence]) -> None:
+    """``header``, then one ``row_format`` line per row of ``columns``.
+
+    Rows are formatted _CHUNK at a time with one ``%`` over the row format
+    repeated, ``%.17g`` giving format_float's digits.  Columns of unequal
+    length stop at the shortest, as zip would.
+    """
+    k = len(columns)
+    n = min(len(c) for c in columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            flat = [None] * (k * (hi - lo))
+            for j, c in enumerate(columns):
+                part = c[lo:hi]
+                flat[j::k] = part.tolist() if isinstance(part, np.ndarray) else part
+            fh.write(row_format * (hi - lo) % tuple(flat))
 
 
 def write_pmf_csv(path, values: np.ndarray) -> None:
     """States 0..n_max with their probabilities; header ``n,p``."""
-    write_csv(path, "n,p",
-              ((str(n), format_float(p)) for n, p in enumerate(values)))
+    write_csv(path, "n,p", "%d,%.17g\n", (range(len(values)), values))
 
 
 def write_trace_csv(path, times: np.ndarray, l1: np.ndarray) -> None:
     """Distance-to-stationarity trace; header ``t,l1_distance``."""
-    write_csv(path, "t,l1_distance",
-              ((format_float(t), format_float(d)) for t, d in zip(times, l1)))
+    write_csv(path, "t,l1_distance", "%.17g,%.17g\n", (times, l1))
 
 
 def write_density_csv(path, grid: np.ndarray, values: np.ndarray) -> None:
     """Grid density; header ``x,u``."""
-    write_csv(path, "x,u",
-              ((format_float(x), format_float(u)) for x, u in zip(grid, values)))
+    write_csv(path, "x,u", "%.17g,%.17g\n", (grid, values))
 
 
 def write_trajectory_csv(path, times: np.ndarray,
@@ -61,19 +75,15 @@ def write_trajectory_csv(path, times: np.ndarray,
     ``times`` carries the extra leading t = 0 entry, so jump k pairs
     times[k] with y_pre[k-1]/y_post[k-1].
     """
-    write_csv(path, "k,t,y_pre,y_post",
-              ((str(k + 1), format_float(times[k + 1]),
-                format_float(y_pre[k]), format_float(y_post[k]))
-               for k in range(len(y_pre))))
+    write_csv(path, "k,t,y_pre,y_post", "%d,%.17g,%.17g,%.17g\n",
+              (range(1, len(y_pre) + 1), times[1:len(y_pre) + 1], y_pre, y_post))
 
 
 def write_modes_csv(path, roots: Sequence[float], kinds: Sequence[str]) -> None:
     """Mode census; header ``x_root,kind``."""
-    write_csv(path, "x_root,kind",
-              ((format_float(x), k) for x, k in zip(roots, kinds)))
+    write_csv(path, "x_root,kind", "%.17g,%s\n", (roots, kinds))
 
 
 def write_pairs_csv(path, header: str, xs: np.ndarray, ys: np.ndarray) -> None:
     """Two float columns under a caller-chosen header."""
-    write_csv(path, header,
-              ((format_float(x), format_float(y)) for x, y in zip(xs, ys)))
+    write_csv(path, header, "%.17g,%.17g\n", (xs, ys))

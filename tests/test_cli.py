@@ -345,6 +345,23 @@ def test_steep_hill_modes_return_results(tmp_path, mode, numeric):
     assert all(math.isfinite(v) for v in blob["scalars"].values())
 
 
+def _no_bare_constants(token):
+    raise AssertionError(f"summary.json holds the bare token {token}")
+
+
+def test_invert_phi_skips_points_where_the_rate_underflows(tmp_path):
+    # the repressible twin of the steep law: its rate is subnormal past
+    # x = 17 and 0.0 past x = 20
+    model = STEEP_HILL_MODEL.replace("model.rate_numer = 2.0", "model.rate_numer = 0.0")
+    p = write_cfg(tmp_path, f"run.mode = invert-phi\n{model}")
+    assert main(["invert-phi", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "summary.json").read_text()
+    scalars = json.loads(text, parse_constant=_no_bare_constants)["scalars"]
+    assert 0 < scalars["rate_underflow_points"] < len(
+        (tmp_path / "out" / "phi.csv").read_text().splitlines()) - 1
+    assert math.isfinite(scalars["max_relative_error"])
+
+
 @pytest.mark.parametrize("rate", [
     "model.rate = constant\nmodel.rate_level = 0.01",
     "model.rate = linear\nmodel.rate_base = 0.01\nmodel.rate_slope = 0.1",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from burstkin import continuous
 from burstkin.continuous import (
     GridDensity,
     Potential,
@@ -691,23 +692,24 @@ def test_scans_match_a_plain_loop(n):
 def _dense_kernel(model, grid):
     """Dense reference for the O(n) operator: the n x n array
     exp(ln A_i + Q_j + ln S_min(i,j)) and its raw column sums."""
-    ln_a, q, ln_s = _kernel_log_factors(model, grid, 1.0, 8)
+    ln_a, q, ln_s = _kernel_log_factors(model, grid, 1.0)
     raw = np.exp(ln_a[:, None] + q[None, :] + np.minimum(ln_s[:, None], ln_s[None, :]))
     return raw, _log_simpson_weights(grid) @ raw
 
 
 @st.composite
-def gated_models(draw):
+def gated_models(draw, family=None):
     """Every rate x burst family whose kernel passes the column gate, with
-    parameters in the benchmark's narrow ranges.  Linear rates with
-    exponential bursts put the grid at its 1e12 stop."""
+    parameters in the benchmark's narrow ranges, or only the pairs of one
+    burst ``family``.  Linear rates with exponential bursts put the grid
+    at its 1e12 stop."""
     unit = st.floats(0.0, 1.0)
-    rate, burst = draw(st.sampled_from([
+    rate, burst = draw(st.sampled_from([pair for pair in [
         ("constant", "exponential"), ("linear", "exponential"), ("hill", "exponential"),
         ("constant", "gaussian-exp"), ("linear", "gaussian-exp"), ("hill", "gaussian-exp"),
         ("constant", "finite-support"), ("linear", "finite-support"),
         ("quadratic", "finite-support"), ("hill", "finite-support"),
-    ]))
+    ] if family in (None, pair[1])]))
     gamma = 0.8 + 0.45 * draw(unit)
     level = gamma * (1.5 + 1.5 * draw(unit))
     b = 0.6 + 0.8 * draw(unit)
@@ -827,8 +829,9 @@ def test_kernel_memory_stays_linear():
 
 
 def test_finite_support_assembly_memory_stays_linear():
-    # the substep count (about 90 here) is set by the panel next to the
-    # cap; built for all panels at once the substep arrays peak at 17 MiB
+    # each panel has its own substep count, up to 1024 for the panel next
+    # to the cap, and the substep arrays are built a block of panels at a
+    # time; all panels at once, at 90 substeps each, peak at 17 MiB
     m = ContinuousBurstModel(HillRate(2.0, 2.0, 1.0, 1.0, 2.0), LinearDecay(1.0),
                              SeparableBurstKernel(FiniteSupportNu(8.0, 4.0)))
     grid = kernel_grid(m, 4096)
@@ -840,6 +843,37 @@ def test_finite_support_assembly_memory_stays_linear():
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
     assert kern.residual(kernel_fixed_point(kern)) < 1e-9
+
+
+# the seed-1 finite-support kernel-fixed-point cells of the solvers benchmark
+_CAPPED_CONSTANT = ContinuousBurstModel(
+    ConstantRate(2.1131026051819304), LinearDecay(0.9236649903218197),
+    SeparableBurstKernel(FiniteSupportNu(9.148548942258383, 3.014272518908126)))
+_CAPPED_HILL = ContinuousBurstModel(
+    HillRate(2.4229529284874585, 2.3091325563976937, 1.0, 1.127223382349083,
+             2.0986000039528676),
+    LinearDecay(1.0245870405452713),
+    SeparableBurstKernel(FiniteSupportNu(9.705716655024796, 5.050120451082261)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=gated_models("finite-support"), n_knots=st.integers(512, 4096))
+@example(model=_CAPPED_CONSTANT, n_knots=3072)
+@example(model=_CAPPED_HILL, n_knots=4096)
+def test_finite_support_s_integral_matches_a_finer_substepping(model, n_knots):
+    # the substep counts near the cap against counts 8x denser under a 32x
+    # higher ceiling, a reference that moves by 2e-7 when refined 4x more;
+    # the top panel alone sits at the ceiling, so its knot gets the looser bound
+    grid = kernel_grid(model, n_knots)
+    ln_s = _kernel_log_factors(model, grid, 1.0)[2]
+    with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore"):
+        # the finest substeps next to the cap are a few ulps wide, some zero
+        mp.setattr(continuous, "_CAP_SUBSTEP_SCALE", 8 * continuous._CAP_SUBSTEP_SCALE)
+        mp.setattr(continuous, "_MAX_SUBSTEPS", 32 * continuous._MAX_SUBSTEPS)
+        ref = _kernel_log_factors(model, grid, 1.0)[2]
+    err = np.abs(ln_s - ref)
+    assert np.max(err[:-1]) <= 1e-5
+    assert err[-1] <= 1e-3
 
 
 def test_density_from_fixed_point_exact_input():
