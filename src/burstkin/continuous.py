@@ -135,7 +135,6 @@ def default_grid(
     model: ContinuousBurstModel,
     n_knots: int = 1024,
     *,
-    x_min: float | None = None,
     x_max: float | None = None,
 ) -> np.ndarray:
     """Model-aware log grid.
@@ -148,7 +147,7 @@ def default_grid(
     burst = model.burst_size
     cap = burst.support_cap
     scale = _natural_scale(model)
-    lo = x_min if x_min is not None else 1e-6 * scale
+    lo = 1e-6 * scale
     if x_max is not None:
         hi = x_max
     else:
@@ -241,7 +240,7 @@ _ARRAY_FNS = (np.log, np.log1p, np.exp, np.maximum)
 def _rate_law(rate, g: float, ref: float, fns=_FLOAT_FNS):
     """The closed forms of a rate law under first-order decay at rate g.
 
-    Returns (q, xdq, q_inf, ratio_inf, inverse):
+    Returns (q, xdq, q_inf, ratio_inf, inverse, ln_rate):
 
     - q(x): Q(x) anchored at ref, one expression over the elementary
       functions fns = (log, log1p, exp, maximum), _FLOAT_FNS for a Python
@@ -250,10 +249,16 @@ def _rate_law(rate, g: float, ref: float, fns=_FLOAT_FNS):
     - xdq(x) = x Q'(x) = -rate(x)/g, math-only, for a float;
     - q_inf and ratio_inf: the limits of Q and of rate/g at +inf;
     - inverse(target): the x with Q(x) = target where a closed form
-      exists, else None.
+      exists, else None;
+    - ln_rate(x): ln rate(x) over fns, finite where a Hill rate that
+      shuts off underflows to 0.
     """
     log, log1p, exp, maximum = fns
     log_ref = math.log(ref)
+
+    def ln_rate(x):
+        return log(rate.value(x))
+
     if isinstance(rate, ConstantRate):
         a = rate.level / g
 
@@ -264,16 +269,17 @@ def _rate_law(rate, g: float, ref: float, fns=_FLOAT_FNS):
                 raise RangeError(f"target {target}: the root lies outside the float range")
             return x
 
-        return (lambda x: a * (log_ref - log(x))), (lambda x: -a), -math.inf, a, inverse
+        return ((lambda x: a * (log_ref - log(x))), (lambda x: -a), -math.inf, a, inverse,
+                ln_rate)
     if isinstance(rate, (LinearRate, QuadraticRate)):
         a, s = rate.base / g, rate.slope / g
         c = getattr(rate, "quad", 0.0) / (2.0 * g)
         ratio_inf = a if s == c == 0.0 else math.inf
         if c == 0.0:    # no x * x term, which would make 0 * inf past 1e154
             return ((lambda x: a * (log_ref - log(x)) + s * (ref - x)),
-                    (lambda x: -(a + s * x)), -math.inf, ratio_inf, None)
+                    (lambda x: -(a + s * x)), -math.inf, ratio_inf, None, ln_rate)
         return ((lambda x: a * (log_ref - log(x)) + s * (ref - x) + c * (ref * ref - x * x)),
-                (lambda x: -(a + x * (s + 2.0 * c * x))), -math.inf, ratio_inf, None)
+                (lambda x: -(a + x * (s + 2.0 * c * x))), -math.inf, ratio_inf, None, ln_rate)
     if isinstance(rate, HillRate):
         lam, th = rate.scale, rate.numer_coeff
         d0, d1, ne = rate.denom_const, rate.denom_coeff, rate.exponent
@@ -300,11 +306,20 @@ def _rate_law(rate, g: float, ref: float, fns=_FLOAT_FNS):
             z = x ** ne
             return -lam * (1.0 + th * z) / (g * (d0 + d1 * z))
 
+        def softplus(y):    # ln(1 + e^y)
+            return maximum(y, 0.0) + log1p(exp(-abs(y)))
+
+        def ln_hill(x):
+            # ln(lam/d0) + ln(1 + th x^ne) - ln(1 + (d1/d0) x^ne), in ne ln x
+            u = ne * log(x)
+            gain = softplus(u + math.log(th)) if th > 0.0 else 0.0
+            return math.log(lam / d0) + gain - softplus(u - ne * knee)
+
         # a rate that shuts off leaves Q the finite infimum -s_ref: past the
         # knee s is then exactly 0 plus a nonnegative term, so no rounded
         # Q(x) falls below it
         q_inf = -s_ref if th == 0.0 else -math.inf
-        return q, xdq, q_inf, kappa, None
+        return q, xdq, q_inf, kappa, None, ln_hill
     raise ModelError(f"Potential: no closed form for {type(rate).__name__}")
 
 
@@ -326,7 +341,7 @@ class Potential:
         self.x_ref = float(x_ref)
         self.rate = model.burst_rate
         self.gamma = model.decay.rate
-        self._q, self._xdq, self._q_inf, _, self._closed_inverse = _rate_law(
+        self._q, self._xdq, self._q_inf, _, self._closed_inverse, _ = _rate_law(
             self.rate, self.gamma, self.x_ref)
         self._q_array = _rate_law(self.rate, self.gamma, self.x_ref, _ARRAY_FNS)[0]
         self.inverse_evals = 0
@@ -548,7 +563,7 @@ def _screen(model: ContinuousBurstModel, nu) -> None:
     r = model.burst_rate
     gamma = model.decay.rate
     if isinstance(nu, PowerTailNu):
-        _, _, _, ratio_inf, _ = _rate_law(r, gamma, 1.0)
+        ratio_inf = _rate_law(r, gamma, 1.0)[3]
         need = ratio_inf + 1.0
         if not nu.exponent > need:
             raise NotIntegrable(
@@ -741,10 +756,11 @@ def _kernel_log_factors(
     if math.isfinite(cap) and grid[-1] >= cap:
         raise ModelError(f"kernel_matrix: grid must stay below the support cap {cap}")
     ln_a = nu.log_value(grid) + np.log(nu.log_slope(grid))
+    ln_rate = _rate_law(model.burst_rate, gamma, x_ref, _ARRAY_FNS)[5]
 
     def ln_w(z):
         # ln of rate(z) / (decay(z) * nu(z))
-        return -nu.log_value(z) + np.log(model.burst_rate.value(z)) - np.log(gamma * z)
+        return -nu.log_value(z) + ln_rate(z) - np.log(gamma * z)
 
     # ln S_abs[j] = ln of the integral of w(z) e^{-Q(z)} over (0, x_j],
     # accumulated with exponential-fitted panels on geometric substeps,

@@ -11,6 +11,7 @@ out.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -66,9 +67,9 @@ __all__ = [
 class Pmf:
     """Probability mass vector on 0..n_max.
 
-    ``log_values`` is carried along when the computation ran in log
-    scale; entries that underflow to zero in linear scale stay usable
-    there.
+    ``log_values`` is carried along by the geometric ratio route, which
+    runs in log scale; entries that underflow to zero in linear scale
+    stay usable there.
     """
 
     values: np.ndarray
@@ -129,6 +130,16 @@ def _reject_divergent_linear(model: DiscreteBurstModel) -> None:
 # stationary laws
 # ---------------------------------------------------------------------------
 
+def _tail_recurrence(law) -> tuple[float, list]:
+    """The burst tail sums s_n = sum_{k<=n} P(K > n-k) x_k as (carry, band),
+    s_n = carry * s_(n-1) + sum_m band[m] x_(n-m): a geometric tail b^m is
+    one running state, (b, [1]), and a table of K sizes a band of K.
+    """
+    if isinstance(law, GeometricBurst):
+        return law.b, [1.0]
+    return 0.0, law.tail(np.arange(len(law.weights))).tolist()
+
+
 def stationary_pmf_general(
     model: DiscreteBurstModel,
     n_max: int,
@@ -137,11 +148,12 @@ def stationary_pmf_general(
 ) -> Pmf:
     """Stationary pmf via the tail-sum recurrence, any burst-size law.
 
-    Seeds p(0) = 1, builds
-        p(n+1) = (1/decay(n+1)) * sum_k tail(n-k) * rate(k) * p(k)
-    and normalizes at the end.  Interim values are rescaled against the
-    running maximum so dynamic ranges beyond float range survive; the
-    log-scale companion vector is kept on the result.
+    The net probability flux down across every cut n | n+1 vanishes,
+        decay(n+1) p(n+1) = sum_{k<=n} tail(n-k) * rate(k) * p(k),
+    which is solved forward from p(0) = 1 in O(n_max K) through the tail
+    recurrence and normalized at the end.  Interim values are rescaled
+    against the running maximum so dynamic ranges beyond float range
+    survive.
 
     Set ``tail_tol=None`` to skip the truncation-quality check (used
     deliberately when studying truncation error itself).
@@ -149,32 +161,27 @@ def stationary_pmf_general(
     if n_max < 1:
         raise ModelError("stationary_pmf_general: n_max must be >= 1")
     _reject_divergent_linear(model)
-    lam, gam = _rate_arrays(model, n_max + 1)
-    tail = np.asarray(model.burst_size.tail(np.arange(n_max + 1)), dtype=float)
-
-    w = np.zeros(n_max + 1)
-    w[0] = 1.0
-    lw = np.zeros(n_max + 1)   # rate(k) * w(k), kept in the same scale as w
-    lw[0] = lam[0]
-    log_shift = 0.0
+    lam, gam = (a.tolist() for a in _rate_arrays(model, n_max))
+    carry, band = _tail_recurrence(model.burst_size)
+    w = [1.0]
+    lw = [lam[0]]   # rate(k) * w(k), kept in the same scale as w
+    s = 0.0
     for n in range(n_max):
-        s = float(np.dot(lw[: n + 1], tail[n::-1]))
-        w[n + 1] = s / gam[n + 1]
-        lw[n + 1] = lam[n + 1] * w[n + 1]
-        peak = w[n + 1]
-        if peak > 1e280:   # rescale against the running maximum
-            w[: n + 2] /= peak
-            lw[: n + 2] /= peak
-            log_shift += math.log(peak)
+        s = carry * s + sum(map(operator.mul, band, lw[:-len(band) - 1:-1]))
+        w.append(s / gam[n + 1])
+        lw.append(lam[n + 1] * w[-1])
+        if w[-1] > 1e280:   # rescale against the running maximum
+            peak = w[-1]
+            w = [v / peak for v in w]
+            lw = [v / peak for v in lw]
+            s /= peak
 
-    total = float(math.fsum(w.tolist()))
+    total = math.fsum(w)
     if not (total > 0.0) or not math.isfinite(total):
         raise NotNormalizable("stationary recurrence produced no usable mass")
-    values = w / total
-    with np.errstate(divide="ignore"):
-        log_values = np.where(w > 0, np.log(np.maximum(w, 1e-320)) - math.log(total), -np.inf)
+    values = np.array(w) / total
     _check_tail(values, tail_tol)
-    return Pmf(values, log_values)
+    return Pmf(values)
 
 
 def stationary_pmf_geometric(
@@ -373,44 +380,37 @@ def mean_identity_residual(model: DiscreteBurstModel, pmf: Pmf) -> float:
 _MAX_MASTER_CAP = 2048
 
 
-def _generator(model: DiscreteBurstModel, cap: int) -> np.ndarray:
-    """Dense generator G of the master equation truncated at ``cap``: p' = G p.
-
-    Column j holds the exits from state j: decay to j - 1 at gam_j and
-    bursts to j + k at lam_j h_k.  Bursts that would overshoot the cap
-    deposit their mass at the cap (the whole tail P(K > cap - 1 - j)), and
-    a burst fired at the cap itself goes nowhere, so every column sums
-    to zero and the truncated equation conserves probability exactly.
-    """
-    lam, gam = _rate_arrays(model, cap)
-    h_vec = np.asarray(model.burst_size.pmf(np.arange(cap + 1)), dtype=float)
-    h_vec[0] = 0.0
-    # Toeplitz burst gains g[i, j] = h[i - j] lam[j], read off a sliding
-    # window over [0]*cap + h so that no index array is formed
-    padded = np.concatenate([np.zeros(cap), h_vec])
-    gen = np.lib.stride_tricks.sliding_window_view(padded, cap + 1)[:, ::-1] * lam
-    gen[cap, :cap] = lam[:cap] * np.asarray(
-        model.burst_size.tail(np.arange(cap)), dtype=float)[::-1]
-    states = np.arange(cap + 1)
-    gen[states, states] = -gam
-    gen[states[:-1], states[:-1]] -= lam[:-1]
-    gen[states[:-1], states[1:]] = gam[1:]
-    return gen
-
-
 def master_rhs_truncated(model: DiscreteBurstModel, p: np.ndarray | Pmf) -> np.ndarray:
     """Right-hand side G p of the master equation truncated at the top index.
 
-    Bursts that would overshoot the cap deposit their mass at the cap,
-    so the truncated generator conserves probability exactly; a burst
-    fired at the cap itself goes nowhere and is dropped from the loss
-    term accordingly.
+    p'_n = J_n - J_(n-1), with J_(-1) = J_cap = 0 and J_n the net flux
+    down across the cut n | n+1,
+        J_n = decay(n+1) p(n+1) - sum_{k<=n} tail(n-k) rate(k) p(k).
+    So bursts past the cap land on it, a burst fired at the cap goes
+    nowhere, and the telescoping sum conserves probability.  O(n K) for
+    a vector; a matrix is taken column by column, so G = G I.
     """
     values = np.asarray(getattr(p, "values", p), dtype=float)
     cap = len(values) - 1
     if cap < 2:
         raise ModelError("master_rhs_truncated: need at least 3 states")
-    return _generator(model, cap) @ values
+    lam, gam = _rate_arrays(model, cap)
+    if values.ndim == 2:
+        lam, gam = lam[:, None], gam[:, None]
+    rhs = np.multiply(gam, values)
+    flux = np.multiply(lam, values)     # rate * p, then its tail sums, then J
+    carry, band = _tail_recurrence(model.burst_size)
+    for n in range(cap, 0, -1):         # top down: rows below n still hold rate * p
+        for m in range(1, min(len(band), n + 1)):
+            flux[n] += band[m] * flux[n - m]
+    if carry:
+        for n in range(1, cap + 1):
+            flux[n] += carry * flux[n - 1]
+    np.subtract(rhs[1:], flux[:-1], out=flux[:-1])
+    flux[-1] = 0.0
+    rhs[0] = flux[0]
+    np.subtract(flux[1:], flux[:-1], out=rhs[1:])
+    return rhs
 
 
 # entries below sqrt(tiny) are dropped from the squared propagator: the
@@ -469,7 +469,6 @@ def evolve_master(
     *,
     snapshot_times: Sequence[float] | None = None,
     n_snapshots: int = 25,
-    stationary: Pmf | None = None,
 ) -> MasterTrace:
     """Propagate the truncated master equation exactly and trace L1 decay.
 
@@ -478,8 +477,8 @@ def evolve_master(
     propagator exp((t_end / n_snapshots) G) and apply it n_snapshots
     times; explicit ``snapshot_times`` (t_end is always added) form one
     per gap.  G is dense, so the cap is limited to 2048 states.  The
-    stationary reference is recomputed on the same truncated support
-    (tail check off) unless one is supplied.
+    stationary reference is G's null vector: the law on the same
+    truncated support with zero flux across every cut (tail check off).
     """
     values = np.asarray(getattr(v0, "values", v0), dtype=float)
     cap = len(values) - 1
@@ -490,7 +489,7 @@ def evolve_master(
                          "the dense generator would not fit")
     if t_end <= 0:
         raise ModelError("evolve_master: t_end must be > 0")
-    gen = _generator(model, cap)
+    gen = master_rhs_truncated(model, np.eye(cap + 1))
 
     if snapshot_times is None:
         if n_snapshots < 1:
@@ -508,8 +507,7 @@ def evolve_master(
         values = step @ values
         pmfs.append(Pmf(values))
 
-    if stationary is None:
-        stationary = stationary_pmf_general(model, cap, tail_tol=None)
+    stationary = stationary_pmf_general(model, cap, tail_tol=None)
     dists = np.array([l1_distance(p.values, stationary.values) for p in pmfs])
     return MasterTrace(np.array(times), pmfs, dists, stationary)
 
@@ -518,20 +516,22 @@ def evolve_master(
 # jump-chain simulation
 # ---------------------------------------------------------------------------
 
+_RATE_BLOCK = 256   # states the jump chain's rate cache grows by at a time
+
+
 class _RateCache:
     """Both rate laws as lists of Python floats, evaluated in vectorized blocks
     and grown on demand."""
 
-    def __init__(self, model: DiscreteBurstModel, block: int = 256):
+    def __init__(self, model: DiscreteBurstModel):
         self.model = model
-        self.block = block
         self.lam: list = []
         self.gam: list = []
 
     def ensure(self, n: int) -> None:
         if n < len(self.lam):
             return
-        hi = max(n + 1, len(self.lam) + self.block)
+        hi = max(n + 1, len(self.lam) + _RATE_BLOCK)
         if isinstance(self.model.decay, TabulatedDecay):
             # prefetch no further than the table; reaching past it still raises
             hi = max(n + 1, min(hi, len(self.model.decay.table)))

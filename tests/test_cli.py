@@ -349,17 +349,31 @@ def _no_bare_constants(token):
     raise AssertionError(f"summary.json holds the bare token {token}")
 
 
+# the repressible twin of the steep law: its rate is subnormal past
+# x = 17 and 0.0 past x = 20
+VANISHING_HILL_MODEL = STEEP_HILL_MODEL.replace("model.rate_numer = 2.0",
+                                                "model.rate_numer = 0.0")
+
+
 def test_invert_phi_skips_points_where_the_rate_underflows(tmp_path):
-    # the repressible twin of the steep law: its rate is subnormal past
-    # x = 17 and 0.0 past x = 20
-    model = STEEP_HILL_MODEL.replace("model.rate_numer = 2.0", "model.rate_numer = 0.0")
-    p = write_cfg(tmp_path, f"run.mode = invert-phi\n{model}")
+    p = write_cfg(tmp_path, f"run.mode = invert-phi\n{VANISHING_HILL_MODEL}")
     assert main(["invert-phi", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
     text = (tmp_path / "out" / "summary.json").read_text()
     scalars = json.loads(text, parse_constant=_no_bare_constants)["scalars"]
     assert 0 < scalars["rate_underflow_points"] < len(
         (tmp_path / "out" / "phi.csv").read_text().splitlines()) - 1
     assert math.isfinite(scalars["max_relative_error"])
+
+
+def test_kernel_fixed_point_where_the_rate_underflows(tmp_path):
+    # the kernel weights are formed from ln rate, which stays finite
+    # where the rate itself is 0.0
+    p = write_cfg(tmp_path, f"run.mode = kernel-fixed-point\n{VANISHING_HILL_MODEL}")
+    assert main(["kernel-fixed-point", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "summary.json").read_text()
+    scalars = json.loads(text, parse_constant=_no_bare_constants)["scalars"]
+    assert scalars["fixed_point_residual"] < 1e-12
+    assert scalars["mean_identity_residual"] < 1e-4
 
 
 @pytest.mark.parametrize("rate", [

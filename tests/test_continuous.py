@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,12 @@ from burstkin import continuous
 from burstkin.continuous import (
     GridDensity,
     Potential,
+    _ARRAY_FNS,
     _kernel_log_factors,
     _log_simpson_weights,
     _natural_scale,
     _prefix_scan,
+    _rate_law,
     _suffix_scan,
     count_modes_continuous,
     default_grid,
@@ -273,6 +276,17 @@ def test_potential_float_path_and_newton_inverse(pot, log_x, log_hint):
     with np.errstate(over="ignore"):
         exact = -pot.rate.value(x) / (pot.gamma * x)
     assert slope == exact or abs(slope - exact) <= 1e-14 * abs(exact)
+    # ln rate as the kernel forms it: the log of the rate law where that is
+    # a normal float, and finite below it, where a Hill rate shuts off
+    ln_rate = _rate_law(pot.rate, pot.gamma, pot.x_ref, _ARRAY_FNS)[5]
+    with np.errstate(over="ignore"):
+        got, rate = float(ln_rate(np.array([x]))[0]), float(pot.rate.value(x))
+    if sys.float_info.min <= rate < math.inf:
+        # the Hill form sums terms of size exponent * |ln x|
+        scale = 1.0 + getattr(pot.rate, "exponent", 1.0) * abs(log_x)
+        assert abs(got - math.log(rate)) <= 1e-14 * scale
+    elif rate < sys.float_info.min:
+        assert -math.inf < got < math.log(sys.float_info.min)
     assert pot.value(0.0) == math.inf
     for bad in (-x, math.nan):
         with pytest.raises(DomainError):

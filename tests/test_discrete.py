@@ -13,7 +13,6 @@ from burstkin.discrete import (
     NegativeBinomialFamily,
     Pmf,
     _DROP,
-    _generator,
     _propagator,
     count_modes_discrete,
     evolve_master,
@@ -49,15 +48,41 @@ def nb_model(lam0=1.0, lam1=0.0, gamma=1.0, b=0.5):
     return DiscreteBurstModel(rate, LinearDecay(gamma), GeometricBurst(b))
 
 
-def nb_oracle(lam0, lam1, gamma, b, n_max):
-    """Negative binomial through log-gamma only; shares no code with the
-    recurrence or the family classes."""
+def nb_log_oracle(lam0, lam1, gamma, b, n_max):
+    """Log of the negative binomial through log-gamma only; shares no code
+    with the recurrence or the family classes."""
     p = (lam1 + b * gamma) / gamma
     a = lam0 / (b * gamma + lam1)
     n = np.arange(n_max + 1)
-    log_pmf = (gammaln(a + n) - gammaln(a) - gammaln(n + 1)
-               + n * math.log(p) + a * math.log1p(-p))
-    return np.exp(log_pmf)
+    return (gammaln(a + n) - gammaln(a) - gammaln(n + 1)
+            + n * math.log(p) + a * math.log1p(-p))
+
+
+def nb_oracle(lam0, lam1, gamma, b, n_max):
+    return np.exp(nb_log_oracle(lam0, lam1, gamma, b, n_max))
+
+
+def tail_sum_loop(model, n_max):
+    """The stationary recurrence as an O(n^2) loop: each s_n is a fresh dot
+    product of rate * p with the reversed burst tail.  The reference for
+    stationary_pmf_general."""
+    n = np.arange(n_max + 1)
+    lam = np.asarray(model.burst_rate.value(n), dtype=float)
+    gam = np.asarray(model.decay.value(n), dtype=float)
+    tail = np.asarray(model.burst_size.tail(np.arange(n_max + 1)), dtype=float)
+    w = np.zeros(n_max + 1)
+    w[0] = 1.0
+    lw = np.zeros(n_max + 1)   # rate(k) * w(k), kept in the same scale as w
+    lw[0] = lam[0]
+    for n in range(n_max):
+        s = float(np.dot(lw[: n + 1], tail[n::-1]))
+        w[n + 1] = s / gam[n + 1]
+        lw[n + 1] = lam[n + 1] * w[n + 1]
+        peak = w[n + 1]
+        if peak > 1e280:   # rescale against the running maximum
+            w[: n + 2] /= peak
+            lw[: n + 2] /= peak
+    return w / math.fsum(w.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +114,23 @@ def test_two_routes_agree():
         assert np.max(np.abs(a.values - c.values)) < 1e-12
 
 
+def test_both_routes_read_a_decay_table_only_up_to_n_max():
+    decay = TabulatedDecay((0.0,) + tuple(0.5 * n for n in range(1, 31)))
+    m = DiscreteBurstModel(ConstantRate(1.0), decay, GeometricBurst(0.3))
+    a = stationary_pmf_general(m, 30, tail_tol=None)
+    c = stationary_pmf_geometric(m, 30, tail_tol=None)
+    assert np.max(np.abs(a.values - c.values)) < 1e-12
+
+
 def test_stationary_is_a_master_equation_fixed_point():
-    m = nb_model(2.0, 0.0, 1.0, 0.5)
-    pmf = stationary_pmf_general(m, 200)
-    rhs = master_rhs_truncated(m, pmf)
-    # interior components vanish; the clipped top state carries the
-    # truncation defect, which the tail check already bounds
-    assert np.max(np.abs(rhs[:-1])) < 1e-12
+    for m in (nb_model(2.0, 0.0, 1.0, 0.5),
+              DiscreteBurstModel(TruncatedLinearRate(3.0, -0.2, 12.0), LinearDecay(1.0),
+                                 TabulatedBurst((0.5, 0.3, 0.2)))):
+        pmf = stationary_pmf_general(m, 200)
+        rhs = master_rhs_truncated(m, pmf)
+        # zero flux across every cut: the truncated law is G's null vector,
+        # the cap included
+        assert np.max(np.abs(rhs)) < 1e-12
 
 
 def test_divergent_linear_rate_rejected():
@@ -118,9 +153,10 @@ def test_tail_check_and_escape_hatch():
 def test_log_values_cover_underflowed_tail():
     # steep decay pushes the tail far below the linear floating range
     m = nb_model(0.5, 0.0, 5.0, 0.05)
-    pmf = stationary_pmf_general(m, 600, tail_tol=None)
+    pmf = stationary_pmf_geometric(m, 600, tail_tol=None)
     assert pmf.log_scale
-    assert np.all(np.isfinite(pmf.log_values[:50]))
+    log_ref = nb_log_oracle(0.5, 0.0, 5.0, 0.05, 600)
+    assert np.all(np.abs(pmf.log_values - log_ref) <= 1e-14 * np.maximum(1.0, np.abs(log_ref)))
     # linear and log values agree where both live
     live = pmf.values > 1e-250
     assert np.allclose(np.log(pmf.values[live]), pmf.log_values[live], atol=1e-10)
@@ -252,7 +288,7 @@ def test_evolve_master_validates_inputs():
 
 def convolution_rhs(model, values):
     """The master-equation RHS as the convolution of the burst pmf with
-    lam * p; the reference for the dense generator."""
+    lam * p; the reference for master_rhs_truncated."""
     cap = len(values) - 1
     n = np.arange(cap + 1)
     lam = np.asarray(model.burst_rate.value(n), dtype=float)
@@ -294,6 +330,24 @@ def discrete_models(draw):
     return DiscreteBurstModel(rate, LinearDecay(gamma), GeometricBurst(b))
 
 
+@st.composite
+def tabulated_models(draw):
+    """discrete_models() with the geometric law swapped for a table of 1-6 sizes."""
+    model = draw(discrete_models())
+    weights = [0.05 + draw(st.floats(0.0, 1.0)) for _ in range(draw(st.integers(1, 6)))]
+    burst = TabulatedBurst(tuple(w / math.fsum(weights) for w in weights))
+    return DiscreteBurstModel(model.burst_rate, model.decay, burst)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.one_of(discrete_models(), tabulated_models()), n_max=st.integers(1, 2000))
+def test_stationary_recurrence_matches_the_quadratic_loop(model, n_max):
+    got = stationary_pmf_general(model, n_max, tail_tol=None).values
+    ref = tail_sum_loop(model, n_max)
+    live = ref > 1e-300
+    assert np.all(np.abs(got[live] - ref[live]) <= 1e-13 * ref[live])
+
+
 def test_master_rhs_matches_the_convolution_formula():
     rng = np.random.default_rng(3)
     models = [nb_model(1.5, 0.0, 1.0, 0.6), nb_model(2.0, 0.3, 1.0, 0.5),
@@ -310,7 +364,13 @@ def test_master_rhs_matches_the_convolution_formula():
             ref = convolution_rhs(m, v)
             got = master_rhs_truncated(m, v)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-            assert np.max(np.abs(_generator(m, cap).sum(axis=0))) <= 1e-13
+            # a matrix is taken column by column
+            cols = rng.random((cap + 1, 2))
+            ref = np.column_stack([convolution_rhs(m, c) for c in cols.T])
+            got = master_rhs_truncated(m, cols)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            gen = master_rhs_truncated(m, np.eye(cap + 1))
+            assert np.max(np.abs(gen.sum(axis=0))) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +381,8 @@ def test_evolve_master_matches_the_scipy_propagator(model, cap, t_end, n_snapsho
     v0 = np.zeros(cap + 1)
     v0[int(start * cap)] = 1.0
     trace = evolve_master(model, v0, t_end, n_snapshots=n_snapshots)
-    step = scipy.linalg.expm((t_end / n_snapshots) * _generator(model, cap))
+    gen = master_rhs_truncated(model, np.eye(cap + 1))
+    step = scipy.linalg.expm((t_end / n_snapshots) * gen)
     # the exact propagator is column stochastic; scipy's squarings drift
     # from unit column mass by up to 2.5e-12 over this range of horizons
     step /= step.sum(axis=0)
@@ -340,7 +401,7 @@ def test_evolve_master_uneven_snapshots_compose():
     uneven = evolve_master(m, v0, 4.0, snapshot_times=[0.5, 1.75, 4.0])
     even = evolve_master(m, v0, 4.0, n_snapshots=16)
     assert np.sum(np.abs(uneven.pmfs[-1].values - even.pmfs[-1].values)) < 1e-12
-    gen = _generator(m, 80)
+    gen = master_rhs_truncated(m, np.eye(81))
     ref = scipy.linalg.expm(1.75 * gen) @ v0
     assert np.sum(np.abs(uneven.pmfs[1].values - ref)) < 1e-12
 
@@ -363,7 +424,7 @@ def undropped_propagator(gen, dt):
 # a benchmark-sized cell: 2-14% of the entries of its first nine squares lie below _DROP
 @example(model=nb_model(2.0, 0.3, 1.0, 0.5), cap=400, t_end=30.0, n_snapshots=25, start=0.0)
 def test_propagator_drop_is_invisible_in_the_snapshots(model, cap, t_end, n_snapshots, start):
-    gen = _generator(model, cap)
+    gen = master_rhs_truncated(model, np.eye(cap + 1))
     dt = t_end / n_snapshots
     step = _propagator(gen, dt)
     assert np.all(np.abs(step[step != 0.0]) >= _DROP)
