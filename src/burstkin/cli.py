@@ -537,6 +537,7 @@ def _run_simulate_pdmp(cfg, model, out: Path):
         "total_time": hist.total_time,
         "outside_fraction": (hist.below + hist.above) / hist.total_time,
         "potential_evals_per_jump": traj.inverse_evals / num["n_jumps"],
+        "bins_crossed_per_jump": traj.bins_crossed / num["n_jumps"],
     }
     return scalars, ["trajectory.csv", "histogram.csv"]
 

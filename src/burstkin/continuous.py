@@ -15,7 +15,6 @@ choice because only differences of Q enter.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,7 +42,6 @@ from .models import (
 )
 from .numerics import (
     UniformStream,
-    draw_unit_exponential,
     find_root,
     make_rng,
     quad_adaptive,
@@ -459,6 +457,7 @@ class PdmpTrajectory:
     burst_draws: np.ndarray  # jump sizes
     histogram: ExposureHistogram
     inverse_evals: int       # evaluations of Q made by Potential.inverse
+    bins_crossed: int        # histogram bins met by the flow segments, summed
 
 
 def simulate_pdmp(
@@ -479,9 +478,13 @@ def simulate_pdmp(
     per full traversal.  The histogram is therefore exact given the jump
     skeleton; no time discretization enters.
 
-    The loop runs on Python floats: uniforms come from a UniformStream,
-    Q and its inverse take their scalar paths, and the crossed bins are
-    found by bisection.
+    The loop only fixes the path: on Python floats, with uniforms from a
+    UniformStream and Q and its inverse on their scalar paths, it writes
+    the wait draws, flow ends and burst sizes into the output arrays.
+    Post-jump states, holding times and the histogram then follow in
+    chunks of _PATH_CHUNK jumps, with the same float operations in the
+    same order: logs through math, the crossed bins of each flow segment
+    from searchsorted on the log edges, and every running sum sequential.
     """
     if y0 <= 0.0:
         raise ModelError("simulate_pdmp: y0 must be > 0")
@@ -500,13 +503,14 @@ def simulate_pdmp(
         lo = min(y0, 1e-6 * hi)
         hist_edges = np.exp(np.linspace(math.log(lo * 1e-2), math.log(hi), n_bins + 1))
     edges = np.asarray(hist_edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 3 or np.any(np.diff(edges) <= 0):
+    if edges.ndim != 1 or len(edges) < 3:
         raise ModelError("simulate_pdmp: need at least two increasing histogram bins")
-    log_edges = np.log(edges).tolist()
-    nbins = len(edges) - 1
-    exposure = [0.0] * nbins
-    below = 0.0
-    above = 0.0
+    # checked before any arithmetic on them: np.log of 0, a negative or
+    # nan edge warns, and a nan edge passes the order test below
+    if not np.all(np.isfinite(edges) & (edges > 0.0)):
+        raise ModelError("simulate_pdmp: histogram edges must be finite and positive")
+    if np.any(np.diff(edges) <= 0):
+        raise ModelError("simulate_pdmp: need at least two increasing histogram bins")
 
     times = np.zeros(n_jumps + 1)
     y_pre = np.zeros(n_jumps)
@@ -515,38 +519,96 @@ def simulate_pdmp(
     bursts = np.zeros(n_jumps)
 
     # the loop writes Python floats through memoryviews, no numpy call
-    times_w, pre_w, post_w, waits_w, bursts_w = map(
-        memoryview, (times, y_pre, y_post, waits, bursts))
+    pre_w, waits_w, bursts_w = map(memoryview, (y_pre, waits, bursts))
     uniforms = UniformStream(make_rng(seed, stream))
+    value, inverse, sample = pot.value, pot.inverse, model.burst_size.sample
+    random, log1p, isfinite = uniforms.random, math.log1p, math.isfinite
     y = float(y0)
-    t = 0.0
     for k in range(n_jumps):
-        eps = draw_unit_exponential(uniforms)
-        y_end = pot.inverse(pot.value(y) + eps, hint=y)
-        t += math.log(y / y_end) / gamma
-
-        # analytic exposure of every bin the flow segment crosses
-        la, lb = math.log(y_end), math.log(y)
-        for i in range(max(bisect_right(log_edges, la) - 1, 0),
-                       min(bisect_left(log_edges, lb), nbins)):
-            exposure[i] += max(min(log_edges[i + 1], lb) - max(log_edges[i], la), 0.0) / gamma
-        if la < log_edges[0]:
-            below += (min(lb, log_edges[0]) - la) / gamma
-        if lb > log_edges[-1]:
-            above += (lb - max(la, log_edges[-1])) / gamma
-
-        e = model.burst_size.sample(uniforms, y_end)
-        times_w[k + 1] = t
+        eps = -log1p(-random())   # draw_unit_exponential
+        y_end = inverse(value(y) + eps, hint=y)
+        e = sample(uniforms, y_end)
         pre_w[k] = y_end
-        post_w[k] = y_end + e
         waits_w[k] = eps
         bursts_w[k] = e
         y = y_end + e
-        if not math.isfinite(y) or y <= 0.0:
+        if not isfinite(y) or y <= 0.0:
             raise NumericalBlowup(f"state left (0, inf) at jump {k}")
 
-    hist = ExposureHistogram(edges, np.array(exposure), below, above, t)
-    return PdmpTrajectory(times, y_pre, y_post, waits, bursts, hist, pot.inverse_evals)
+    np.add(y_pre, bursts, out=y_post)
+    hist, crossed = _path_exposure(float(y0), y_pre, y_post, gamma, edges, times[1:])
+    return PdmpTrajectory(times, y_pre, y_post, waits, bursts, hist,
+                          pot.inverse_evals, crossed)
+
+
+# jumps per post-pass chunk: the crossed-bin expansion and the math.log
+# lists stay a few hundred KiB however long the path
+_PATH_CHUNK = 4096
+
+
+def _path_exposure(y0: float, y_pre: np.ndarray, y_post: np.ndarray, gamma: float,
+                   edges: np.ndarray, epochs: np.ndarray) -> tuple[ExposureHistogram, int]:
+    """Jump epochs and the exposure histogram of a PDMP path, chunk by chunk.
+
+    Segment k flows from y_prev = y_post[k-1] (y0 for k = 0) down to
+    y_pre[k].  Its holding time math.log(y_prev/y_pre)/gamma goes into
+    ``epochs`` (times[1:]), which a sequential cumsum then turns into
+    jump epochs.  With la, lb the math.log of its ends, the segment adds
+    max(min(E[i+1], lb) - max(E[i], la), 0)/gamma to each bin i from
+    bisect_right(E, la) - 1 to bisect_left(E, lb) on the log edges E,
+    and bincount adds those in jump order.  Returns the histogram and
+    the number of (segment, bin) crossings.
+    """
+    log = math.log
+    log_edges = np.log(edges)
+    lo_edge, hi_edge = float(log_edges[0]), float(log_edges[-1])
+    nbins = len(edges) - 1
+    bin_ids = np.arange(nbins)
+    exposure = np.zeros(nbins)
+    below = above = 0.0
+    crossed = 0
+    n_jumps = len(y_pre)
+    for c0 in range(0, n_jumps, _PATH_CHUNK):
+        c1 = min(c0 + _PATH_CHUNK, n_jumps)
+        pre = y_pre[c0:c1]
+        prev = y_post[c0 - 1:c1 - 1] if c0 else np.concatenate(([y0], y_post[:c1 - 1]))
+        m = c1 - c0
+
+        dt = epochs[c0:c1]
+        with np.errstate(over="ignore"):  # as Python floats do, overflow to inf
+            np.divide(prev, pre, out=dt)
+        dt[:] = np.fromiter(map(log, dt.tolist()), float, m)
+        dt /= gamma
+
+        la = np.fromiter(map(log, pre.tolist()), float, m)
+        lb = np.fromiter(map(log, prev.tolist()), float, m)
+        start = np.maximum(np.searchsorted(log_edges, la, side="right") - 1, 0)
+        stop = np.minimum(np.searchsorted(log_edges, lb, side="left"), nbins)
+        count = np.maximum(stop - start, 0)
+        ends = np.cumsum(count)
+        n_cross = int(ends[-1])
+        crossed += n_cross
+        bins = np.repeat(start - (ends - count), count) + np.arange(n_cross)
+        overlap = np.maximum(np.minimum(log_edges[bins + 1], np.repeat(lb, count))
+                             - np.maximum(log_edges[bins], np.repeat(la, count)), 0.0)
+        overlap /= gamma
+        # the running totals go in as the first weights: bincount adds each
+        # bin's weights in order from 0.0, and 0.0 + x is x
+        exposure = np.bincount(np.concatenate((bin_ids, bins)),
+                               weights=np.concatenate((exposure, overlap)),
+                               minlength=nbins)
+
+        # cumsum adds in order; np.sum is pairwise, and sum() compensates
+        # from Python 3.12 on
+        low = la < lo_edge
+        part = (np.minimum(lb[low], lo_edge) - la[low]) / gamma
+        below = float(np.cumsum(np.concatenate(([below], part)))[-1])
+        high = lb > hi_edge
+        part = (lb[high] - np.maximum(la[high], hi_edge)) / gamma
+        above = float(np.cumsum(np.concatenate(([above], part)))[-1])
+
+    np.cumsum(epochs, out=epochs)
+    return ExposureHistogram(edges, exposure, below, above, float(epochs[-1])), crossed
 
 
 # ---------------------------------------------------------------------------

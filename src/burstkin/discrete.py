@@ -573,8 +573,8 @@ def simulate_jump_chain(
 
     The loop only fixes the path: on Python floats, with uniforms in
     blocks and per-state decay probabilities in a list, it writes the
-    wait draws, states and burst sizes straight into the output arrays.
-    Holding times, occupancy and jump epochs then follow in numpy with
+    wait draws and burst sizes straight into the output arrays.  States,
+    holding times, occupancy and jump epochs then follow in numpy with
     the same operations in the same order, so memory is those arrays and
     little else.
     """
@@ -583,8 +583,12 @@ def simulate_jump_chain(
     if n_jumps < 1:
         raise ModelError("simulate_jump_chain: need at least one jump")
     rng = make_rng(seed, stream)
-    size_at = model.burst_size.size_at
-    log1p = math.log1p
+    law = model.burst_size
+    # geometric sizes inline size_at: ceil(ln(1 - u) / ln b), and u = 0 maps
+    # to ceil(-0.0) = 0, so "or 1" stands in for its max(1, .)
+    log_b = law.log_b if isinstance(law, GeometricBurst) else None
+    size_at = law.size_at
+    log, log1p, ceil = math.log, math.log1p, math.ceil
     cache = _RateCache(model)
     cache.ensure(n0 + 1)
     pdec: list = []     # decay/(rate+decay) per state, caught up with the cache
@@ -595,7 +599,7 @@ def simulate_jump_chain(
     bursts = np.zeros(n_jumps, dtype=np.int64)
 
     # the loop writes Python floats and ints through memoryviews, no numpy call
-    states_w, waits_w, bursts_w = map(memoryview, (states, waits, bursts))
+    waits_w, bursts_w = map(memoryview, (waits, bursts))
 
     # uniforms in blocks of DRAW_BLOCK, read in place; a jump takes at most
     # three, and unread ones carry over, so the draws are those of scalar
@@ -603,7 +607,6 @@ def simulate_jump_chain(
     draws: list = []
     n_draws = n_cached = pos = 0
     n = int(n0)
-    states[0] = n
     for k in range(n_jumps):
         if pos > n_draws - 3:
             draws = draws[pos:] + rng.random(DRAW_BLOCK).tolist()
@@ -619,11 +622,23 @@ def simulate_jump_chain(
             n -= 1
             pos += 2
         else:
-            size = size_at(draws[pos + 2])
+            if log_b is None:
+                size = size_at(draws[pos + 2])
+            else:
+                size = ceil(log(1.0 - draws[pos + 2]) / log_b) or 1
             n += size
             bursts_w[k] = size
             pos += 3
-        states_w[k + 1] = n
+
+    # the path: n0 plus the running sum of the steps, each the burst size
+    # or -1 for a degradation.  A burst x is at least 1, so the step is
+    # x + min(x, 1) - 1, formed in place without a mask the size of the path
+    steps = states[1:]
+    np.minimum(bursts, 1, out=steps)
+    steps += bursts
+    steps -= 1
+    states[0] = n0
+    np.cumsum(states, out=states)
 
     # holding time eps/(rate+decay) of each visited state, summed per state
     # and along the path in the order the jumps were taken; mode="clip"

@@ -281,9 +281,14 @@ def test_pdmp_reports_potential_evals_per_jump(tmp_path):
     counts = {}
     for name, text in (("constant", PDMP_CFG), ("linear", linear)):
         cfg = parse_config(text, overrides={("output", "dir"): str(tmp_path / name)})
-        counts[name] = run_experiment(cfg).scalars["potential_evals_per_jump"]
-        blob = json.loads((tmp_path / name / "summary.json").read_text())
-        assert blob["scalars"]["potential_evals_per_jump"] == counts[name]
+        scalars = run_experiment(cfg).scalars
+        counts[name] = scalars["potential_evals_per_jump"]
+        blob = json.loads((tmp_path / name / "summary.json").read_text(),
+                          parse_constant=_no_bare_constants)
+        for key in ("potential_evals_per_jump", "bins_crossed_per_jump"):
+            assert blob["scalars"][key] == scalars[key]
+        # no mass leaves the bins here, so each segment meets the bin it ends in
+        assert 1.0 <= scalars["bins_crossed_per_jump"] <= 64.0
     # the constant rate inverts in closed form; Newton needs a handful
     assert counts["constant"] == 0.0
     assert 1.0 <= counts["linear"] <= 8.0

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import sys
@@ -45,6 +46,7 @@ from burstkin.errors import (
     WindowTooSmall,
 )
 from burstkin.numerics import (
+    UniformStream,
     draw_unit_exponential,
     make_rng,
     quad_adaptive,
@@ -393,6 +395,73 @@ def bracketed_pdmp(model, y0, n_jumps, seed):
     return np.array(times), np.array(y_pre)
 
 
+def scalar_pdmp(model, y0, n_jumps, seed, *, hist_edges=None, n_bins=64):
+    """simulate_pdmp as it ran before the two-pass split: one loop that
+    draws, inverts, bins the flow segment by bisection on the log edges
+    and writes every output per jump.  Returns (times, y_pre, y_post,
+    waits, bursts, exposure, below, above, total_time, inverse_evals)."""
+    pot = Potential(model, 1.0)
+    gamma = model.decay.rate
+    if hist_edges is None:
+        cap = model.burst_size.support_cap
+        hi = cap if math.isfinite(cap) else default_grid(model, 8)[-1]
+        lo = min(y0, 1e-6 * hi)
+        hist_edges = np.exp(np.linspace(math.log(lo * 1e-2), math.log(hi), n_bins + 1))
+    edges = np.asarray(hist_edges, dtype=float)
+    log_edges = np.log(edges).tolist()
+    nbins = len(edges) - 1
+    exposure = [0.0] * nbins
+    below = above = 0.0
+    times = np.zeros(n_jumps + 1)
+    y_pre, y_post, waits, bursts = (np.zeros(n_jumps) for _ in range(4))
+    uniforms = UniformStream(make_rng(seed, 0))
+    y = float(y0)
+    t = 0.0
+    for k in range(n_jumps):
+        eps = draw_unit_exponential(uniforms)
+        y_end = pot.inverse(pot.value(y) + eps, hint=y)
+        t += math.log(y / y_end) / gamma
+        la, lb = math.log(y_end), math.log(y)
+        for i in range(max(bisect.bisect_right(log_edges, la) - 1, 0),
+                       min(bisect.bisect_left(log_edges, lb), nbins)):
+            exposure[i] += max(min(log_edges[i + 1], lb) - max(log_edges[i], la), 0.0) / gamma
+        if la < log_edges[0]:
+            below += (min(lb, log_edges[0]) - la) / gamma
+        if lb > log_edges[-1]:
+            above += (lb - max(la, log_edges[-1])) / gamma
+        e = model.burst_size.sample(uniforms, y_end)
+        times[k + 1] = t
+        y_pre[k] = y_end
+        y_post[k] = y_end + e
+        waits[k] = eps
+        bursts[k] = e
+        y = y_end + e
+    return (times, y_pre, y_post, waits, bursts, np.array(exposure),
+            below, above, t, pot.inverse_evals)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(PDMP_FAMILIES)),
+       n_jumps=st.sampled_from((1, 4095, 4096, 4097, 3 * 4096 + 7)),
+       edges=st.sampled_from(("default", "inside", "two-bin")),
+       seed=st.integers(0, 2**32 - 1))
+def test_simulate_pdmp_is_bit_identical_to_the_scalar_loop(family, n_jumps, edges, seed):
+    model = PDMP_FAMILIES[family]
+    # "inside" leaves mass below and above the binned range
+    hist_edges = {"default": None, "inside": np.geomspace(0.4, 4.0, 17),
+                  "two-bin": np.array([0.2, 1.0, 5.0])}[edges]
+    ref = scalar_pdmp(model, 1.0, n_jumps, seed, hist_edges=hist_edges)
+    tr = simulate_pdmp(model, 1.0, n_jumps, seed, hist_edges=hist_edges)
+    h = tr.histogram
+    arrays = (tr.times, tr.y_pre, tr.y_post, tr.wait_draws, tr.burst_draws, h.exposure)
+    for mine, theirs in zip(arrays, ref[:6]):
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+    assert (h.below, h.above, h.total_time, tr.inverse_evals) == ref[6:]
+    if edges == "inside" and n_jumps > 1:
+        assert h.below > 0.0 and h.above > 0.0
+
+
 @pytest.mark.parametrize("family", sorted(PDMP_FAMILIES))
 def test_simulate_pdmp_matches_the_bracketed_inverse(family):
     # Newton stops within 1e-13 max(1, |target|) of the root and bisection
@@ -458,6 +527,29 @@ def test_simulate_pdmp_validation():
     mf = hill_flat_model(SeparableBurstKernel(FiniteSupportNu(2.0, 1.0)))
     with pytest.raises(ModelError):
         simulate_pdmp(mf, 2.5, 10, seed=0)  # start outside the support
+
+
+@pytest.mark.parametrize("edges", [[math.nan, 1.0, 2.0], [0.0, 1.0, 2.0], [-1.0, 1.0, 2.0],
+                                   [1.0, 2.0, math.inf], [1.0, math.nan, 2.0]])
+def test_simulate_pdmp_refuses_edges_that_are_not_finite_and_positive(edges):
+    # nan once came back as exposure [nan, ...]; 0 and negatives warned in np.log
+    with pytest.raises(ModelError, match="finite and positive"):
+        simulate_pdmp(gamma_model(), 1.0, 10, seed=0, hist_edges=np.array(edges))
+
+
+def test_simulate_pdmp_memory_is_its_output_arrays():
+    # the post-pass works in chunks, so the path costs its arrays and little else
+    n_jumps = 300_000
+    tracemalloc.start()
+    try:
+        tr = simulate_pdmp(gamma_model(), 1.0, n_jumps, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (tr.times, tr.y_pre, tr.y_post, tr.wait_draws,
+                                     tr.burst_draws))
+    assert outputs == 40 * n_jumps + 8
+    assert peak <= outputs + 4 * 2**20
 
 
 def test_simulate_pdmp_overflowing_bursts_are_a_numeric_error():
