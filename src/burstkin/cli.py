@@ -573,6 +573,9 @@ def _run_invert_phi(cfg, model, out: Path):
     scalars = {
         "max_relative_error": float(np.max(np.abs(phi[live] / truth[live] - 1.0),
                                            initial=0.0)),
+        # on the rate's own scale: where the rate is tiny but normal, a
+        # good absolute recovery can still read as a huge relative error
+        "max_error_vs_peak_rate": float(np.max(np.abs(phi - truth)) / np.max(truth)),
         "rate_underflow_points": int(np.count_nonzero(~live)),
     }
     return scalars, ["phi.csv"]

@@ -422,9 +422,11 @@ _DROP = math.sqrt(np.finfo(float).tiny)
 def _propagator(gen: np.ndarray, dt: float) -> np.ndarray:
     """exp(dt G) for a generator with zero column sums.
 
-    expm runs on dt G / 2^h, whose 1-norm is below one, and the result
-    is squared h times here with its columns renormalized to unit mass
-    after each squaring.  Squaring a stochastic matrix doubles any
+    expm runs on dt G / 2^h, whose 1-norm is below one, so it neither
+    copies nor scales it, and the result is squared h times here with
+    its columns renormalized to unit mass after each squaring.  With G,
+    at most six n x n arrays are live: G, dt G, and expm's a^2, a^3, sum
+    and spare.  Squaring a stochastic matrix doubles any
     rounding error in its unit eigenvalue; over the ~1000 squarings of a
     horizon like 1e300 that error would under- or overflow, while the
     renormalized squares settle on the stationary law.

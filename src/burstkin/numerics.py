@@ -217,37 +217,30 @@ def integrate_adaptive(
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential (Pade 13)
+# matrix exponential (Taylor 18)
 # ---------------------------------------------------------------------------
 
-# Coefficients of the [13/13] Pade approximant and the 1-norm up to which
-# it is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl.
-# 26(4), 2005).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
-def _pade_poly(out: np.ndarray, terms) -> np.ndarray:
-    """out = sum of c * m over (c, m) pairs, one temporary at a time."""
-    (c0, m0), *rest = terms
-    np.multiply(m0, c0, out=out)
-    for c, m in rest:
-        out += c * m
-    return out
+# 1/k! for k = 0..18: the degree-18 Taylor polynomial is exact to double
+# precision up to 1-norm one, where its remainder is below 1/19! = 8e-18
+_TAYLOR18 = tuple(1.0 / math.factorial(k) for k in range(19))
+# the largest 1-norm accepted, theta_13 of Higham's Pade-13 step (SIAM J.
+# Matrix Anal. Appl. 26(4), 2005): callers keep that contract, and it
+# takes at most three squarings
+_EXPM_THETA = 5.371920351148152
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix of 1-norm at most theta_13, by one Pade-13 step.
+    """exp(a) of a square matrix of 1-norm at most theta_13 = 5.37.
 
-    The [13/13] Pade approximant r = (V - U)^-1 (V + U) is formed from
-    a^2, a^4 and a^6 (Higham 2005); it is exact to double precision up to
-    that norm.  Callers with larger matrices scale by 2^-s and square the
-    result s times themselves (see discrete._propagator).  Buffers are
-    reused so that at most eight n x n arrays are live.
+    The degree-18 Taylor polynomial in Paterson-Stockmeyer form, in blocks
+    of three in a^3 (Bader, Blanes & Casas 2019):
+        T = B0 + a3 (B1 + a3 (B2 + a3 (B3 + a3 (B4 + a3 (B5 + c18 a3))))),
+    with Bj = c(3j) I + c(3j+1) a + c(3j+2) a^2: a^2, a^3 and five Horner
+    products, 7 matmuls and no linear solve.  An input of 1-norm above
+    one is scaled by 2^-s (s <= 3) and the result squared s times; at
+    most one, the input is only read.  Every product and axpy writes
+    into a reused buffer: besides the argument, four n x n arrays are
+    live at most, five when it is scaled.
 
     Raises
     ------
@@ -256,31 +249,33 @@ def expm(a: np.ndarray) -> np.ndarray:
     NumericalBlowup
         when the 1-norm of a is not finite.
     """
-    a = np.array(a, dtype=float)             # private copy: the step writes into it
+    a = np.asarray(a, dtype=float)
     n = a.shape[0]
     norm = float(np.linalg.norm(a, 1))
     if not math.isfinite(norm):
         raise NumericalBlowup(f"expm: matrix 1-norm is {norm}")
-    if norm > _PADE13_THETA:
-        raise DomainError(f"expm: matrix 1-norm {norm:.6g} above theta_13 = {_PADE13_THETA}")
-    b = _PADE13
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
+    if norm > _EXPM_THETA:
+        raise DomainError(f"expm: matrix 1-norm {norm:.6g} above theta_13 = {_EXPM_THETA}")
+    mant, exp2 = math.frexp(norm)
+    squarings = max(0, exp2 - (mant == 0.5))      # the least s with norm 2^-s <= 1
+    if squarings:
+        a = np.ldexp(a, -squarings)               # a private copy; the argument stays
+    c = _TAYLOR18
     diag = slice(None, None, n + 1)
-    w = _pade_poly(np.empty_like(a), ((b[13], a6), (b[11], a4), (b[9], a2)))
-    z = a6 @ w
-    _pade_poly(w, ((b[7], a6), (b[5], a4), (b[3], a2)))
-    z += w
-    z.flat[diag] += b[1]
-    u = np.matmul(a, z, out=w)
-    _pade_poly(z, ((b[12], a6), (b[10], a4), (b[8], a2)))
-    v = np.matmul(a6, z, out=a)
-    _pade_poly(z, ((b[6], a6), (b[4], a4), (b[2], a2)))
-    v += z
-    v.flat[diag] += b[0]
-    del a2, a4, a6
-    return np.linalg.solve(np.subtract(v, u, out=z), np.add(v, u, out=v))
+    a2 = a @ a
+    a3 = a2 @ a
+    t = np.multiply(a3, c[18])
+    spare = np.empty_like(a)
+    for j in range(5, -1, -1):                    # t = Bj + a3 t, Horner in a3
+        if j < 5:
+            t, spare = np.matmul(a3, t, out=spare), t
+        t += np.multiply(a2, c[3 * j + 2], out=spare)
+        t += np.multiply(a, c[3 * j + 1], out=spare)
+        t.flat[diag] += c[3 * j]
+    del a2, a3
+    for _ in range(squarings):
+        t, spare = np.matmul(t, t, out=spare), t
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,24 @@ def test_invert_phi_skips_points_where_the_rate_underflows(tmp_path):
     assert math.isfinite(scalars["max_relative_error"])
 
 
+def test_invert_phi_error_on_the_peak_rate_scale(tmp_path):
+    # max_relative_error reads ~1e292 here, from recoveries off by 1e-15
+    # where the true rate is near 1e-300.  On the peak rate's scale the
+    # error sits at the switch x = 1, where the rate falls from 2 to 0
+    # within less than one knot gap, so it shrinks like the gap does.
+    errors = []
+    for n_knots in (1024, 4096):
+        out = tmp_path / f"out{n_knots}"
+        p = write_cfg(tmp_path, f"run.mode = invert-phi\n{VANISHING_HILL_MODEL}"
+                                f"numeric.n_knots = {n_knots}\n")
+        assert main(["invert-phi", "--config", str(p), "--out", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        scalars = json.loads(text, parse_constant=_no_bare_constants)["scalars"]
+        errors.append(scalars["max_error_vs_peak_rate"])
+    assert 0.0 < errors[0] <= 0.1
+    assert errors[1] <= errors[0] / 3.0
+
+
 def test_kernel_fixed_point_where_the_rate_underflows(tmp_path):
     # the kernel weights are formed from ln rate, which stays finite
     # where the rate itself is 0.0

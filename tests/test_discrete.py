@@ -374,9 +374,11 @@ def test_master_rhs_matches_the_convolution_formula():
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=discrete_models(), cap=st.integers(3, 300),
+@given(model=discrete_models(), cap=st.integers(3, 400),
        t_end=st.floats(1e-3, 1e3), n_snapshots=st.integers(1, 30),
        start=st.floats(0.0, 1.0))
+# the benchmark's cap-400 linear-rate cell
+@example(model=nb_model(2.0, 0.3, 1.0, 0.5), cap=400, t_end=30.0, n_snapshots=25, start=0.0)
 def test_evolve_master_matches_the_scipy_propagator(model, cap, t_end, n_snapshots, start):
     v0 = np.zeros(cap + 1)
     v0[int(start * cap)] = 1.0
@@ -447,7 +449,31 @@ def test_evolve_master_memory_at_cap_400():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2 ** 20   # one 401 x 401 array is 1.2 MiB
+    # one 401 x 401 array is 1.2 MiB, and at most six are live: G, dt G,
+    # and expm's a^2, a^3, sum and spare
+    assert peak <= 8 * 2 ** 20
+
+
+def test_evolve_master_never_enters_lapack(monkeypatch):
+    # the Taylor step needs no solve; a LAPACK call alone grows a fresh
+    # process's RSS by several MiB
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK entered")
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    rng = np.random.default_rng(4)
+    off = rng.random((30, 30))
+    np.fill_diagonal(off, 0.0)
+    gen = off - np.diag(off.sum(axis=0))
+    for norm in (0.5, 5.0):
+        a = gen * (norm / np.linalg.norm(gen, 1))
+        assert np.linalg.norm(expm(a) - scipy.linalg.expm(a), 1) <= 1e-13
+    m = nb_model(2.0, 0.3, 1.0, 0.5)
+    v0 = np.zeros(61)
+    v0[0] = 1.0
+    even = evolve_master(m, v0, 4.0, n_snapshots=8)
+    explicit = evolve_master(m, v0, 4.0, snapshot_times=[0.5, 1.75])
+    assert np.sum(np.abs(even.pmfs[-1].values - explicit.pmfs[-1].values)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
