@@ -36,20 +36,18 @@ Exit codes: 0 success, 1 config problem (parse or validation), 2
 numeric failure (non-normalizable model, no convergence, and kin).
 Runs are reproducible: rerunning the same config and seed rewrites
 byte-identical CSV artifacts.  ``--sweep section.key=start:stop:count``
-fans one scalar across a range in a worker pool (capped by the
-BURSTKIN_THREADS environment variable), one artifact directory and one
-summary row per point; points that fail are classified in their row
-rather than aborting the sweep.
+runs one scalar across a range, point after point, each on the generator
+stream of its index, with one artifact directory and one summary row per
+point; points that fail are classified in their row rather than aborting
+the sweep.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
-import os
 import sys
 import time
 import traceback
@@ -62,6 +60,7 @@ from . import continuous as cont
 from . import discrete as disc
 from .errors import (
     ConfigError,
+    NumericalBlowup,
     NumericError,
     ParseError,
     ValidationError,
@@ -104,112 +103,88 @@ __all__ = [
     "main",
 ]
 
-MODES = (
-    "stationary-discrete",
-    "stationary-continuous",
-    "evolve-master",
-    "simulate-discrete",
-    "simulate-pdmp",
-    "kernel-fixed-point",
-    "invert-phi",
-    "modes",
-    "ergodicity",
-)
-
-# model kind each mode operates on; None means either
-_MODE_KIND = {
-    "stationary-discrete": "discrete",
-    "evolve-master": "discrete",
-    "simulate-discrete": "discrete",
-    "stationary-continuous": "continuous",
-    "simulate-pdmp": "continuous",
-    "kernel-fixed-point": "continuous",
-    "invert-phi": "continuous",
-    "ergodicity": "continuous",
-    "modes": None,
-}
-
-_RATE_KEYS = {
-    "constant": ("rate_level",),
-    "linear": ("rate_base", "rate_slope"),
-    "quadratic": ("rate_base", "rate_slope", "rate_quad"),
-    "hill": ("rate_scale", "rate_numer", "rate_denom_const",
-             "rate_denom_coeff", "rate_exponent"),
-    "truncated-linear": ("rate_base", "rate_slope", "rate_cutoff"),
-}
-
-_BURST_KEYS = {
-    "geometric": ("burst_b",),
-    "exponential": ("burst_b",),
-    "power-tail": ("burst_offset", "burst_exponent"),
-    "gaussian-exp": ("burst_lin", "burst_quad"),
-    "finite-support": ("burst_cap", "burst_exponent"),
-}
-
-_DISCRETE_BURSTS = {"geometric"}
-_CONTINUOUS_BURSTS = {"exponential", "power-tail", "gaussian-exp", "finite-support"}
-
-# numeric schema per mode: key -> (type, required, default)
-_COMMON_NUMERIC = {
-    "seed": (int, False, 0),
-    "stream": (int, False, 0),
-}
-_MODE_NUMERIC = {
-    "stationary-discrete": {
+# mode -> (model kind it runs on, None for either; numeric schema
+# key -> (type, required, default), listed in canonical render order).
+# Every mode also takes the _COMMON_NUMERIC keys, rendered after its own.
+_MODES = {
+    "stationary-discrete": ("discrete", {
         "n_max": (int, True, None),
         "tail_tol": (float, False, 1e-8),   # <= 0 disables the tail check
-    },
-    "stationary-continuous": {
+    }),
+    "stationary-continuous": ("continuous", {
         "n_knots": (int, False, 1024),
         "x_ref": (float, False, 1.0),
-    },
-    "evolve-master": {
+    }),
+    "evolve-master": ("discrete", {
         "n_max": (int, True, None),
         "t_end": (float, True, None),
         "n0": (int, False, 0),
         "n_snapshots": (int, False, 25),
-    },
-    "simulate-discrete": {
+    }),
+    "simulate-discrete": ("discrete", {
         "n0": (int, True, None),
         "n_jumps": (int, True, None),
-    },
-    "simulate-pdmp": {
+    }),
+    "simulate-pdmp": ("continuous", {
         "y0": (float, True, None),
         "n_jumps": (int, True, None),
-        "x_ref": (float, False, 1.0),
         "n_bins": (int, False, 64),
-    },
-    "kernel-fixed-point": {
+        "x_ref": (float, False, 1.0),
+    }),
+    "kernel-fixed-point": ("continuous", {
         "n_knots": (int, False, 4096),
         "x_ref": (float, False, 1.0),
         "tol": (float, False, 1e-10),
         "leak_tol": (float, False, 2e-5),
-    },
-    "invert-phi": {
+    }),
+    "invert-phi": ("continuous", {
         "n_knots": (int, False, 1024),
         "x_ref": (float, False, 1.0),
         "floor": (float, False, 1e-12),
-    },
-    "modes": {
+    }),
+    "modes": (None, {
         "n_max": (int, False, 512),          # discrete scan span
+        "n_scan": (int, False, 2048),
         "window_lo": (float, False, 0.0),    # 0 means auto (continuous)
         "window_hi": (float, False, 0.0),
-        "n_scan": (int, False, 2048),
-    },
-    "ergodicity": {
-        "y_probe": (float, True, None),
+    }),
+    "ergodicity": ("continuous", {
         "n_probes": (int, False, 8),
+        "y_probe": (float, True, None),
         "quad_tol": (float, False, 1e-10),
-    },
+    }),
+}
+MODES = tuple(_MODES)
+
+_COMMON_NUMERIC = {
+    "seed": (int, False, 0),
+    "stream": (int, False, 0),
 }
 
-# canonical key order for rendering
-_NUMERIC_ORDER = (
-    "n_max", "t_end", "n0", "y0", "n_jumps", "n_snapshots", "n_knots",
-    "n_bins", "n_scan", "n_probes", "x_ref", "y_probe",
-    "window_lo", "window_hi", "tail_tol", "tol", "leak_tol", "quad_tol",
-    "floor", "seed", "stream",
-)
+
+def _separable(nu):
+    return lambda *coeffs: SeparableBurstKernel(nu(*coeffs))
+
+
+# family -> (constructor, model keys in argument order)
+_RATES = {
+    "constant": (ConstantRate, ("rate_level",)),
+    "linear": (LinearRate, ("rate_base", "rate_slope")),
+    "quadratic": (QuadraticRate, ("rate_base", "rate_slope", "rate_quad")),
+    "hill": (HillRate, ("rate_scale", "rate_numer", "rate_denom_const",
+                        "rate_denom_coeff", "rate_exponent")),
+    "truncated-linear": (TruncatedLinearRate, ("rate_base", "rate_slope", "rate_cutoff")),
+}
+
+# family -> (model kind, constructor, model keys in argument order)
+_BURSTS = {
+    "geometric": ("discrete", GeometricBurst, ("burst_b",)),
+    "exponential": ("continuous", ExponentialBurstKernel, ("burst_b",)),
+    "power-tail": ("continuous", _separable(PowerTailNu), ("burst_offset", "burst_exponent")),
+    "gaussian-exp": ("continuous", _separable(GaussianExpNu), ("burst_lin", "burst_quad")),
+    "finite-support": ("continuous", _separable(FiniteSupportNu),
+                       ("burst_cap", "burst_exponent")),
+}
 
 
 @dataclass(frozen=True)
@@ -223,36 +198,11 @@ class ExperimentConfig:
 
     def build_model(self):
         m = self.model
-        rate = _build_rate(m)
-        decay = LinearDecay(m["decay"])
-        if m["kind"] == "discrete":
-            return DiscreteBurstModel(rate, decay, GeometricBurst(m["burst_b"]))
-        return ContinuousBurstModel(rate, decay, _build_kernel(m))
-
-
-def _build_rate(m: dict):
-    kind = m["rate"]
-    if kind == "constant":
-        return ConstantRate(m["rate_level"])
-    if kind == "linear":
-        return LinearRate(m["rate_base"], m["rate_slope"])
-    if kind == "quadratic":
-        return QuadraticRate(m["rate_base"], m["rate_slope"], m["rate_quad"])
-    if kind == "hill":
-        return HillRate(m["rate_scale"], m["rate_numer"], m["rate_denom_const"],
-                        m["rate_denom_coeff"], m["rate_exponent"])
-    return TruncatedLinearRate(m["rate_base"], m["rate_slope"], m["rate_cutoff"])
-
-
-def _build_kernel(m: dict):
-    kind = m["burst"]
-    if kind == "exponential":
-        return ExponentialBurstKernel(m["burst_b"])
-    if kind == "power-tail":
-        return SeparableBurstKernel(PowerTailNu(m["burst_offset"], m["burst_exponent"]))
-    if kind == "gaussian-exp":
-        return SeparableBurstKernel(GaussianExpNu(m["burst_lin"], m["burst_quad"]))
-    return SeparableBurstKernel(FiniteSupportNu(m["burst_cap"], m["burst_exponent"]))
+        rate, rate_keys = _RATES[m["rate"]]
+        _, burst, burst_keys = _BURSTS[m["burst"]]
+        model = DiscreteBurstModel if m["kind"] == "discrete" else ContinuousBurstModel
+        return model(rate(*(m[k] for k in rate_keys)), LinearDecay(m["decay"]),
+                     burst(*(m[k] for k in burst_keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +291,14 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if kind not in ("discrete", "continuous"):
         raise ValidationError(f"{_where(lineno)}model.kind must be discrete or continuous")
     model["kind"] = kind
-    want_kind = _MODE_KIND[mode]
+    want_kind, mode_schema = _MODES[mode]
     if want_kind is not None and kind != want_kind:
         raise ValidationError(f"mode {mode} needs a {want_kind} model, got {kind}")
 
     rate, lineno = take("model", "rate")
     if rate is None:
         raise ValidationError("missing model.rate")
-    if rate not in _RATE_KEYS:
+    if rate not in _RATES:
         raise ValidationError(f"{_where(lineno)}unknown rate family {rate!r}")
     if rate == "truncated-linear" and kind != "discrete":
         raise ValidationError(f"{_where(lineno)}truncated-linear rates are discrete only")
@@ -357,10 +307,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     burst, lineno = take("model", "burst")
     if burst is None:
         raise ValidationError("missing model.burst")
-    allowed_bursts = _DISCRETE_BURSTS if kind == "discrete" else _CONTINUOUS_BURSTS
-    if burst not in allowed_bursts:
+    if burst not in _BURSTS or _BURSTS[burst][0] != kind:
+        allowed = sorted(f for f, (k, _, _) in _BURSTS.items() if k == kind)
         raise ValidationError(f"{_where(lineno)}burst family {burst!r} not available "
-                              f"for {kind} models ({', '.join(sorted(allowed_bursts))})")
+                              f"for {kind} models ({', '.join(allowed)})")
     model["burst"] = burst
 
     value, lineno = take("model", "decay")
@@ -368,17 +318,15 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ValidationError("missing model.decay")
     model["decay"] = _as_float(value, "model.decay", lineno)
 
-    for key in _RATE_KEYS[rate] + _BURST_KEYS[burst]:
+    for key in _RATES[rate][1] + _BURSTS[burst][2]:
         value, lineno = take("model", key)
         if value is None:
             raise ValidationError(f"rate/burst family needs model.{key}")
         model[key] = _as_float(value, f"model.{key}", lineno)
 
     # numeric block
-    schema = dict(_COMMON_NUMERIC)
-    schema.update(_MODE_NUMERIC[mode])
     numeric: dict = {}
-    for key, (typ, required, default) in schema.items():
+    for key, (typ, required, default) in {**_COMMON_NUMERIC, **mode_schema}.items():
         value, lineno = take("numeric", key)
         if value is None:
             if required:
@@ -423,16 +371,15 @@ def render_config(cfg: ExperimentConfig) -> str:
     m = cfg.model
     lines.append(f"model.kind = {m['kind']}")
     lines.append(f"model.rate = {m['rate']}")
-    for key in _RATE_KEYS[m["rate"]]:
+    for key in _RATES[m["rate"]][1]:
         lines.append(f"model.{key} = {_render_value(m[key])}")
     lines.append(f"model.decay = {_render_value(m['decay'])}")
     lines.append(f"model.burst = {m['burst']}")
-    for key in _BURST_KEYS[m["burst"]]:
+    for key in _BURSTS[m["burst"]][2]:
         lines.append(f"model.{key} = {_render_value(m[key])}")
     lines.append("")
-    for key in _NUMERIC_ORDER:
-        if key in cfg.numeric:
-            lines.append(f"numeric.{key} = {_render_value(cfg.numeric[key])}")
+    for key in (*_MODES[cfg.mode][1], *_COMMON_NUMERIC):
+        lines.append(f"numeric.{key} = {_render_value(cfg.numeric[key])}")
     lines.append("")
     lines.append(f"output.dir = {cfg.out_dir}")
     return "\n".join(lines) + "\n"
@@ -642,6 +589,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     model = cfg.build_model()
     started = time.perf_counter()
     scalars, artifacts = _RUNNERS[cfg.mode](cfg, model, out)
+    bad = [k for k, v in sorted(scalars.items()) if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise NumericalBlowup(f"{cfg.mode} produced a non-finite {', '.join(bad)}; "
+                              "summary.json not written")
     summary = RunSummary(
         mode=cfg.mode,
         seed=cfg.numeric["seed"],
@@ -651,9 +602,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         artifacts=artifacts,
         config_text=render_config(cfg),
     )
+    text = json.dumps(summary.to_dict(), indent=2, sort_keys=True, allow_nan=False)
     with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return summary
 
 
@@ -669,6 +620,9 @@ def _parse_sweep(spec: str, cfg: ExperimentConfig):
     section, dot, key = head.strip().partition(".")
     if not dot or section not in ("model", "numeric"):
         raise ValidationError(f"can only sweep model.* or numeric.* keys, got {head!r}")
+    if (section, key) == ("numeric", "stream"):
+        raise ValidationError("numeric.stream cannot be swept: each sweep point "
+                              "runs on the stream of its own index")
     block = cfg.model if section == "model" else cfg.numeric
     if key not in block or not isinstance(block[key], (int, float)) \
             or isinstance(block[key], bool):
@@ -696,20 +650,6 @@ def _sweep_point(cfg: ExperimentConfig, section: str, key: str,
     return ExperimentConfig(cfg.mode, model, numeric, out_dir)
 
 
-def _worker_count(n_points: int) -> int:
-    env = os.environ.get("BURSTKIN_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValidationError(f"BURSTKIN_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ValidationError("BURSTKIN_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_points))
-
-
 def run_sweep(cfg: ExperimentConfig, spec: str) -> int:
     """Run one experiment per sweep value; classify failures per row.
 
@@ -732,12 +672,10 @@ def run_sweep(cfg: ExperimentConfig, spec: str) -> int:
             traceback.print_exc()
             return {"status": f"internal-error:{type(exc).__name__}", "detail": str(exc)}
         row = {"status": "ok", "detail": ""}
-        row.update({k: v for k, v in summary.scalars.items()})
+        row.update(summary.scalars)
         return row
 
-    with concurrent.futures.ThreadPoolExecutor(_worker_count(len(points))) as pool:
-        rows = list(pool.map(one, points))
-
+    rows = [one(p) for p in points]
     scalar_keys = sorted({k for row in rows for k in row} - {"status", "detail"})
     base = Path(cfg.out_dir)
     base.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ from burstkin.cli import (
     run_experiment,
     run_sweep,
 )
-from burstkin.errors import ModelError, ParseError, ValidationError
+from burstkin.errors import ModelError, NumericalBlowup, ParseError, ValidationError
 
 
 DISCRETE_CFG = """\
@@ -97,6 +97,41 @@ def test_render_parse_round_trip():
     again = parse_config(text)
     assert again == cfg
     assert render_config(again) == text
+
+
+# the order in which a canonical config lists the numeric keys of any mode
+CANONICAL_NUMERIC_ORDER = (
+    "n_max", "t_end", "n0", "y0", "n_jumps", "n_snapshots", "n_knots",
+    "n_bins", "n_scan", "n_probes", "x_ref", "y_probe",
+    "window_lo", "window_hi", "tail_tol", "tol", "leak_tol", "quad_tol",
+    "floor", "seed", "stream",
+)
+
+MINIMAL_NUMERIC = {
+    "stationary-discrete": "numeric.n_max = 50\n",
+    "stationary-continuous": "",
+    "evolve-master": "numeric.n_max = 50\nnumeric.t_end = 2.0\n",
+    "simulate-discrete": "numeric.n0 = 0\nnumeric.n_jumps = 10\n",
+    "simulate-pdmp": "numeric.y0 = 1.0\nnumeric.n_jumps = 10\n",
+    "kernel-fixed-point": "",
+    "invert-phi": "",
+    "modes": "",
+    "ergodicity": "numeric.y_probe = 5.0\n",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MINIMAL_NUMERIC))
+def test_render_lists_numeric_keys_in_canonical_order(mode):
+    discrete = mode in ("stationary-discrete", "evolve-master", "simulate-discrete", "modes")
+    model = SIM_MODELS["simulate-discrete" if discrete else "simulate-pdmp"]
+    cfg = parse_config(f"run.mode = {mode}\n{model}{MINIMAL_NUMERIC[mode]}")
+    text = render_config(cfg)
+    keys = [line.split(" = ")[0].removeprefix("numeric.")
+            for line in text.splitlines() if line.startswith("numeric.")]
+    assert keys == [k for k in CANONICAL_NUMERIC_ORDER if k in cfg.numeric]
+    assert sorted(keys) == sorted(cfg.numeric)
+    assert parse_config(text) == cfg
+    assert render_config(parse_config(text)) == text
 
 
 def test_parse_rejects_duplicates_with_line_number():
@@ -243,6 +278,34 @@ def test_cli_exit_code_for_numeric_failure(tmp_path, capsys):
                "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "NotNormalizable" in capsys.readouterr().err
+
+
+def test_non_finite_scalar_is_a_numeric_error(tmp_path, monkeypatch, capsys):
+    # summary.json is strict JSON: a NaN or inf scalar is a numeric failure
+    # that names its key, never a raw ValueError or a half-written file
+    import burstkin.cli as cli
+
+    def non_finite(cfg, model, out):
+        level = cfg.model["rate_level"]
+        return {"fine": 1.0, "residual": math.nan if level < 1.0 else math.inf}, []
+
+    monkeypatch.setitem(cli._RUNNERS, "stationary-discrete", non_finite)
+    for level in ("0.5", "1.5"):
+        out = tmp_path / f"o{level}"
+        cfg = parse_config(DISCRETE_CFG, overrides={("model", "rate_level"): level,
+                                                    ("output", "dir"): str(out)})
+        with pytest.raises(NumericalBlowup, match="residual"):
+            run_experiment(cfg)
+        assert not (out / "summary.json").exists()
+    p = write_cfg(tmp_path, DISCRETE_CFG)
+    assert main(["stationary-discrete", "--config", str(p),
+                 "--out", str(tmp_path / "cli")]) == 2
+    err = capsys.readouterr().err
+    assert "NumericalBlowup" in err and "residual" in err
+    cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})
+    assert run_sweep(cfg, "model.rate_level=0.5:1.5:2") == 0
+    rows = (tmp_path / "s" / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["numeric-error:NumericalBlowup"] * 2
 
 
 SIM_MODELS = {
@@ -548,6 +611,20 @@ def test_evolve_master_extreme_horizons(tmp_path, capsys):
     assert "NumericalBlowup" in capsys.readouterr().err
 
 
+SIM_DISCRETE_CFG = """\
+run.mode = simulate-discrete
+model.kind = discrete
+model.rate = constant
+model.rate_level = 1.0
+model.decay = 1.0
+model.burst = geometric
+model.burst_b = 0.5
+numeric.n0 = 0
+numeric.n_jumps = 2000
+numeric.seed = 11
+"""
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -567,10 +644,13 @@ def test_sweep_spec_parsing():
         _parse_sweep("model.missing=0:1:2", cfg)
     with pytest.raises(ValidationError):
         _parse_sweep("model.rate_level=0:1:0", cfg)
+    # the sweep sets each point's stream to its index, so a swept stream
+    # would be listed in sweep_summary.csv but never used
+    with pytest.raises(ValidationError, match="numeric.stream"):
+        _parse_sweep("numeric.stream=7:9:3", cfg)
 
 
-def test_sweep_writes_one_row_per_point(tmp_path, monkeypatch):
-    monkeypatch.setenv("BURSTKIN_THREADS", "2")
+def test_sweep_writes_one_row_per_point(tmp_path):
     cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})
     rc = run_sweep(cfg, "model.rate_level=0.5:1.5:3")
     assert rc == 0
@@ -588,8 +668,7 @@ def test_sweep_writes_one_row_per_point(tmp_path, monkeypatch):
     assert blob["stream"] == 2
 
 
-def test_sweep_classifies_bad_regions_without_aborting(tmp_path, monkeypatch):
-    monkeypatch.setenv("BURSTKIN_THREADS", "1")
+def test_sweep_classifies_bad_regions_without_aborting(tmp_path):
     cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})
     rc = run_sweep(cfg, "model.burst_b=0.8:1.2:3")
     assert rc == 0
@@ -599,8 +678,7 @@ def test_sweep_classifies_bad_regions_without_aborting(tmp_path, monkeypatch):
     assert all(s == "config-error" for s in statuses[1:])  # b = 1.0, 1.2
 
 
-def test_sweep_numeric_error_rows(tmp_path, monkeypatch):
-    monkeypatch.setenv("BURSTKIN_THREADS", "1")
+def test_sweep_numeric_error_rows(tmp_path):
     text = DISCRETE_CFG.replace(
         "model.rate = constant\nmodel.rate_level = 1.0",
         "model.rate = linear\nmodel.rate_base = 1.0\nmodel.rate_slope = 0.1")
@@ -624,7 +702,6 @@ def test_sweep_records_internal_errors(tmp_path, monkeypatch):
             raise ZeroDivisionError("float division by zero")
         return {}, []
 
-    monkeypatch.setenv("BURSTKIN_THREADS", "1")
     monkeypatch.setitem(cli._RUNNERS, "stationary-discrete", broken)
     cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})
     assert run_sweep(cfg, "model.rate_level=0.5:1.5:3") == 0
@@ -634,8 +711,7 @@ def test_sweep_records_internal_errors(tmp_path, monkeypatch):
     assert rows[2].split(",")[3] == "float division by zero"
 
 
-def test_sweep_integer_keys_round(tmp_path, monkeypatch):
-    monkeypatch.setenv("BURSTKIN_THREADS", "1")
+def test_sweep_integer_keys_round(tmp_path):
     cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})
     assert run_sweep(cfg, "numeric.n_max=100:200:3") == 0
     for i, expected in enumerate((100, 150, 200)):
@@ -643,14 +719,20 @@ def test_sweep_integer_keys_round(tmp_path, monkeypatch):
         assert len(lines) == expected + 2
 
 
-def test_sweep_thread_env_validation(monkeypatch):
-    cfg = parse_config(DISCRETE_CFG)
-    monkeypatch.setenv("BURSTKIN_THREADS", "zero")
-    with pytest.raises(ValidationError):
-        run_sweep(cfg, "model.rate_level=0.5:1.5:2")
-    monkeypatch.setenv("BURSTKIN_THREADS", "0")
-    with pytest.raises(ValidationError):
-        run_sweep(cfg, "model.rate_level=0.5:1.5:2")
+def test_sweep_points_match_standalone_runs(tmp_path):
+    # point i of a sweep is the standalone run of its config with stream = i
+    cfg = parse_config(SIM_DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})
+    assert run_sweep(cfg, "model.rate_level=0.5:1.5:3") == 0
+    swept = []
+    for i, level in enumerate(("0.5", "1.0", "1.5")):
+        solo = parse_config(SIM_DISCRETE_CFG, overrides={
+            ("model", "rate_level"): level, ("numeric", "stream"): str(i),
+            ("output", "dir"): str(tmp_path / f"solo{i}")})
+        run_experiment(solo)
+        blob = (tmp_path / "s" / f"sweep_{i:04d}" / "occupancy.csv").read_bytes()
+        assert blob == (tmp_path / f"solo{i}" / "occupancy.csv").read_bytes()
+        swept.append(blob)
+    assert len(set(swept)) == 3
 
 
 def test_cli_sweep_end_to_end(tmp_path):

@@ -129,8 +129,8 @@ def _expm_cases(rng):
     """Matrices with 1-norms from 1e-3 up to theta_13 = 5.3719.
 
     Generators (exp is stochastic) and skew-symmetric matrices (exp is
-    orthogonal) span the whole range on which one Pade-13 step is
-    accurate.  Plain Gaussian matrices join up to a norm of 3: past it
+    orthogonal) span the whole range expm accepts: the degree-18 Taylor
+    step, after at most three halvings and squarings.  Plain Gaussian matrices join up to a norm of 3: past it
     scipy's own result for them drifts from a 40-digit mpmath reference
     by more than the tolerance (1.6e-13 at norm 4.2, where expm is off
     by 2.3e-15).
@@ -166,7 +166,7 @@ def test_expm_small_and_degenerate_inputs():
     assert np.max(np.abs(expm(np.zeros((5, 5))) - np.eye(5))) <= 2.0 * eps
     a = np.array([[0.0, 1.0], [0.0, 0.0]])     # nilpotent: exp(a) = I + a
     assert np.max(np.abs(expm(a) - np.array([[1.0, 1.0], [0.0, 1.0]]))) <= 4.0 * eps
-    # the Pade step writes into a private copy, never into its argument
+    # scaling writes into a private copy, never into the argument
     b = a * 5.0
     before = b.copy()
     expm(b)
