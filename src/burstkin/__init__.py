@@ -58,7 +58,6 @@ from .errors import (
     NumericError,
     ParseError,
     RangeError,
-    StiffnessBudgetExceeded,
     TailNotConverged,
     ToleranceNotMet,
     ValidationError,
@@ -84,10 +83,8 @@ from .models import (
     TruncatedLinearRate,
 )
 from .numerics import (
-    StepperConfig,
     draw_unit_exponential,
     expm,
-    integrate_adaptive,
     l1_distance,
     make_rng,
     quad_adaptive,

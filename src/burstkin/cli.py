@@ -540,9 +540,12 @@ def _run_modes(cfg, model, out: Path):
             "boundary_mode": report.boundary_mode,
         }
     else:
-        window = None
-        if num["window_lo"] > 0 and num["window_hi"] > 0:
-            window = (num["window_lo"], num["window_hi"])
+        window = (num["window_lo"], num["window_hi"])
+        if window == (0.0, 0.0):
+            window = None               # the automatic scan
+        elif not (window[0] > 0 and window[1] > 0):
+            raise ValidationError("numeric.window_lo and numeric.window_hi must both be 0 "
+                                  f"(automatic) or both > 0, got {window}")
         report = cont.count_modes_continuous(model, window=window, n_scan=num["n_scan"])
         write_modes_csv(out / "modes.csv", report.roots, report.kinds)
         scalars = {

@@ -425,7 +425,13 @@ class ExposureHistogram:
         return self.exposure / self.total_time
 
     def density(self) -> GridDensity:
-        centers = np.sqrt(self.edges[:-1] * self.edges[1:])
+        # geometric centres sqrt(a*b), with each bin scaled by 2^k so that
+        # a*b cannot underflow (edges below ~1e-160) or overflow; the
+        # scaling is exact, so the bits are those of sqrt(a*b) wherever
+        # a*b is a normal float
+        a, b = self.edges[:-1], self.edges[1:]
+        k = -np.frexp(a)[1]
+        centers = np.ldexp(np.sqrt(np.ldexp(a, k) * np.ldexp(b, k)), -k)
         widths = np.diff(self.edges)
         return GridDensity(centers, self.exposure / (self.total_time * widths))
 

@@ -31,14 +31,11 @@ from .models import (
     LinearDecay,
     TabulatedDecay,
 )
-from .numerics import (
-    DRAW_BLOCK,
-    expm,
-    # unused here; perfbench/baseline.py still reads and patches the name
-    integrate_adaptive,  # noqa: F401
-    l1_distance,
-    make_rng,
-)
+from .numerics import DRAW_BLOCK, expm, l1_distance, make_rng
+
+# perfbench/baseline.py saves, patches and restores this attribute around
+# evolve_master; nothing in burstkin reads it
+integrate_adaptive = None
 
 __all__ = [
     "Pmf",
@@ -518,30 +515,23 @@ def evolve_master(
 # jump-chain simulation
 # ---------------------------------------------------------------------------
 
-_RATE_BLOCK = 256   # states the jump chain's rate cache grows by at a time
+_RATE_BLOCK = 256   # states the jump chain's rate lists grow by at a time
 
 
-class _RateCache:
-    """Both rate laws as lists of Python floats, evaluated in vectorized blocks
-    and grown on demand."""
-
-    def __init__(self, model: DiscreteBurstModel):
-        self.model = model
-        self.lam: list = []
-        self.gam: list = []
-
-    def ensure(self, n: int) -> None:
-        if n < len(self.lam):
-            return
-        hi = max(n + 1, len(self.lam) + _RATE_BLOCK)
-        if isinstance(self.model.decay, TabulatedDecay):
-            # prefetch no further than the table; reaching past it still raises
-            hi = max(n + 1, min(hi, len(self.model.decay.table)))
-        idx = np.arange(len(self.lam), hi)
-        lam = np.asarray(self.model.burst_rate.value(idx), float).tolist()
-        gam = np.asarray(self.model.decay.value(idx), float).tolist()
-        self.lam.extend(lam)
-        self.gam.extend(gam)
+def _grow_rates(model: DiscreteBurstModel, n: int, pdec: list, total: list) -> None:
+    """Extend the per-state lists pdec = decay/(rate+decay) and total =
+    rate+decay past state n, in one vectorized block of Python floats."""
+    lo = len(total)
+    hi = max(n + 1, lo + _RATE_BLOCK)
+    if isinstance(model.decay, TabulatedDecay):
+        # prefetch no further than the table; reaching past it still raises
+        hi = max(n + 1, min(hi, len(model.decay.table)))
+    idx = np.arange(lo, hi)
+    lam = np.asarray(model.burst_rate.value(idx), float)
+    gam = np.asarray(model.decay.value(idx), float)
+    rate = lam + gam
+    total.extend(rate.tolist())
+    pdec.extend((gam / rate).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,9 +581,9 @@ def simulate_jump_chain(
     log_b = law.log_b if isinstance(law, GeometricBurst) else None
     size_at = law.size_at
     log, log1p, ceil = math.log, math.log1p, math.ceil
-    cache = _RateCache(model)
-    cache.ensure(n0 + 1)
-    pdec: list = []     # decay/(rate+decay) per state, caught up with the cache
+    pdec: list = []     # decay/(rate+decay) per state
+    total: list = []    # rate+decay per state
+    _grow_rates(model, n0 + 1, pdec, total)
 
     times = np.zeros(n_jumps + 1)
     states = np.zeros(n_jumps + 1, dtype=np.int64)
@@ -607,7 +597,8 @@ def simulate_jump_chain(
     # three, and unread ones carry over, so the draws are those of scalar
     # rng.random() calls in order (UniformStream, inlined)
     draws: list = []
-    n_draws = n_cached = pos = 0
+    n_draws = pos = 0
+    n_cached = len(pdec)
     n = int(n0)
     for k in range(n_jumps):
         if pos > n_draws - 3:
@@ -615,9 +606,7 @@ def simulate_jump_chain(
             n_draws = len(draws)
             pos = 0
         if n >= n_cached:
-            cache.ensure(n)
-            pdec.extend(g / (r + g) for r, g in zip(cache.lam[n_cached:],
-                                                    cache.gam[n_cached:]))
+            _grow_rates(model, n, pdec, total)
             n_cached = len(pdec)
         waits_w[k] = -log1p(-draws[pos])   # draw_unit_exponential
         if draws[pos + 1] < pdec[n]:
@@ -646,7 +635,6 @@ def simulate_jump_chain(
     # and along the path in the order the jumps were taken; mode="clip"
     # stops take from buffering a copy of its output
     visited, dts = states[:-1], times[1:]
-    total = np.add(cache.lam, cache.gam)
     np.take(total, visited, out=dts, mode="clip")
     np.divide(waits, dts, out=dts)
     occupancy = np.bincount(visited, weights=dts)

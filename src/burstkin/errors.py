@@ -43,10 +43,6 @@ class NotIntegrable(NumericError):
     """A density integral diverges; no stationary density exists."""
 
 
-class StiffnessBudgetExceeded(NumericError):
-    """The adaptive stepper ran out of its step budget."""
-
-
 class ToleranceNotMet(NumericError):
     """Adaptive quadrature exhausted its panel budget above tolerance."""
 

@@ -2,18 +2,17 @@
 
 Everything downstream leans on the primitives collected here: a seeded
 random generator with documented stream splitting, inverse-CDF draws,
-an embedded-pair adaptive ODE stepper, the matrix exponential, adaptive
-Gauss-Kronrod quadrature, and a safeguarded Newton root finder.  Keeping
-them in one place makes the reproducibility story auditable: a run is a
-pure function of (seed, stream, config).
+the matrix exponential, adaptive Gauss-Kronrod quadrature, and a
+safeguarded Newton root finder.  Keeping them in one place makes the
+reproducibility story auditable: a run is a pure function of (seed,
+stream, config).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import (
     NoConvergence,
     NumericalBlowup,
     RangeError,
-    StiffnessBudgetExceeded,
     ToleranceNotMet,
 )
 
@@ -31,8 +29,6 @@ __all__ = [
     "make_rng",
     "UniformStream",
     "draw_unit_exponential",
-    "StepperConfig",
-    "integrate_adaptive",
     "expm",
     "quad_adaptive",
     "trapezoid",
@@ -101,119 +97,6 @@ def draw_unit_exponential(rng: np.random.Generator) -> float:
     values meaningful.
     """
     return -math.log1p(-rng.random())
-
-
-# ---------------------------------------------------------------------------
-# adaptive ODE stepping (Dormand-Prince 5(4) embedded pair)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StepperConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-11
-    max_steps: int = 1_000_000
-    initial_step: float | None = None
-
-
-# Butcher tableau for the Dormand-Prince 5(4) pair.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
-def integrate_adaptive(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    t_end: float,
-    cfg: StepperConfig | None = None,
-    *,
-    t0: float = 0.0,
-    snapshot_times: Sequence[float] | None = None,
-) -> list[tuple[float, np.ndarray]]:
-    """Integrate y' = rhs(t, y) from t0 to t_end with error control.
-
-    Returns ``[(t, y), ...]`` at the requested snapshot times (t_end is
-    always included).  Snapshots are hit exactly by clipping the step,
-    so no interpolation error enters the record.
-
-    Raises
-    ------
-    StiffnessBudgetExceeded
-        when the step budget runs out before t_end.
-    """
-    cfg = cfg or StepperConfig()
-    y = np.asarray(y0, dtype=float).copy()
-    t = float(t0)
-    if snapshot_times is None:
-        targets = [float(t_end)]
-    else:
-        targets = sorted({float(s) for s in snapshot_times if t0 < s <= t_end})
-        if not targets or targets[-1] < t_end:
-            targets.append(float(t_end))
-
-    out: list[tuple[float, np.ndarray]] = []
-    if t_end == t0:
-        return [(t, y.copy())]
-
-    h = cfg.initial_step if cfg.initial_step is not None else (t_end - t0) / 1000.0
-    h = min(h, t_end - t0)
-    k1 = np.asarray(rhs(t, y), dtype=float)
-
-    n_steps = 0
-    target_idx = 0
-    while target_idx < len(targets):
-        target = targets[target_idx]
-        clipped = False
-        if t + h >= target:
-            h = target - t
-            clipped = True
-
-        # one attempted Dormand-Prince step
-        ks = [k1]
-        for i in range(1, 7):
-            yi = y
-            acc = np.zeros_like(y)
-            for a, k in zip(_DP_A[i], ks):
-                acc = acc + a * k
-            yi = y + h * acc
-            ks.append(np.asarray(rhs(t + _DP_C[i] * h, yi), dtype=float))
-
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean(((y5 - y4) / scale) ** 2))
-
-        n_steps += 1
-        if n_steps > cfg.max_steps:
-            raise StiffnessBudgetExceeded(
-                f"step budget {cfg.max_steps} exhausted at t={t:.6g} of {t_end:.6g}"
-            )
-
-        if err <= 1.0:
-            t = target if clipped else t + h
-            y = y5
-            k1 = ks[6]  # FSAL: last stage of an accepted step is next k1
-            if clipped and t == target:
-                out.append((t, y.copy()))
-                target_idx += 1
-        # step-size controller (order 5: exponent 1/5)
-        factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
-        h = h * min(5.0, max(0.2, factor))
-        if target_idx < len(targets):
-            h = min(h, targets[-1] - t) if targets[-1] > t else h
-        if h <= 0 or not math.isfinite(h):
-            raise StiffnessBudgetExceeded(f"step size collapsed at t={t:.6g}")
-
-    return out
 
 
 # ---------------------------------------------------------------------------

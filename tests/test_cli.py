@@ -488,6 +488,21 @@ def test_scan_sizes_out_of_range_are_config_errors(tmp_path, capsys, mode, numer
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
+@pytest.mark.parametrize("numeric", [
+    "numeric.window_hi = 0.5\n",
+    "numeric.window_lo = 0.5\n",
+    "numeric.window_lo = -1.0\nnumeric.window_hi = 0.5\n",
+    "numeric.window_lo = 0.5\nnumeric.window_hi = -1.0\n",
+])
+def test_modes_rejects_a_half_set_window(tmp_path, capsys, numeric):
+    # the scan once fell back to the automatic window without a word
+    p = write_cfg(tmp_path, f"run.mode = modes\n{HILL_EXP_MODEL}{numeric}")
+    assert main(["modes", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "numeric.window_lo" in err and "numeric.window_hi" in err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_all_runner_modes_produce_artifacts(tmp_path):
     base_cont = """\
 model.kind = continuous

@@ -516,6 +516,18 @@ def test_simulate_pdmp_occupancy_matches_stationary_density():
     assert err < 0.05
 
 
+def test_simulate_pdmp_histogram_density_survives_a_tiny_start():
+    # the default edges follow y0 down to 1e-302, where a*b underflowed and
+    # the bin centres collapsed to a run of zeros
+    h = simulate_pdmp(gamma_model(), 1e-300, 500, seed=1).histogram
+    d = h.density()
+    assert np.all(np.isfinite(d.values)) and np.all(np.diff(d.grid) > 0.0)
+    assert np.all((h.edges[:-1] < d.grid) & (d.grid < h.edges[1:]))
+    # where a*b is a normal float the scaled centres are its plain root
+    h = simulate_pdmp(gamma_model(), 1.0, 500, seed=1).histogram
+    assert np.array_equal(h.density().grid, np.sqrt(h.edges[:-1] * h.edges[1:]))
+
+
 def test_simulate_pdmp_validation():
     m = gamma_model()
     with pytest.raises(ModelError):

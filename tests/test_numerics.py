@@ -11,17 +11,14 @@ from burstkin.errors import (
     NoConvergence,
     NumericalBlowup,
     RangeError,
-    StiffnessBudgetExceeded,
     ToleranceNotMet,
 )
 from burstkin.numerics import (
     DRAW_BLOCK,
-    StepperConfig,
     UniformStream,
     draw_unit_exponential,
     expm,
     find_root,
-    integrate_adaptive,
     l1_distance,
     make_rng,
     quad_adaptive,
@@ -82,43 +79,6 @@ def test_uniform_stream_is_the_scalar_sequence():
     for _ in range(DRAW_BLOCK + 1):
         assert draw_unit_exponential(stream) == draw_unit_exponential(scalar)
         assert burst.size_at(stream.random()) == burst.size_at(scalar.random())
-
-
-# ---------------------------------------------------------------------------
-# ODE stepper
-# ---------------------------------------------------------------------------
-
-def test_stepper_exponential_decay():
-    snaps = integrate_adaptive(lambda t, y: -y, np.array([1.0]), 3.0)
-    t_end, y_end = snaps[-1]
-    assert t_end == 3.0
-    assert abs(y_end[0] - math.exp(-3.0)) < 1e-7
-
-
-def test_stepper_hits_snapshots_exactly():
-    times = [0.3, 1.0, 2.5]
-    snaps = integrate_adaptive(lambda t, y: -0.5 * y, np.array([2.0]), 2.5,
-                               snapshot_times=times)
-    assert [t for t, _ in snaps] == times
-    for t, y in snaps:
-        assert abs(y[0] - 2.0 * math.exp(-0.5 * t)) < 1e-7
-
-
-def test_stepper_linear_system_against_closed_form():
-    # rotation plus damping; solution via the real 2x2 exponential
-    a = np.array([[-0.1, 1.0], [-1.0, -0.1]])
-    snaps = integrate_adaptive(lambda t, y: a @ y, np.array([1.0, 0.0]), 4.0,
-                               StepperConfig(rel_tol=1e-10, abs_tol=1e-13))
-    _, y = snaps[-1]
-    decay = math.exp(-0.1 * 4.0)
-    expected = np.array([decay * math.cos(4.0), -decay * math.sin(4.0)])
-    assert np.max(np.abs(y - expected)) < 1e-8
-
-
-def test_stepper_budget_error():
-    cfg = StepperConfig(max_steps=5)
-    with pytest.raises(StiffnessBudgetExceeded):
-        integrate_adaptive(lambda t, y: -1000.0 * y, np.array([1.0]), 10.0, cfg)
 
 
 # ---------------------------------------------------------------------------
