@@ -41,6 +41,7 @@ from .models import (
     QuadraticRate,
 )
 from .numerics import (
+    PATH_CHUNK,
     UniformStream,
     find_root,
     make_rng,
@@ -344,6 +345,16 @@ class Potential:
         self._q_array = _rate_law(self.rate, self.gamma, self.x_ref, _ARRAY_FNS)[0]
         self.inverse_evals = 0
 
+        # Newton's F(u) = Q(e^u) - target and its slope, built once: the
+        # target of the inverse under way (one at a time) is self._target
+        q, xdq, exp = self._q, self._xdq, math.exp
+
+        def gap(u):
+            self.inverse_evals += 1
+            return q(exp(u)) - self._target
+
+        self._gap, self._slope = gap, (lambda u: xdq(exp(u)))
+
     # -- evaluation ----------------------------------------------------
 
     def value(self, x):
@@ -392,19 +403,14 @@ class Potential:
         if self._closed_inverse is not None:
             return self._closed_inverse(target)
 
-        q, xdq, exp = self._q, self._xdq, math.exp
-
-        def f(u):
-            self.inverse_evals += 1
-            return q(exp(u)) - target
-
+        self._target = target
         if hint is not None and 0.0 < hint < math.inf:
             u = math.log(hint)
         else:
             u = math.log(self.x_ref)
         u = min(max(u, _LOG_X_MIN), _LOG_X_MAX)
-        return exp(find_root(f, u, 1e-13 * max(1.0, abs(target)),
-                             fprime=lambda u: xdq(exp(u)), domain=(_LOG_X_MIN, _LOG_X_MAX)))
+        return math.exp(find_root(self._gap, u, 1e-13 * max(1.0, abs(target)),
+                                  fprime=self._slope, domain=(_LOG_X_MIN, _LOG_X_MAX)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +472,12 @@ class PdmpTrajectory:
     bins_crossed: int        # histogram bins met by the flow segments, summed
 
 
+# the smallest normal float.  A subnormal start has lost precision, and the
+# flow below it underflows to 0 within a few e-folds.  A bin's density is at
+# most 1/width, so bins at least this wide keep it finite
+_TINY = float(np.finfo(float).tiny)
+
+
 def simulate_pdmp(
     model: ContinuousBurstModel,
     y0: float,
@@ -488,12 +500,13 @@ def simulate_pdmp(
     UniformStream and Q and its inverse on their scalar paths, it writes
     the wait draws, flow ends and burst sizes into the output arrays.
     Post-jump states, holding times and the histogram then follow in
-    chunks of _PATH_CHUNK jumps, with the same float operations in the
+    chunks of PATH_CHUNK jumps, with the same float operations in the
     same order: logs through math, the crossed bins of each flow segment
     from searchsorted on the log edges, and every running sum sequential.
     """
-    if y0 <= 0.0:
-        raise ModelError("simulate_pdmp: y0 must be > 0")
+    if not y0 >= _TINY:
+        raise ModelError(f"simulate_pdmp: y0 must be at least {_TINY:.4g}, "
+                         "the smallest normal float")
     if n_jumps < 1:
         raise ModelError("simulate_pdmp: need at least one jump")
     cap = model.burst_size.support_cap
@@ -515,8 +528,9 @@ def simulate_pdmp(
     # nan edge warns, and a nan edge passes the order test below
     if not np.all(np.isfinite(edges) & (edges > 0.0)):
         raise ModelError("simulate_pdmp: histogram edges must be finite and positive")
-    if np.any(np.diff(edges) <= 0):
-        raise ModelError("simulate_pdmp: need at least two increasing histogram bins")
+    if np.any(np.diff(edges) < _TINY):
+        raise ModelError("simulate_pdmp: need at least two increasing histogram bins, "
+                         f"each at least {_TINY:.4g} wide")
 
     times = np.zeros(n_jumps + 1)
     y_pre = np.zeros(n_jumps)
@@ -547,11 +561,6 @@ def simulate_pdmp(
                           pot.inverse_evals, crossed)
 
 
-# jumps per post-pass chunk: the crossed-bin expansion and the math.log
-# lists stay a few hundred KiB however long the path
-_PATH_CHUNK = 4096
-
-
 def _path_exposure(y0: float, y_pre: np.ndarray, y_post: np.ndarray, gamma: float,
                    edges: np.ndarray, epochs: np.ndarray) -> tuple[ExposureHistogram, int]:
     """Jump epochs and the exposure histogram of a PDMP path, chunk by chunk.
@@ -574,8 +583,8 @@ def _path_exposure(y0: float, y_pre: np.ndarray, y_post: np.ndarray, gamma: floa
     below = above = 0.0
     crossed = 0
     n_jumps = len(y_pre)
-    for c0 in range(0, n_jumps, _PATH_CHUNK):
-        c1 = min(c0 + _PATH_CHUNK, n_jumps)
+    for c0 in range(0, n_jumps, PATH_CHUNK):
+        c1 = min(c0 + PATH_CHUNK, n_jumps)
         pre = y_pre[c0:c1]
         prev = y_post[c0 - 1:c1 - 1] if c0 else np.concatenate(([y0], y_post[:c1 - 1]))
         m = c1 - c0

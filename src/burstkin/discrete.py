@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -31,7 +32,7 @@ from .models import (
     LinearDecay,
     TabulatedDecay,
 )
-from .numerics import DRAW_BLOCK, expm, l1_distance, make_rng
+from .numerics import DRAW_BLOCK, PATH_CHUNK, expm, l1_distance, make_rng
 
 # perfbench/baseline.py saves, patches and restores this attribute around
 # evolve_master; nothing in burstkin reads it
@@ -534,16 +535,56 @@ def _grow_rates(model: DiscreteBurstModel, n: int, pdec: list, total: list) -> N
     pdec.extend((gam / rate).tolist())
 
 
+def _path_states(n0: int, bursts: np.ndarray) -> np.ndarray:
+    """n0 and the states after each jump: the running sum of the steps,
+    each the burst size or -1 for a degradation.  A burst x is at least 1,
+    so the step is x + min(x, 1) - 1, formed in place without a mask the
+    size of the path."""
+    states = np.empty(len(bursts) + 1, dtype=np.int64)
+    steps = states[1:]
+    np.minimum(bursts, 1, out=steps)
+    steps += bursts
+    steps -= 1
+    states[0] = n0
+    return np.cumsum(states, out=states)
+
+
+def _holding_times(total: np.ndarray, visited: np.ndarray, waits: np.ndarray,
+                   out: np.ndarray) -> None:
+    """out = eps/(rate+decay) of each visited state; mode="clip" stops take
+    from buffering a copy of its output."""
+    np.take(total, visited, out=out, mode="clip")
+    np.divide(waits, out, out=out)
+
+
 @dataclass(frozen=True, eq=False)
 class JumpChainResult:
-    """Embedded-chain sample path plus its time-weighted occupancy estimate."""
+    """Embedded-chain sample path plus its time-weighted occupancy estimate.
 
-    times: np.ndarray          # t_0 = 0 and the jump epochs
-    states: np.ndarray         # post-jump states, states[0] = n0
+    Only the draws that fix the path are stored, 16 B a jump; the states
+    and the jump epochs follow from them, n0 and the per-state
+    rate+decay table on first access, with the simulator's own float
+    operations, so they are bit-identical to a per-jump loop.
+    """
+
     wait_draws: np.ndarray     # unit exponentials driving the holding times
     burst_sizes: np.ndarray    # 0 marks a degradation step
     occupancy: Pmf             # holding-time-weighted state frequencies
     total_time: float
+    n0: int
+    total_rates: np.ndarray    # rate+decay of states 0, 1, ... past every visited one
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Post-jump states, states[0] = n0."""
+        return _path_states(self.n0, self.burst_sizes)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """t_0 = 0 and the jump epochs."""
+        times = np.zeros(len(self.wait_draws) + 1)
+        _holding_times(self.total_rates, self.states[:-1], self.wait_draws, times[1:])
+        return np.cumsum(times, out=times)
 
 
 def simulate_jump_chain(
@@ -565,10 +606,11 @@ def simulate_jump_chain(
 
     The loop only fixes the path: on Python floats, with uniforms in
     blocks and per-state decay probabilities in a list, it writes the
-    wait draws and burst sizes straight into the output arrays.  States,
-    holding times, occupancy and jump epochs then follow in numpy with
-    the same operations in the same order, so memory is those arrays and
-    little else.
+    wait draws and burst sizes straight into the output arrays, 16 B a
+    jump.  A post-pass then folds states, holding times, occupancy and
+    the clock in chunks of PATH_CHUNK jumps, with the same operations in
+    the same order, so memory is those two arrays and one chunk.  The
+    result derives states and epochs on access.
     """
     if n0 < 0:
         raise ModelError("simulate_jump_chain: n0 must be >= 0")
@@ -585,8 +627,6 @@ def simulate_jump_chain(
     total: list = []    # rate+decay per state
     _grow_rates(model, n0 + 1, pdec, total)
 
-    times = np.zeros(n_jumps + 1)
-    states = np.zeros(n_jumps + 1, dtype=np.int64)
     waits = np.zeros(n_jumps)
     bursts = np.zeros(n_jumps, dtype=np.int64)
 
@@ -621,30 +661,29 @@ def simulate_jump_chain(
             bursts_w[k] = size
             pos += 3
 
-    # the path: n0 plus the running sum of the steps, each the burst size
-    # or -1 for a degradation.  A burst x is at least 1, so the step is
-    # x + min(x, 1) - 1, formed in place without a mask the size of the path
-    steps = states[1:]
-    np.minimum(bursts, 1, out=steps)
-    steps += bursts
-    steps -= 1
-    states[0] = n0
-    np.cumsum(states, out=states)
-
-    # holding time eps/(rate+decay) of each visited state, summed per state
-    # and along the path in the order the jumps were taken; mode="clip"
-    # stops take from buffering a copy of its output
-    visited, dts = states[:-1], times[1:]
-    np.take(total, visited, out=dts, mode="clip")
-    np.divide(waits, dts, out=dts)
-    occupancy = np.bincount(visited, weights=dts)
-    np.cumsum(dts, out=dts)
-    t = float(times[-1])
+    # holding times summed per state and along the path in the order the
+    # jumps were taken.  The running totals go first: bincount adds each
+    # state's weights in order from 0.0, and 0.0 + x is x; cumsum adds in
+    # order, so the clock carried in front of a chunk continues its sum
+    total_rates = np.array(total)
+    occupancy = np.zeros(0)
+    n, t = int(n0), 0.0
+    for c0 in range(0, n_jumps, PATH_CHUNK):
+        c1 = min(c0 + PATH_CHUNK, n_jumps)
+        states = _path_states(n, bursts[c0:c1])
+        clock = np.empty(c1 - c0 + 1)
+        clock[0] = t
+        dts = clock[1:]
+        _holding_times(total_rates, states[:-1], waits[c0:c1], dts)
+        occupancy = np.bincount(np.concatenate((np.arange(len(occupancy)), states[:-1])),
+                                weights=np.concatenate((occupancy, dts)))
+        np.cumsum(clock, out=clock)
+        n, t = int(states[-1]), float(clock[-1])
 
     hi = int(np.max(np.nonzero(occupancy)[0])) if np.any(occupancy > 0) else 0
     occ = occupancy[: hi + 1]
     occ_pmf = Pmf(occ / t if t > 0 else occ)
-    return JumpChainResult(times, states, waits, bursts, occ_pmf, t)
+    return JumpChainResult(waits, bursts, occ_pmf, t, int(n0), total_rates)
 
 
 # ---------------------------------------------------------------------------

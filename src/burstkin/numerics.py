@@ -61,6 +61,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # uniforms drawn per refill of a UniformStream
 DRAW_BLOCK = 256
 
+# jumps per chunk of a simulator's post-pass: the working arrays stay a few
+# hundred KiB however long the path
+PATH_CHUNK = 4096
+
 
 class UniformStream:
     """The uniforms of a generator, drawn DRAW_BLOCK at a time.

@@ -357,6 +357,25 @@ def test_pdmp_reports_potential_evals_per_jump(tmp_path):
     assert 1.0 <= counts["linear"] <= 8.0
 
 
+@pytest.mark.parametrize("y0", ["5e-324", "1e-320", "1e-307"])
+def test_pdmp_near_the_float_floor_runs_finite_or_is_a_config_error(tmp_path, capsys, y0):
+    # a subnormal y0 once ended in a bare ValueError from math.log, or in
+    # inf in the first histogram bin, whose width was subnormal
+    text = PDMP_CFG.replace("numeric.y0 = 1.0", f"numeric.y0 = {y0}")
+    out = tmp_path / "out"
+    rc = main(["simulate-pdmp", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rc == 1:
+        assert "simulate_pdmp" in err and not list(out.glob("*"))
+        return
+    assert rc == 0
+    json.loads((out / "summary.json").read_text(), parse_constant=_no_bare_constants)
+    for csv in out.glob("*.csv"):
+        body = csv.read_text()
+        assert "inf" not in body and "nan" not in body, csv.name
+
+
 def test_cli_modes_continuous(tmp_path):
     text = """\
 run.mode = modes

@@ -530,8 +530,11 @@ def test_simulate_pdmp_histogram_density_survives_a_tiny_start():
 
 def test_simulate_pdmp_validation():
     m = gamma_model()
-    with pytest.raises(ModelError):
-        simulate_pdmp(m, 0.0, 10, seed=0)
+    for y0 in (0.0, 5e-324, 1e-320, math.nan):   # subnormal starts included
+        with pytest.raises(ModelError):
+            simulate_pdmp(m, y0, 10, seed=0)
+    with pytest.raises(ModelError, match="wide"):   # a subnormal first bin
+        simulate_pdmp(m, 1e-307, 10, seed=0, n_bins=100_000)
     with pytest.raises(ModelError):
         simulate_pdmp(m, 1.0, 0, seed=0)
     with pytest.raises(ModelError):

@@ -40,7 +40,7 @@ from burstkin.models import (
     TabulatedRate,
     TruncatedLinearRate,
 )
-from burstkin.numerics import DRAW_BLOCK, expm, make_rng
+from burstkin.numerics import DRAW_BLOCK, PATH_CHUNK, expm, make_rng
 
 
 def nb_model(lam0=1.0, lam1=0.0, gamma=1.0, b=0.5):
@@ -633,6 +633,22 @@ def chain_models(draw):
        n_jumps=st.sampled_from((DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
                                 3 * DRAW_BLOCK + 7)),
        n0=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), stream=st.integers(0, 3))
+# the post-pass's chunk edges
+@example(model=DiscreteBurstModel(ConstantRate(2.0), LinearDecay(1.0), GeometricBurst(0.5)),
+         n_jumps=PATH_CHUNK - 1, n0=0, seed=7, stream=0)
+@example(model=DiscreteBurstModel(LinearRate(1.0, 0.3), LinearDecay(1.0), GeometricBurst(0.6)),
+         n_jumps=PATH_CHUNK, n0=12, seed=2, stream=2)
+@example(model=DiscreteBurstModel(TabulatedRate((1.5, 0.5, 3.0)), LinearDecay(0.9),
+                                  TabulatedBurst((0.5, 0.3, 0.2))),
+         n_jumps=PATH_CHUNK + 1, n0=3, seed=4, stream=3)
+@example(model=DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
+                                  TabulatedBurst((0.5, 0.3, 0.2))),
+         n_jumps=2 * PATH_CHUNK + 7, n0=5, seed=1, stream=1)
+# runs past its 16-state decay table at jump 5143, inside the second chunk
+@example(model=DiscreteBurstModel(ConstantRate(1.0),
+                                  TabulatedDecay((0.0,) + tuple(map(float, range(1, 16)))),
+                                  GeometricBurst(0.5)),
+         n_jumps=2 * PATH_CHUNK + 7, n0=0, seed=3, stream=0)
 def test_jump_chain_is_bit_identical_to_the_scalar_loop(model, n_jumps, n0, seed, stream):
     try:
         ref = scalar_jump_chain(model, n0, n_jumps, seed, stream)
@@ -657,6 +673,22 @@ def test_jump_chain_past_a_decay_table_still_raises():
         scalar_jump_chain(m, 0, 200, 1)
     with pytest.raises(ModelError):
         simulate_jump_chain(m, 0, 200, seed=1)
+
+
+def test_jump_chain_stores_only_its_draws():
+    # 16 B a jump for the wait draws and burst sizes; the post-pass works
+    # one chunk at a time and states and epochs are not formed
+    m = DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
+                           GeometricBurst(0.5))
+    n_jumps = 300_000
+    simulate_jump_chain(m, 0, 10, seed=1)   # lazy imports out of the count
+    tracemalloc.start()
+    try:
+        simulate_jump_chain(m, 0, n_jumps, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n_jumps + 2**20
 
 
 def test_jump_chain_memory_is_its_output_arrays():
