@@ -450,6 +450,7 @@ def _run_evolve_master(cfg, model, out: Path):
         "max_mass_drift": max(abs(p.mass() - 1.0) for p in trace.pmfs),
         # finite-state-projection certificate: the most mass parked at the cap
         "max_cap_mass": max(float(p.values[-1]) for p in trace.pmfs),
+        "squarings": trace.squarings,
     }
     return scalars, ["trace.csv", "final_pmf.csv"]
 
@@ -461,7 +462,7 @@ def _run_simulate_discrete(cfg, model, out: Path):
     write_pmf_csv(out / "occupancy.csv", res.occupancy.values)
     scalars = {
         "total_time": res.total_time,
-        "jumps_taken": int(len(res.wait_draws)),
+        "jumps_taken": res.n_jumps,
     }
     try:
         target = disc.stationary_pmf_general(model, res.occupancy.n_max, tail_tol=None)

@@ -416,18 +416,35 @@ def master_rhs_truncated(model: DiscreteBurstModel, p: np.ndarray | Pmf) -> np.n
 # subnormals, which BLAS multiplies several times slower
 _DROP = math.sqrt(np.finfo(float).tiny)
 
+# the squarings stop once _mixing_bound falls below this
+_MIXED = 1e-15
 
-def _propagator(gen: np.ndarray, dt: float) -> np.ndarray:
-    """exp(dt G) for a generator with zero column sums.
+
+def _mixing_bound(p: np.ndarray) -> float:
+    """1 - sum_i min_j p_ij, an upper bound on the Dobrushin coefficient
+    tau(p) = 1/2 max_{j,k} |p e_j - p e_k|_1 of a column-stochastic p
+    (Seneta, Non-negative Matrices and Markov Chains, ch. 3)."""
+    return 1.0 - float(p.min(axis=1).sum())
+
+
+def _propagator(gen: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
+    """exp(dt G) for a generator with zero column sums, and the number of
+    squarings it took.
 
     expm runs on dt G / 2^h, whose 1-norm is below one, so it neither
-    copies nor scales it, and the result is squared h times here with
-    its columns renormalized to unit mass after each squaring.  With G,
-    at most six n x n arrays are live: G, dt G, and expm's a^2, a^3, sum
-    and spare.  Squaring a stochastic matrix doubles any
+    copies nor scales it, and the result is squared up to h times here
+    with its columns renormalized to unit mass after each squaring.
+    With G, at most six n x n arrays are live: G, dt G, and expm's a^2,
+    a^3, sum and spare.  Squaring a stochastic matrix doubles any
     rounding error in its unit eigenvalue; over the ~1000 squarings of a
     horizon like 1e300 that error would under- or overflow, while the
     renormalized squares settle on the stationary law.
+
+    The squarings stop once _mixing_bound(P) < _MIXED.  Every later
+    square is P times a stochastic matrix, so each of its columns is a
+    mix of P's columns, which lie within 2 _MIXED of each other in L1:
+    the squarings left out move no column by more than that, and a long
+    horizon costs a dozen or two squarings, not a thousand.
 
     Entries with |p| < _DROP (about 1.5e-154) are set to zero in the
     expm result and after each renormalized squaring.  Each drop takes
@@ -444,12 +461,14 @@ def _propagator(gen: np.ndarray, dt: float) -> np.ndarray:
     # each mask is read off the buffer that is dead until the next swap
     spare = np.empty_like(p)
     p[np.abs(p, out=spare) < _DROP] = 0.0
-    for _ in range(halvings):
+    for squarings in range(1, halvings + 1):
         np.matmul(p, p, out=spare)
         spare /= spare.sum(axis=0)
         spare[np.abs(spare, out=p) < _DROP] = 0.0
         p, spare = spare, p
-    return p
+        if _mixing_bound(p) < _MIXED:
+            return p, squarings
+    return p, halvings
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,6 +479,7 @@ class MasterTrace:
     pmfs: list
     l1_to_stationary: np.ndarray
     stationary: Pmf
+    squarings: int      # renormalized squarings over all propagators formed
 
 
 def evolve_master(
@@ -495,21 +515,24 @@ def evolve_master(
         if n_snapshots < 1:
             raise ModelError("evolve_master: n_snapshots must be >= 1")
         times = [t_end * (i + 1) / n_snapshots for i in range(n_snapshots)]
-        steps = [_propagator(gen, t_end / n_snapshots)] * n_snapshots
+        dts = [t_end / n_snapshots]
     else:
         times = sorted({float(s) for s in snapshot_times if 0.0 < s <= t_end})
         if not times or times[-1] < t_end:
             times.append(float(t_end))
-        steps = (_propagator(gen, dt) for dt in np.diff(times, prepend=0.0))
+        dts = np.diff(times, prepend=0.0)
 
-    pmfs = []
-    for step in steps:
+    pmfs, squarings = [], 0
+    for i in range(len(times)):
+        if i < len(dts):        # even snapshots reuse their one propagator
+            step, count = _propagator(gen, dts[i])
+            squarings += count
         values = step @ values
         pmfs.append(Pmf(values))
 
     stationary = stationary_pmf_general(model, cap, tail_tol=None)
     dists = np.array([l1_distance(p.values, stationary.values) for p in pmfs])
-    return MasterTrace(np.array(times), pmfs, dists, stationary)
+    return MasterTrace(np.array(times), pmfs, dists, stationary, squarings)
 
 
 # ---------------------------------------------------------------------------
@@ -557,22 +580,118 @@ def _holding_times(total: np.ndarray, visited: np.ndarray, waits: np.ndarray,
     np.divide(waits, out, out=out)
 
 
+def _jump_blocks(model: DiscreteBurstModel, n0: int, n_jumps: int, seed: int,
+                 stream: int):
+    """The draws that fix the jump chain's path, PATH_CHUNK jumps at a time.
+
+    Yields (waits, bursts, total) per block: views of two buffers reused
+    by every block, the unit exponentials of the holding times and the
+    burst sizes (0 marks a degradation), and the list of rate+decay of
+    states 0, 1, ... past every state visited so far.  A block is valid
+    until the next one is drawn.
+
+    The loop runs on Python floats, with uniforms in blocks and per-state
+    decay probabilities in a list, and writes each jump's draws straight
+    into the buffers, so the same (model, n0, seed, stream) always yields
+    the same bits.
+    """
+    rng = make_rng(seed, stream)
+    law = model.burst_size
+    # geometric sizes inline size_at: ceil(ln(1 - u) / ln b), and u = 0 maps
+    # to ceil(-0.0) = 0, so "or 1" stands in for its max(1, .)
+    log_b = law.log_b if isinstance(law, GeometricBurst) else None
+    size_at = law.size_at
+    log, log1p, ceil = math.log, math.log1p, math.ceil
+    pdec: list = []     # decay/(rate+decay) per state
+    total: list = []    # rate+decay per state
+    _grow_rates(model, n0 + 1, pdec, total)
+
+    waits = np.empty(PATH_CHUNK)
+    bursts = np.empty(PATH_CHUNK, dtype=np.int64)
+
+    # the loop writes Python floats and ints through memoryviews, no numpy call
+    waits_w, bursts_w = map(memoryview, (waits, bursts))
+
+    # uniforms in blocks of DRAW_BLOCK, read in place; a jump takes at most
+    # three, and unread ones carry over, so the draws are those of scalar
+    # rng.random() calls in order (UniformStream, inlined)
+    draws: list = []
+    n_draws = pos = 0
+    n_cached = len(pdec)
+    n = int(n0)
+    for c0 in range(0, n_jumps, PATH_CHUNK):
+        n_block = min(PATH_CHUNK, n_jumps - c0)
+        bursts.fill(0)
+        for k in range(n_block):
+            if pos > n_draws - 3:
+                draws = draws[pos:] + rng.random(DRAW_BLOCK).tolist()
+                n_draws = len(draws)
+                pos = 0
+            if n >= n_cached:
+                _grow_rates(model, n, pdec, total)
+                n_cached = len(pdec)
+            waits_w[k] = -log1p(-draws[pos])   # draw_unit_exponential
+            if draws[pos + 1] < pdec[n]:
+                n -= 1
+                pos += 2
+            else:
+                if log_b is None:
+                    size = size_at(draws[pos + 2])
+                else:
+                    size = ceil(log(1.0 - draws[pos + 2]) / log_b) or 1
+                n += size
+                bursts_w[k] = size
+                pos += 3
+        yield waits[:n_block], bursts[:n_block], total
+
+
 @dataclass(frozen=True, eq=False)
 class JumpChainResult:
-    """Embedded-chain sample path plus its time-weighted occupancy estimate.
+    """Time-weighted occupancy of a jump chain, and how to replay its path.
 
-    Only the draws that fix the path are stored, 16 B a jump; the states
-    and the jump epochs follow from them, n0 and the per-state
-    rate+decay table on first access, with the simulator's own float
-    operations, so they are bit-identical to a per-jump loop.
+    A run keeps only the occupancy, the clock and what fixes its draws:
+    the model, n0, the jump count, seed and stream.  The path is read on
+    demand: the first access to wait_draws, burst_sizes, total_rates,
+    states or times re-runs the chain's draws once and caches them, and
+    the rest follows with the simulator's own float operations, so every
+    array is bit-identical to a per-jump loop.  Reading the path costs
+    32 B a jump; not reading it costs nothing.
     """
 
-    wait_draws: np.ndarray     # unit exponentials driving the holding times
-    burst_sizes: np.ndarray    # 0 marks a degradation step
     occupancy: Pmf             # holding-time-weighted state frequencies
     total_time: float
     n0: int
-    total_rates: np.ndarray    # rate+decay of states 0, 1, ... past every visited one
+    n_jumps: int
+    model: DiscreteBurstModel
+    seed: int
+    stream: int
+
+    @cached_property
+    def _draws(self) -> tuple:
+        waits = np.empty(self.n_jumps)
+        bursts = np.empty(self.n_jumps, dtype=np.int64)
+        c0 = 0
+        for w, b, total in _jump_blocks(self.model, self.n0, self.n_jumps,
+                                        self.seed, self.stream):
+            c1 = c0 + len(w)
+            waits[c0:c1], bursts[c0:c1] = w, b
+            c0 = c1
+        return waits, bursts, np.array(total)
+
+    @property
+    def wait_draws(self) -> np.ndarray:
+        """Unit exponentials driving the holding times."""
+        return self._draws[0]
+
+    @property
+    def burst_sizes(self) -> np.ndarray:
+        """Burst size of each jump; 0 marks a degradation step."""
+        return self._draws[1]
+
+    @property
+    def total_rates(self) -> np.ndarray:
+        """rate+decay of states 0, 1, ... past every visited one."""
+        return self._draws[2]
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -582,7 +701,7 @@ class JumpChainResult:
     @cached_property
     def times(self) -> np.ndarray:
         """t_0 = 0 and the jump epochs."""
-        times = np.zeros(len(self.wait_draws) + 1)
+        times = np.zeros(self.n_jumps + 1)
         _holding_times(self.total_rates, self.states[:-1], self.wait_draws, times[1:])
         return np.cumsum(times, out=times)
 
@@ -604,77 +723,30 @@ def simulate_jump_chain(
     holding time.  Every state has a positive total rate (rate(0) > 0
     and decay(n) > 0 for n >= 1), so the chain always takes n_jumps.
 
-    The loop only fixes the path: on Python floats, with uniforms in
-    blocks and per-state decay probabilities in a list, it writes the
-    wait draws and burst sizes straight into the output arrays, 16 B a
-    jump.  A post-pass then folds states, holding times, occupancy and
-    the clock in chunks of PATH_CHUNK jumps, with the same operations in
-    the same order, so memory is those two arrays and one chunk.  The
-    result derives states and epochs on access.
+    Each block of PATH_CHUNK jumps is folded into the occupancy and the
+    clock as soon as it is drawn, so memory stays a few hundred KiB
+    however long the chain.  The result replays the draws when its path
+    is read.
     """
     if n0 < 0:
         raise ModelError("simulate_jump_chain: n0 must be >= 0")
     if n_jumps < 1:
         raise ModelError("simulate_jump_chain: need at least one jump")
-    rng = make_rng(seed, stream)
-    law = model.burst_size
-    # geometric sizes inline size_at: ceil(ln(1 - u) / ln b), and u = 0 maps
-    # to ceil(-0.0) = 0, so "or 1" stands in for its max(1, .)
-    log_b = law.log_b if isinstance(law, GeometricBurst) else None
-    size_at = law.size_at
-    log, log1p, ceil = math.log, math.log1p, math.ceil
-    pdec: list = []     # decay/(rate+decay) per state
-    total: list = []    # rate+decay per state
-    _grow_rates(model, n0 + 1, pdec, total)
-
-    waits = np.zeros(n_jumps)
-    bursts = np.zeros(n_jumps, dtype=np.int64)
-
-    # the loop writes Python floats and ints through memoryviews, no numpy call
-    waits_w, bursts_w = map(memoryview, (waits, bursts))
-
-    # uniforms in blocks of DRAW_BLOCK, read in place; a jump takes at most
-    # three, and unread ones carry over, so the draws are those of scalar
-    # rng.random() calls in order (UniformStream, inlined)
-    draws: list = []
-    n_draws = pos = 0
-    n_cached = len(pdec)
-    n = int(n0)
-    for k in range(n_jumps):
-        if pos > n_draws - 3:
-            draws = draws[pos:] + rng.random(DRAW_BLOCK).tolist()
-            n_draws = len(draws)
-            pos = 0
-        if n >= n_cached:
-            _grow_rates(model, n, pdec, total)
-            n_cached = len(pdec)
-        waits_w[k] = -log1p(-draws[pos])   # draw_unit_exponential
-        if draws[pos + 1] < pdec[n]:
-            n -= 1
-            pos += 2
-        else:
-            if log_b is None:
-                size = size_at(draws[pos + 2])
-            else:
-                size = ceil(log(1.0 - draws[pos + 2]) / log_b) or 1
-            n += size
-            bursts_w[k] = size
-            pos += 3
 
     # holding times summed per state and along the path in the order the
     # jumps were taken.  The running totals go first: bincount adds each
     # state's weights in order from 0.0, and 0.0 + x is x; cumsum adds in
-    # order, so the clock carried in front of a chunk continues its sum
-    total_rates = np.array(total)
-    occupancy = np.zeros(0)
+    # order, so the clock carried in front of a block continues its sum
+    occupancy = rates = np.zeros(0)
     n, t = int(n0), 0.0
-    for c0 in range(0, n_jumps, PATH_CHUNK):
-        c1 = min(c0 + PATH_CHUNK, n_jumps)
-        states = _path_states(n, bursts[c0:c1])
-        clock = np.empty(c1 - c0 + 1)
+    for waits, bursts, total in _jump_blocks(model, n0, n_jumps, seed, stream):
+        if len(rates) < len(total):
+            rates = np.array(total)
+        states = _path_states(n, bursts)
+        clock = np.empty(len(waits) + 1)
         clock[0] = t
         dts = clock[1:]
-        _holding_times(total_rates, states[:-1], waits[c0:c1], dts)
+        _holding_times(rates, states[:-1], waits, dts)
         occupancy = np.bincount(np.concatenate((np.arange(len(occupancy)), states[:-1])),
                                 weights=np.concatenate((occupancy, dts)))
         np.cumsum(clock, out=clock)
@@ -683,7 +755,7 @@ def simulate_jump_chain(
     hi = int(np.max(np.nonzero(occupancy)[0])) if np.any(occupancy > 0) else 0
     occ = occupancy[: hi + 1]
     occ_pmf = Pmf(occ / t if t > 0 else occ)
-    return JumpChainResult(waits, bursts, occ_pmf, t, int(n0), total_rates)
+    return JumpChainResult(occ_pmf, t, int(n0), int(n_jumps), model, seed, stream)
 
 
 # ---------------------------------------------------------------------------

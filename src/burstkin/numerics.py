@@ -61,8 +61,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # uniforms drawn per refill of a UniformStream
 DRAW_BLOCK = 256
 
-# jumps per chunk of a simulator's post-pass: the working arrays stay a few
-# hundred KiB however long the path
+# jumps per block of the jump chain's draws and per chunk of the PDMP's
+# post-pass: the working arrays stay a few hundred KiB however long the path
 PATH_CHUNK = 4096
 
 

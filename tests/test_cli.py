@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -657,6 +658,36 @@ numeric.n0 = 0
 numeric.n_jumps = 2000
 numeric.seed = 11
 """
+
+
+def test_evolve_master_reports_its_squarings(tmp_path):
+    counts = {}
+    for t_end in ("6.0", "1e300"):
+        cfg = parse_config(EVOLVE_CFG, overrides={("numeric", "t_end"): t_end,
+                                                  ("output", "dir"): str(tmp_path / t_end)})
+        counts[t_end] = run_experiment(cfg).scalars["squarings"]
+    # 6/25 |G|_1 is a few units: a handful of halvings, every one squared;
+    # 1e300/25 needs about 1000, and the squarings stop once mixed
+    assert 0 < counts["6.0"] < 10
+    assert 0 < counts["1e300"] <= 25
+
+
+def test_simulate_discrete_memory_does_not_grow_with_the_chain(tmp_path):
+    # the CLI reads the occupancy, the clock and the jump count, never the path
+    def peak(n_jumps):
+        cfg = parse_config(SIM_DISCRETE_CFG, overrides={
+            ("numeric", "n_jumps"): str(n_jumps), ("output", "dir"): str(tmp_path / str(n_jumps))})
+        tracemalloc.start()
+        try:
+            assert run_experiment(cfg).scalars["jumps_taken"] == n_jumps
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)      # lazy imports out of the count
+    short, long = peak(30_000), peak(300_000)
+    assert long <= 2**20
+    assert long <= short + 2**16
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from burstkin.discrete import (
     NegativeBinomialFamily,
     Pmf,
     _DROP,
+    _MIXED,
+    _mixing_bound,
     _propagator,
     count_modes_discrete,
     evolve_master,
@@ -409,13 +411,16 @@ def test_evolve_master_uneven_snapshots_compose():
 
 
 def undropped_propagator(gen, dt):
-    """_propagator's scaling and renormalized squaring, keeping every entry."""
+    """_propagator's scaling, renormalized squaring and stop once mixed,
+    keeping every entry."""
     a = dt * gen
     halvings = max(0, math.frexp(float(np.linalg.norm(a, 1)))[1])
     p = expm(np.ldexp(a, -halvings))
     for _ in range(halvings):
         p = p @ p
         p /= p.sum(axis=0)
+        if _mixing_bound(p) < _MIXED:
+            break
     return p
 
 
@@ -428,7 +433,7 @@ def undropped_propagator(gen, dt):
 def test_propagator_drop_is_invisible_in_the_snapshots(model, cap, t_end, n_snapshots, start):
     gen = master_rhs_truncated(model, np.eye(cap + 1))
     dt = t_end / n_snapshots
-    step = _propagator(gen, dt)
+    step, _ = _propagator(gen, dt)
     assert np.all(np.abs(step[step != 0.0]) >= _DROP)
     ref_step = undropped_propagator(gen, dt)
     v = np.zeros(cap + 1)
@@ -437,6 +442,31 @@ def test_propagator_drop_is_invisible_in_the_snapshots(model, cap, t_end, n_snap
     for _ in range(n_snapshots):
         v, ref = step @ v, ref_step @ ref
         assert np.sum(np.abs(v - ref)) <= 1e-100
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=discrete_models(), cap=st.integers(3, 30), dt=st.floats(1e-3, 1e3))
+def test_mixing_bound_is_at_least_the_pairwise_dobrushin_coefficient(model, cap, dt):
+    gen = master_rhs_truncated(model, np.eye(cap + 1))
+    p, _ = _propagator(gen, dt)
+    # tau(P) = 1/2 max_{j,k} |P e_j - P e_k|_1, over every pair of columns
+    tau = 0.5 * float(np.max(np.sum(np.abs(p[:, :, None] - p[:, None, :]), axis=0)))
+    # the columns carry unit mass to rounding, which is all the bound assumes
+    assert _mixing_bound(p) >= tau - 1e-14
+    assert _mixing_bound(p) <= 1.0
+
+
+@pytest.mark.parametrize("cap", (40, 200, 400))
+@pytest.mark.parametrize("rate", (LinearRate(2.0, 0.3), ConstantRate(2.0),
+                                  HillRate(2.0, 2.0, 1.0, 0.5, 2.0)))
+def test_long_horizons_stop_squaring_once_mixed(cap, rate):
+    m = DiscreteBurstModel(rate, LinearDecay(1.0), GeometricBurst(0.5))
+    v0 = np.zeros(cap + 1)
+    v0[0] = 1.0
+    far = evolve_master(m, v0, 1e300)
+    # 2^-h (1e300 / 25) |G|_1 < 1 takes about 1000 halvings
+    assert 0 < far.squarings <= 25
+    assert far.l1_to_stationary[-1] <= 1e-10
 
 
 def test_evolve_master_memory_at_cap_400():
@@ -675,20 +705,24 @@ def test_jump_chain_past_a_decay_table_still_raises():
         simulate_jump_chain(m, 0, 200, seed=1)
 
 
-def test_jump_chain_stores_only_its_draws():
-    # 16 B a jump for the wait draws and burst sizes; the post-pass works
-    # one chunk at a time and states and epochs are not formed
+def test_jump_chain_memory_does_not_grow_with_its_length():
+    # each block of draws is folded as it is drawn and the path is not kept,
+    # so the peak is two reused buffers and one block's fold
     m = DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
                            GeometricBurst(0.5))
-    n_jumps = 300_000
-    simulate_jump_chain(m, 0, 10, seed=1)   # lazy imports out of the count
-    tracemalloc.start()
-    try:
-        simulate_jump_chain(m, 0, n_jumps, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * n_jumps + 2**20
+
+    def peak(n_jumps):
+        tracemalloc.start()
+        try:
+            simulate_jump_chain(m, 0, n_jumps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)    # lazy imports out of the count
+    short, long = peak(30_000), peak(300_000)
+    assert long <= 2**20
+    assert long <= short + 2**16
 
 
 def test_jump_chain_memory_is_its_output_arrays():
