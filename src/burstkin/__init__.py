@@ -87,7 +87,6 @@ from .numerics import (
     expm,
     l1_distance,
     make_rng,
-    quad_adaptive,
     trapezoid,
     tv_distance,
 )

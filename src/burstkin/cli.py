@@ -431,7 +431,8 @@ def _run_stationary_continuous(cfg, model, out: Path):
     num = cfg.numeric
     density = cont.stationary_density(model, n_knots=num["n_knots"], x_ref=num["x_ref"])
     write_density_csv(out / "density.csv", density.grid, density.values)
-    return {"normalization": density.normalization, "mass": density.mass()}, ["density.csv"]
+    return ({"normalization": density.normalization, "mass_outside_grid": density.mass_outside},
+            ["density.csv"])
 
 
 def _run_evolve_master(cfg, model, out: Path):
@@ -563,6 +564,8 @@ def _run_ergodicity(cfg, model, out: Path):
         raise ValidationError("numeric.n_probes must be >= 1")
     if num["y_probe"] <= 0.0:
         raise ValidationError(f"numeric.y_probe must be > 0, got {num['y_probe']}")
+    if num["quad_tol"] <= 0.0:
+        raise ValidationError(f"numeric.quad_tol must be > 0, got {num['quad_tol']}")
     probes = np.geomspace(num["y_probe"] * 1e-2, num["y_probe"], num["n_probes"])
     margins, running = cont.ergodicity_scan(model, probes, quad_tol=num["quad_tol"])
     write_pairs_csv(out / "margins.csv", "y,margin", probes, margins)

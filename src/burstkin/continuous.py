@@ -44,8 +44,8 @@ from .numerics import (
     PATH_CHUNK,
     UniformStream,
     find_root,
+    log_quad,
     make_rng,
-    quad_adaptive,
     trapezoid,
 )
 
@@ -81,12 +81,14 @@ class GridDensity:
     """Density values on a strictly increasing positive grid.
 
     ``normalization`` records the constant the raw (unnormalized) form
-    integrated to when the producing operation knows it; NaN otherwise.
+    integrated to, and ``mass_outside`` the law's mass off [grid[0],
+    grid[-1]], when the producing operation knows them; NaN otherwise.
     """
 
     grid: np.ndarray
     values: np.ndarray
     normalization: float = math.nan
+    mass_outside: float = math.nan
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -105,7 +107,7 @@ class GridDensity:
         m = self.mass()
         if not (m > 0.0) or not math.isfinite(m):
             raise NotIntegrable(f"density mass {m!r} is not a positive finite number")
-        return GridDensity(self.grid, self.values / m, self.normalization)
+        return GridDensity(self.grid, self.values / m, self.normalization, self.mass_outside)
 
 
 def geometric_grid(x_min: float, x_max: float, n_knots: int) -> np.ndarray:
@@ -139,9 +141,9 @@ def default_grid(
     """Model-aware log grid.
 
     The lower end sits at 1e-6 of the natural scale, a typical state
-    kept within the kernel support; the upper end is pushed out until the
-    burst tail from that state drops below 1e-12, then capped at the
-    kernel support when that is finite.
+    kept within the kernel support.  The upper end is the kernel support
+    cap when that is finite; otherwise it is pushed out until the burst
+    tail from that state drops below 1e-12.
     """
     burst = model.burst_size
     cap = burst.support_cap
@@ -149,6 +151,8 @@ def default_grid(
     lo = 1e-6 * scale
     if x_max is not None:
         hi = x_max
+    elif math.isfinite(cap):
+        hi = cap
     else:
         hi = scale
         for _ in range(200):
@@ -156,7 +160,6 @@ def default_grid(
                 break
             hi *= 1.5
         hi *= 1.25
-    hi = min(hi, cap)
     if not lo < hi:
         lo = hi * 1e-9
     return geometric_grid(lo, hi, n_knots)
@@ -658,20 +661,13 @@ def _screen(model: ContinuousBurstModel, nu) -> None:
     # finite-support kernels are always fine: the state space is bounded
 
 
-def _check_integrable(f: Callable[[np.ndarray], np.ndarray], probe: float) -> float:
-    """Integrate f over (0, inf), making divergence loud rather than silent."""
+def _check_integrable(f: Callable[[np.ndarray], np.ndarray], probe: float) -> None:
+    """Make divergence at infinity loud: f probed at 1e3 and 1e6 times ``probe``."""
     far = np.array([1e3 * probe, 1e6 * probe])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(f(far), dtype=float)
     if not np.all(np.isfinite(vals)) or (vals[1] > vals[0] and vals[1] > 1e-290):
         raise NotIntegrable("density integrand grows at infinity")
-    try:
-        total = quad_adaptive(f, 0.0, math.inf, 1e-12)
-    except Exception as exc:
-        raise NotIntegrable(f"normalization integral did not converge: {exc}") from exc
-    if not math.isfinite(total) or total <= 0.0:
-        raise NotIntegrable(f"normalization integral evaluated to {total!r}")
-    return total
 
 
 def stationary_density(
@@ -684,7 +680,9 @@ def stationary_density(
     """Stationary density u(x) = nu(x) e^{-Q(x)} / (c decay(x)), c the normalization.
 
     The exponential weight is formed as exp(ln nu(x) - Q(x)), so neither
-    factor overflows or underflows on its own.
+    factor overflows or underflows on its own.  c and the law's mass off
+    the grid, ``mass_outside``, come from numerics.log_quad; GridTooNarrow
+    when more than _MASS_LEAK of it lies below the first knot.
     """
     nu = model.burst_size.nu
     _screen(model, nu)
@@ -696,23 +694,26 @@ def stationary_density(
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return np.exp(nu.log_value(x) - pot.value(x)) / (gamma * x)
 
+    def ln_raw(x):
+        return nu.log_value(x) - pot.value(x) - np.log(gamma * x)
+
     if grid is None:
         grid = default_grid(model, n_knots)
     cap = nu.support_cap
-    if math.isfinite(cap):
-        if grid[-1] > cap:
-            raise ModelError(f"grid exceeds the kernel support cap {cap}")
-        c = quad_adaptive(raw, 0.0, cap, 1e-12)
-        if not math.isfinite(c) or c <= 0.0:
-            raise NotIntegrable(f"normalization integral evaluated to {c!r}")
-    else:
-        probe = float(grid[len(grid) // 2])
-        c = _check_integrable(raw, probe)
+    if grid[-1] > cap:
+        raise ModelError(f"grid exceeds the kernel support cap {cap}")
+    if not math.isfinite(cap):
+        _check_integrable(raw, float(grid[len(grid) // 2]))
+    ln_c = log_quad(ln_raw, 0.0, cap, 1e-12)
+    below = math.exp(log_quad(ln_raw, 0.0, float(grid[0]), 1e-12) - ln_c)
+    if below > _MASS_LEAK:
+        raise GridTooNarrow(f"{below:.3g} of the law lies below the first knot {grid[0]:.6g}")
+    above = math.exp(log_quad(ln_raw, float(grid[-1]), cap, 1e-12) - ln_c)
     values = raw(grid)
     if not np.all(np.isfinite(values)):
         raise NumericalBlowup("density overflowed on the grid; shrink the span")
     mass = trapezoid(values, grid)
-    return GridDensity(grid, values / mass, c)
+    return GridDensity(grid, values / mass, math.exp(ln_c), below + above)
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +721,10 @@ def stationary_density(
 # ---------------------------------------------------------------------------
 
 _SCAN_BLOCK = 64
+
+# the most mass a grid may leave out: below a density's first knot, or
+# out of a kernel column
+_MASS_LEAK = 1e-4
 
 # substeps per panel of the S integral in _kernel_log_factors: the base
 # count, the count per unit log gap ratio below a finite cap, and the most
@@ -879,9 +884,7 @@ def _kernel_log_factors(
             ln_sub = np.log(np.diff(z, axis=1)) + np.maximum(th_lo, th_hi) + np.log(shape_fac)
             ln_panel[rows] = np.logaddexp.reduce(ln_sub, axis=1)
 
-    s0 = quad_adaptive(lambda t: np.exp(ln_w(t) - pot.value(t)),
-                       0.0, float(grid[0]), 1e-14)
-    ln_s0 = math.log(s0) if s0 > 0.0 else -math.inf
+    ln_s0 = log_quad(lambda z: ln_w(z) - pot.value(z), 0.0, float(grid[0]), 1e-14)
     ln_s_abs = np.logaddexp.accumulate(np.concatenate([[ln_s0], ln_panel]))
     return ln_a, q, ln_s_abs
 
@@ -907,7 +910,7 @@ def kernel_matrix(
     exponential-fitted rule, exact for log-linear integrands, so they
     stay accurate even where the integrand swings by many orders of
     magnitude across one log panel.  Columns are validated (GridTooNarrow
-    below 1 - 1e-4 of their mass) then closed to exactly stochastic, so
+    below 1 - _MASS_LEAK of their mass) then closed to exactly stochastic, so
     ``apply`` conserves mass to rounding.
     """
     grid = np.asarray(grid, dtype=float)
@@ -926,7 +929,7 @@ def kernel_matrix(
     climb = -dq - dl
     raw_sums = _prefix_scan(dq, t)
     raw_sums[:-1] += np.exp(climb) * _suffix_scan(climb, t)[1:]
-    if not np.all(raw_sums >= 1.0 - 1e-4):  # NaN sums fail too
+    if not np.all(raw_sums >= 1.0 - _MASS_LEAK):  # NaN sums fail too
         worst = float(np.min(raw_sums))
         raise GridTooNarrow(
             f"kernel column mass down to {worst:.6f}; widen or refine the grid")
@@ -967,7 +970,9 @@ def density_from_fixed_point(
         u(x) = (1/(c decay(x))) * integral_x^inf e^{Q(y) - Q(x)} v(y) dy.
 
     The tail integral accumulates top-down through Q differences only,
-    so its exponential weights never overflow.
+    so its exponential weights never overflow.  GridTooNarrow when the
+    mass below the first knot, u(x0) x0 over the slope of ln(u x) in ln x
+    there (u x is a power of x near 0), exceeds _MASS_LEAK.
     """
     grid = v_star.grid
     v = v_star.values
@@ -984,6 +989,12 @@ def density_from_fixed_point(
     c = trapezoid(raw, grid)
     if not math.isfinite(c) or c <= 0.0:
         raise NotIntegrable(f"fixed-point density integrated to {c!r}")
+    m0, m1 = grid[0] * raw[0], grid[1] * raw[1]     # none below where u(x0) underflowed
+    if m0 > 0.0:
+        below = (m0 * math.log(grid[1] / grid[0]) / (c * (math.log(m1) - math.log(m0)))
+                 if m1 > m0 else math.inf)
+        if below > _MASS_LEAK:
+            raise GridTooNarrow(f"{below:.3g} of the law lies below the first knot {grid[0]:.6g}")
     return GridDensity(grid, raw / c, c)
 
 
@@ -1171,8 +1182,10 @@ def ergodicity_scan(
 
         M(y+) = e^{Q(y+)-Q(y)} M(y) + integral_y^{y+} (...) e^{Q(y+)-Q(z)} dz,
 
-    so each stretch of the axis is integrated once, each piece to
-    ``quad_tol``.  DomainError for a probe that is not > 0.
+    so each stretch of the axis is integrated once, as the gain
+    m1 rate/(decay z) e^{Q(y+)-Q(z)} minus the loss e^{Q(y+)-Q(z)}, each
+    by numerics.log_quad to ``quad_tol`` relative.  DomainError for a
+    probe that is not > 0.
     """
     ps = sorted(float(p) for p in probes)
     if not all(p > 0.0 for p in ps):
@@ -1180,18 +1193,21 @@ def ergodicity_scan(
     pot = Potential(model, x_ref=1.0)
     gamma = model.decay.rate
     burst = model.burst_size
+    ln_rate = _rate_law(model.burst_rate, gamma, 1.0, _ARRAY_FNS)[5]
     margins = []
     y, q_y, margin = 0.0, math.inf, 0.0
     for p in ps:
         q_p = pot.value(p)
 
-        def integrand(z):
-            z = np.asarray(z, dtype=float)
-            m1 = np.asarray(burst.mean_burst(z), dtype=float)
-            drift = m1 * model.burst_rate.value(z) / (gamma * z) - 1.0
-            return drift * np.exp(np.minimum(q_p - pot.value(z), 0.0))
+        def ln_loss(z):
+            return q_p - pot.value(z)
 
-        margin = math.exp(q_p - q_y) * margin + quad_adaptive(integrand, y, p, quad_tol)
+        def ln_gain(z):
+            return np.log(burst.mean_burst(z)) + ln_rate(z) - np.log(gamma * z) + ln_loss(z)
+
+        gain = math.exp(log_quad(ln_gain, y, p, quad_tol))
+        loss = math.exp(log_quad(ln_loss, y, p, quad_tol))
+        margin = math.exp(q_p - q_y) * margin + (gain - loss)
         margins.append(margin)
         y, q_y = p, q_p
     margins = np.array(margins)

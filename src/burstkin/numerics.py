@@ -2,15 +2,14 @@
 
 Everything downstream leans on the primitives collected here: a seeded
 random generator with documented stream splitting, inverse-CDF draws,
-the matrix exponential, adaptive Gauss-Kronrod quadrature, and a
-safeguarded Newton root finder.  Keeping them in one place makes the
-reproducibility story auditable: a run is a pure function of (seed,
-stream, config).
+the matrix exponential, the trapezoid rule in a log variable for
+integrals from the origin, and a safeguarded Newton root finder.
+Keeping them in one place makes the reproducibility story auditable: a
+run is a pure function of (seed, stream, config).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Callable
 
@@ -20,6 +19,7 @@ from .errors import (
     DomainError,
     GridMismatch,
     NoConvergence,
+    NotIntegrable,
     NumericalBlowup,
     RangeError,
     ToleranceNotMet,
@@ -30,7 +30,7 @@ __all__ = [
     "UniformStream",
     "draw_unit_exponential",
     "expm",
-    "quad_adaptive",
+    "log_quad",
     "trapezoid",
     "l1_distance",
     "tv_distance",
@@ -166,104 +166,83 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature (Gauss-Kronrod 7/15 panels)
+# integrals from the origin: the trapezoid rule in a log variable
 # ---------------------------------------------------------------------------
 
-# Kronrod-15 abscissae (positive half) and weights; Gauss-7 weights.
-_GK_NODES = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_GK_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_GK_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
-
-_X15 = np.concatenate([-_GK_NODES[:7], _GK_NODES[::-1]])          # 15 sorted nodes
-_W15 = np.concatenate([_GK_WK[:7], _GK_WK[::-1]])                 # Kronrod weights
-_W7 = np.zeros(15)
-_W7[1:14:2] = np.concatenate([_GK_WG[:3], _GK_WG[::-1]])          # Gauss weights sit on odd slots
+# The scan runs at unit step in t: from -_T_SPAN on (0, b), up to _T_SPAN
+# on (a, inf), as e^344 ~ 1e149 still has a finite square, which a
+# quadratic rate's Q takes.  Once x has rounded to an end, g moves away
+# from its peak by one per step, so the scan stops 2 _LOG_WINDOW past
+# there.  x - a stays above e^_LN_GAP_MIN ~ 1e-300, a normal float, unless
+# that would stop the scan short of the logistic map's e^t tail
+_T_SPAN = 344.0
+_LN_GAP_MIN = -690.0
+# terms more than e^-_LOG_WINDOW below the largest are left out
+_LOG_WINDOW = 40.0
+# the most points one integral evaluates before it gives up
+_MAX_POINTS = 1 << 16
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _X15
-    fx = np.asarray(f(x), dtype=float)
-    k15 = half * float(np.dot(_W15, fx))
-    g7 = half * float(np.dot(_W7, fx))
-    return k15, abs(k15 - g7)
+def log_quad(ln_f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+             tol: float) -> float:
+    """ln of the integral of e^{ln_f(x)} over (a, b), 0 <= a < b <= inf.
 
-
-def quad_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    *,
-    max_panels: int = 4096,
-) -> float:
-    """Adaptive Gauss-Kronrod integral of ``f`` over (a, b), b may be inf.
-
-    ``f`` must accept a vector of abscissae.  The error target is
-    absolute (with a small relative floor so that large integrals do not
-    chase pure roundoff).  An infinite upper limit is folded onto (0, 1)
-    through x = a + t/(1-t).
-
-    Raises
-    ------
-    ToleranceNotMet
-        if the panel budget is exhausted before the target is reached.
+    The trapezoid rule in t, with x = a + e^t for b = inf, else
+    x = a + (b - a)/(1 + e^-t): an integrand analytic in x, with power
+    laws at the ends, decays exponentially at both ends of t, where the
+    rule converges geometrically (Trefethen & Weideman, SIAM Review 56,
+    2014).  A unit-step scan finds where g = ln_f + ln dx/dt lies within
+    _LOG_WINDOW of its peak.  Below a window that starts at the scan's
+    first point, g goes on linearly, as for a power of x - a, and its
+    trapezoid terms are summed in closed form.  The step then halves,
+    reusing every point, until two sums agree to ``tol`` relative.
+    ``ln_f`` maps an array and may return -inf; b <= a gives -inf.
+    ToleranceNotMet when no two sums agree within _MAX_POINTS points;
+    NotIntegrable when g is nan, +inf or -inf throughout, rises toward
+    a, or has not decayed at the end of the scan.
     """
-    if math.isinf(b):
-        base = float(a)
+    if not b > a:
+        return -math.inf
+    finite = math.isfinite(b)
+    ln_width = math.log(b - a) if finite else 0.0
 
-        def g(t):
-            t = np.asarray(t, dtype=float)
-            x = base + t / (1.0 - t)
-            return f(x) / (1.0 - t) ** 2
+    def g(t):
+        ln_dx = ln_width - np.logaddexp(0.0, -t) if finite else t     # ln(x - a)
+        ln_jac = ln_dx - np.logaddexp(0.0, t) if finite else t        # ln dx/dt
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return ln_f(np.minimum(a + np.exp(ln_dx), b)) + ln_jac   # e^(ln b) may round past b
 
-        return quad_adaptive(g, 0.0, 1.0, tol, max_panels=max_panels)
-
-    if not (b > a):
-        return 0.0
-
-    val, err = _panel(f, a, b)
-    # heap of (-error, a, b, value); worst panel split first
-    heap = [(-err, a, b, val)]
-    total_val = val
-    total_err = err
-    n_panels = 1
-    width_floor = 64.0 * np.finfo(float).eps
-
-    while total_err > max(tol, 1e-14 * abs(total_val)):
-        if n_panels >= max_panels or not heap:
-            raise ToleranceNotMet(
-                f"quadrature stalled at error {total_err:.3e} "
-                f"(value {total_val:.12e}, {n_panels} panels)"
-            )
-        neg_err, pa, pb, pval = heapq.heappop(heap)
-        if (pb - pa) <= width_floor * max(1.0, abs(pa), abs(pb)):
-            # cannot split further; treat its error as floor noise
-            continue
-        pm = 0.5 * (pa + pb)
-        v1, e1 = _panel(f, pa, pm)
-        v2, e2 = _panel(f, pm, pb)
-        total_val += (v1 + v2) - pval
-        total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, pa, pm, v1))
-        heapq.heappush(heap, (-e2, pm, pb, v2))
-        n_panels += 1
-        if not math.isfinite(total_val):
-            raise ToleranceNotMet(f"integrand not finite on ({pa:.6g}, {pb:.6g})")
-
-    return total_val
+    lo = -_T_SPAN if a == 0.0 else min(math.log(a) - ln_width, 0.0) - 2.0 * _LOG_WINDOW
+    t = np.arange(max(lo, -_T_SPAN, min(_LN_GAP_MIN - ln_width, -_LOG_WINDOW)),
+                  (2.0 * _LOG_WINDOW if finite else _T_SPAN) + 1.0)
+    vals = g(t)
+    top = float(np.max(vals))
+    if not -math.inf < top < math.inf:
+        raise NotIntegrable(f"integrand is {top} on ({a:.6g}, {b:.6g})")
+    inside = np.flatnonzero(vals >= top - _LOG_WINDOW)
+    first, last = int(inside[0]), int(inside[-1]) + 1
+    if last == len(t):
+        raise NotIntegrable(f"integrand has not decayed at x = {a + math.exp(_T_SPAN):.3g}")
+    continued = first == 0     # g goes on below t[0] with its first slope
+    slope = float(vals[1] - vals[0])
+    if continued and not slope > 0.0:
+        raise NotIntegrable(f"integrand does not decay toward x = {a:.6g}")
+    first = max(first - 1, 0)
+    t0, vals, h = float(t[first]), vals[first:last + 1], 1.0
+    previous = math.nan
+    while True:
+        top = float(np.max(vals))
+        w = np.exp(vals - top)
+        low = -1.0 / math.expm1(slope * h) if continued else 0.5
+        total = h * (float(np.sum(w)) - low * float(w[0]) - 0.5 * float(w[-1]))
+        ln_total = top + math.log(total)
+        if abs(ln_total - previous) <= tol:
+            return ln_total
+        if 2 * len(vals) > _MAX_POINTS:
+            raise ToleranceNotMet(f"sums differ by {ln_total - previous:.3e} at {len(vals)} points")
+        previous = ln_total
+        mids = g(t0 + h * (np.arange(len(vals) - 1) + 0.5))
+        vals, h = np.insert(vals, np.arange(1, len(vals)), mids), 0.5 * h
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,8 @@ def test_pdmp_root_below_the_float_range_exits_2(tmp_path, capsys, rate):
 
 @pytest.mark.parametrize("mode, numeric", [
     ("ergodicity", "numeric.y_probe = 0.0\n"),
+    ("ergodicity", "numeric.y_probe = 5.0\nnumeric.quad_tol = 0.0\n"),  # no sums agree to it
+    ("ergodicity", "numeric.y_probe = 5.0\nnumeric.quad_tol = -1e-10\n"),
     ("modes", "numeric.n_scan = -1\n"),
     ("modes", "numeric.n_scan = 0\n"),
     ("modes", "numeric.n_scan = 1\n"),    # would report no roots for a three-root model
@@ -568,6 +570,9 @@ model.burst_b = 0.5
             assert (out / name).exists(), (mode, name)
         if mode == "kernel-fixed-point":
             assert summary.scalars["mean_identity_residual"] < 1e-2
+        if mode == "stationary-continuous":
+            # the law's mass off the grid, not the grid density's own mass
+            assert 0.0 < summary.scalars["mass_outside_grid"] < 1e-9
 
 
 def test_run_ergodicity_scalars(tmp_path):

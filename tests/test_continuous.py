@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, special, stats
 
 from burstkin import continuous
 from burstkin.continuous import (
@@ -49,7 +49,6 @@ from burstkin.numerics import (
     UniformStream,
     draw_unit_exponential,
     make_rng,
-    quad_adaptive,
     trapezoid,
 )
 from burstkin.models import (
@@ -141,6 +140,7 @@ def test_default_grid_scale_stays_inside_the_support():
     u = stationary_density(m, g)
     ref = grid_normalized(lambda x: (6.0 - x) ** 0.4 * x ** 7, g)
     assert np.max(np.abs(u.values - ref)) < 1e-12 * np.max(ref)
+    assert u.mass_outside < 1e-30
 
 
 def test_kernel_grid_gaussian_tail():
@@ -172,7 +172,8 @@ RATE_LAWS = [
 def potential_by_quadrature(pot, x, tol=1e-12):
     """Q(x) by direct quadrature of burst_rate/decay: the closed forms' oracle."""
     lo, hi = (x, pot.x_ref) if x <= pot.x_ref else (pot.x_ref, x)
-    val = quad_adaptive(lambda y: pot.rate.value(y) / (pot.gamma * y), lo, hi, tol)
+    val = integrate.quad(lambda y: pot.rate.value(y) / (pot.gamma * y), lo, hi,
+                         epsabs=tol, epsrel=tol)[0]
     return val if x <= pot.x_ref else -val
 
 
@@ -634,6 +635,56 @@ def test_density_separable_gaussian_tail():
     assert np.max(np.abs(u.values - ref)) < 1e-12
 
 
+def low_grid(hi):
+    """Knots from 1e-250, which keeps the mass below the first knot, about
+    x0^a0, under 1e-4 down to a0 = 0.02, and 256 of them from 1e-3 hi to hi."""
+    return np.concatenate([geometric_grid(1e-250, 1e-3 * hi, 32)[:-1],
+                           geometric_grid(1e-3 * hi, hi, 256)])
+
+
+@pytest.mark.parametrize("a0", [0.02, 0.3, 2.0, 50.0])
+def test_normalization_matches_the_gamma_law(a0):
+    # constant rate a0 decay with exponential bursts of mean b: u is the
+    # gamma law, and c = Gamma(a0) b^a0 / (decay x_ref^a0)
+    gamma, b, x_ref = 1.3, 0.7, 2.5
+    m = ContinuousBurstModel(ConstantRate(a0 * gamma), LinearDecay(gamma),
+                             ExponentialBurstKernel(b))
+    grid = low_grid(default_grid(m)[-1])
+    u = stationary_density(m, grid, x_ref=x_ref)
+    ln_c = math.lgamma(a0) + a0 * math.log(b / x_ref) - math.log(gamma)
+    assert math.log(u.normalization) == pytest.approx(ln_c, rel=1e-13, abs=1e-13)
+    outside = special.gammainc(a0, grid[0] / b) + special.gammaincc(a0, grid[-1] / b)
+    assert u.mass_outside == pytest.approx(outside, rel=1e-9, abs=1e-16)
+
+
+@pytest.mark.parametrize("a0", [0.02, 2.0])
+def test_normalization_matches_the_finite_support_beta_law(a0):
+    # nu = (cap - x)^e under a constant rate: c = cap^(a0+e) B(a0, e+1) /
+    # (decay x_ref^a0), and the law is cap times a Beta(a0, e + 1) variable
+    gamma, cap, e, x_ref = 1.3, 8.0, 2.5, 2.5
+    m = ContinuousBurstModel(ConstantRate(a0 * gamma), LinearDecay(gamma),
+                             SeparableBurstKernel(FiniteSupportNu(cap, e)))
+    grid = low_grid(cap)
+    u = stationary_density(m, grid, x_ref=x_ref)
+    ln_c = (e * math.log(cap) + a0 * math.log(cap / x_ref) - math.log(gamma)
+            + math.lgamma(a0) + math.lgamma(e + 1.0) - math.lgamma(a0 + e + 1.0))
+    assert math.log(u.normalization) == pytest.approx(ln_c, rel=1e-13, abs=1e-13)
+    assert u.mass_outside == pytest.approx(special.betainc(a0, e + 1.0, grid[0] / cap),
+                                           rel=1e-9)
+
+
+def test_boundary_mode_refuses_a_grid_that_cuts_off_the_origin():
+    # a0 = 0.3: below the first knot, at 1e-6 of the natural scale, lies
+    # about (x0/b)^a0 / Gamma(a0 + 1) = 0.018 of the gamma law.  Both the
+    # analytic and the kernel route once renormalized it away
+    m = gamma_model(0.3, 1.0)
+    with pytest.raises(GridTooNarrow, match="0.0177 of the law lies below the first knot"):
+        stationary_density(m)
+    v = kernel_fixed_point(kernel_matrix(m, kernel_grid(m, 1024)))
+    with pytest.raises(GridTooNarrow, match="of the law lies below the first knot"):
+        density_from_fixed_point(m, v)
+
+
 # ---------------------------------------------------------------------------
 # integrability screens
 # ---------------------------------------------------------------------------
@@ -997,6 +1048,76 @@ def test_finite_support_s_integral_matches_a_finer_substepping(model, n_knots):
     assert err[-1] <= 1e-3
 
 
+# the other seed-1 kernel-fixed-point cells of the solvers benchmark
+_SOLVERS_SEED1 = {
+    "constant-finite-support": _CAPPED_CONSTANT,
+    "hill-finite-support": _CAPPED_HILL,
+    "constant-power-tail": ContinuousBurstModel(
+        ConstantRate(2.4863451711223163), LinearDecay(1.1154836614371513),
+        SeparableBurstKernel(PowerTailNu(1.2294807808584522, 7.065018451305294))),
+    "linear-exponential": ContinuousBurstModel(
+        LinearRate(2.3379548223142117, 0.33159662869062106), LinearDecay(0.9950579301978791),
+        ExponentialBurstKernel(0.9366175691789558)),
+    "constant-gaussian-exp": ContinuousBurstModel(
+        ConstantRate(1.9714841057144572), LinearDecay(0.9436512534313872),
+        SeparableBurstKernel(GaussianExpNu(1.032584703327279, 0.37277505601646777))),
+    "hill-exponential": ContinuousBurstModel(
+        HillRate(2.351823583051601, 2.3786261012812084, 1.0, 1.1506276724093771,
+                 2.0871200903562483),
+        LinearDecay(1.113268868197295), ExponentialBurstKernel(1.0866543114399423)),
+    "constant-exponential": ContinuousBurstModel(
+        ConstantRate(2.607678481296971), LinearDecay(1.0840571514077522),
+        ExponentialBurstKernel(1.042012871696995)),
+}
+
+
+def scipy_ln_s0(model, x0):
+    """ln of the S integral from the origin to x0 by scipy, in t = ln z,
+    scaled by its value at x0; below ln x0 - 600 it is out of reach."""
+    pot = Potential(model)
+    nu = model.burst_size.nu
+
+    def ln_integrand(t):
+        z = math.exp(t)
+        return (t - float(nu.log_value(z)) + math.log(float(model.burst_rate.value(z)))
+                - math.log(model.decay.rate * z) - pot.value(z))
+
+    top = ln_integrand(math.log(x0))
+    val = integrate.quad(lambda t: math.exp(ln_integrand(t) - top), math.log(x0) - 600.0,
+                         math.log(x0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return top + math.log(val)
+
+
+@pytest.mark.parametrize("model", list(_SOLVERS_SEED1.values()), ids=list(_SOLVERS_SEED1))
+def test_kernel_s_integral_from_the_origin_matches_scipy(model):
+    # S(x0) is about 1e-12 to 1e-18 here: an absolute tolerance of 1e-14
+    # once let ln S(x0) off by up to 1.7e-7
+    grid = kernel_grid(model, 64)
+    ln_s0 = _kernel_log_factors(model, grid, 1.0)[2][0]
+    ref = scipy_ln_s0(model, float(grid[0]))
+    assert abs(ln_s0 - ref) <= 1e-13 * abs(ref)
+
+
+def test_kernel_route_at_a_large_burst_frequency():
+    # a0 = 80: S at the first knot is about e^-755, which once underflowed
+    # to 0 and emptied the bottom columns; the density there underflows too
+    m = gamma_model(80.0, 1.0)
+    k = kernel_matrix(m, kernel_grid(m, 2048))
+    u = density_from_fixed_point(m, kernel_fixed_point(k))
+    assert u.values[0] == 0.0
+    assert trapezoid(u.grid * u.values, u.grid) == pytest.approx(80.0, rel=5e-3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=gated_models("finite-support"))
+def test_default_grid_of_a_finite_support_law_ends_at_the_cap(model):
+    # the grid once stopped where the burst law from the natural scale
+    # ended, 1.25 times that scale, and left out up to a quarter of the law
+    grid = default_grid(model, 256)
+    assert grid[-1] == model.burst_size.support_cap
+    assert stationary_density(model, grid).mass_outside < 1e-6
+
+
 def test_density_from_fixed_point_exact_input():
     # feed the closed-form jump density; only quadrature error remains
     m = gamma_model()
@@ -1114,16 +1235,20 @@ def test_ergodicity_margin_closed_form_case():
 
 
 def direct_margin(model, y):
-    """The margin at y by one quadrature from 0, as a reference for the scan."""
+    """The margin at y by one scipy quadrature from 0, as a reference for
+    the scan.  In t = ln z the integrand near the origin, z^a0 times a
+    regular part, decays like e^(a0 t); below t = -700 it is negligible."""
     pot = Potential(model)
     q_y = pot.value(y)
 
-    def integrand(z):
-        m1 = model.burst_size.mean_burst(z)
-        drift = m1 * model.burst_rate.value(z) / (model.decay.rate * z) - 1.0
-        return drift * np.exp(np.minimum(q_y - pot.value(z), 0.0))
+    def integrand(t):
+        z = math.exp(t)
+        m1 = float(model.burst_size.mean_burst(z))
+        drift = m1 * float(model.burst_rate.value(z)) / (model.decay.rate * z) - 1.0
+        return z * drift * math.exp(min(q_y - pot.value(z), 0.0))
 
-    return quad_adaptive(integrand, 0.0, y, 1e-12)
+    return integrate.quad(integrand, -700.0, math.log(y), epsabs=1e-13, epsrel=1e-13,
+                          limit=400)[0]
 
 
 @pytest.mark.parametrize("model", [
@@ -1135,7 +1260,13 @@ def direct_margin(model, y):
                          SeparableBurstKernel(FiniteSupportNu(6.0, 0.4))),
     ContinuousBurstModel(ConstantRate(1.5), LinearDecay(1.0),
                          SeparableBurstKernel(PowerTailNu(1.0, 4.0))),
-], ids=["hill-exponential", "linear-gaussian", "quadratic-finite", "constant-power"])
+    # rate(0)/decay = 0.3 and 0.6: the density's boundary mode, where the
+    # margin's first piece has an x^(a0-1) singularity at the origin
+    ContinuousBurstModel(ConstantRate(0.3), LinearDecay(1.0), ExponentialBurstKernel(1.0)),
+    ContinuousBurstModel(HillRate(0.66, 2.2, 1.0, 1.2, 2.3), LinearDecay(1.1),
+                         SeparableBurstKernel(GaussianExpNu(1.0, 0.4))),
+], ids=["hill-exponential", "linear-gaussian", "quadratic-finite", "constant-power",
+        "boundary-0.3", "boundary-0.6"])
 def test_ergodicity_scan_carries_the_margin_forward(model):
     # unsorted probes with repeats: the one-pass scan reports the sorted
     # probes' margins, each equal to its own quadrature from 0

@@ -9,6 +9,7 @@ from burstkin.errors import (
     DomainError,
     GridMismatch,
     NoConvergence,
+    NotIntegrable,
     NumericalBlowup,
     RangeError,
     ToleranceNotMet,
@@ -20,8 +21,8 @@ from burstkin.numerics import (
     expm,
     find_root,
     l1_distance,
+    log_quad,
     make_rng,
-    quad_adaptive,
     trapezoid,
     tv_distance,
 )
@@ -141,25 +142,44 @@ def test_expm_rejects_a_non_finite_norm():
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# the trapezoid rule in a log variable
 # ---------------------------------------------------------------------------
 
-def test_quad_basic_and_halfline():
-    assert abs(quad_adaptive(lambda x: x * x, 0.0, 1.0) - 1.0 / 3.0) < 1e-13
-    assert abs(quad_adaptive(lambda x: np.exp(-x), 0.0, math.inf) - 1.0) < 1e-11
-    assert abs(quad_adaptive(lambda x: np.exp(-x * x), 0.0, math.inf)
-               - math.sqrt(math.pi) / 2.0) < 1e-11
+@pytest.mark.parametrize("p", [0.02, 0.3, 2.0, 50.0])
+def test_log_quad_matches_gamma_and_beta_integrals(p):
+    # x^(p-1) e^-x over (0, inf) is Gamma(p); below p ~ 0.06 the origin's
+    # power law is still within e^40 of the peak at x = 1e-150, where the
+    # rule continues it
+    got = log_quad(lambda x: (p - 1.0) * np.log(x) - x, 0.0, math.inf, 1e-12)
+    assert got == pytest.approx(math.lgamma(p), rel=1e-14, abs=1e-14)
+    # x^(p-1) (3 - x)^0.4 over (0, 3) is 3^(p+0.4) B(p, 1.4)
+    ref = (p + 0.4) * math.log(3.0) + math.lgamma(p) + math.lgamma(1.4) - math.lgamma(p + 1.4)
+    got = log_quad(lambda x: (p - 1.0) * np.log(x) + 0.4 * np.log(3.0 - x), 0.0, 3.0, 1e-12)
+    assert got == pytest.approx(ref, rel=1e-14, abs=1e-14)
 
 
-def test_quad_integrable_endpoint_singularity():
-    # bisection toward a sqrt singularity gains slowly, so ask for a
-    # tolerance the panel budget can actually deliver
-    assert abs(quad_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-7) - 2.0) < 1e-6
+def test_log_quad_between_two_points_and_on_an_empty_interval():
+    got = log_quad(lambda x: -x, 1.0, 3.0, 1e-12)
+    assert got == pytest.approx(math.log(math.exp(-1.0) - math.exp(-3.0)), rel=1e-15)
+    assert log_quad(lambda x: -x, 2.0, 2.0, 1e-12) == -math.inf
 
 
-def test_quad_panel_budget():
+def test_log_quad_tolerance_not_met():
+    # a step at x = 1 is a kink-free jump in t = ln x: the trapezoid sums
+    # then close in only like h, and stop at the point budget
     with pytest.raises(ToleranceNotMet):
-        quad_adaptive(lambda x: np.exp(-x * x), 0.0, math.inf, 1e-13, max_panels=2)
+        log_quad(lambda x: np.where(x < 1.0, 0.0, -np.inf), 0.0, math.inf, 1e-12)
+
+
+@pytest.mark.parametrize("ln_f, end", [
+    (lambda x: np.zeros_like(x), math.inf),         # still 1 at x = 1e150
+    (lambda x: -2.0 * np.log(x), 1.0),              # x^-2 at the origin
+    (lambda x: np.full_like(x, math.nan), 1.0),
+    (lambda x: np.full_like(x, -math.inf), 1.0),    # zero: no scale to work on
+], ids=["flat", "non-integrable-origin", "nan", "zero"])
+def test_log_quad_refuses_divergent_integrands(ln_f, end):
+    with pytest.raises(NotIntegrable):
+        log_quad(ln_f, 0.0, end, 1e-12)
 
 
 # ---------------------------------------------------------------------------
