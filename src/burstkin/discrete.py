@@ -32,7 +32,7 @@ from .models import (
     LinearDecay,
     TabulatedDecay,
 )
-from .numerics import DRAW_BLOCK, PATH_CHUNK, expm, l1_distance, make_rng
+from .numerics import PATH_CHUNK, expm, l1_distance, make_rng
 
 # perfbench/baseline.py saves, patches and restores this attribute around
 # evolve_master; nothing in burstkin reads it
@@ -558,20 +558,6 @@ def _grow_rates(model: DiscreteBurstModel, n: int, pdec: list, total: list) -> N
     pdec.extend((gam / rate).tolist())
 
 
-def _path_states(n0: int, bursts: np.ndarray) -> np.ndarray:
-    """n0 and the states after each jump: the running sum of the steps,
-    each the burst size or -1 for a degradation.  A burst x is at least 1,
-    so the step is x + min(x, 1) - 1, formed in place without a mask the
-    size of the path."""
-    states = np.empty(len(bursts) + 1, dtype=np.int64)
-    steps = states[1:]
-    np.minimum(bursts, 1, out=steps)
-    steps += bursts
-    steps -= 1
-    states[0] = n0
-    return np.cumsum(states, out=states)
-
-
 def _holding_times(total: np.ndarray, visited: np.ndarray, waits: np.ndarray,
                    out: np.ndarray) -> None:
     """out = eps/(rate+decay) of each visited state; mode="clip" stops take
@@ -580,69 +566,55 @@ def _holding_times(total: np.ndarray, visited: np.ndarray, waits: np.ndarray,
     np.divide(waits, out, out=out)
 
 
+def _uniform_blocks(seed: int, stream: int, n_jumps: int):
+    """The jump chain's uniforms, PATH_CHUNK jumps at a time: row k of a
+    block holds jump k's wait, decision and size draws."""
+    rng = make_rng(seed, stream)
+    for c0 in range(0, n_jumps, PATH_CHUNK):
+        yield rng.random((min(PATH_CHUNK, n_jumps - c0), 3))
+
+
+def _unit_waits(u: np.ndarray) -> np.ndarray:
+    """The unit exponentials of a block's holding times."""
+    return -np.log1p(-u[:, 0])
+
+
 def _jump_blocks(model: DiscreteBurstModel, n0: int, n_jumps: int, seed: int,
                  stream: int):
-    """The draws that fix the jump chain's path, PATH_CHUNK jumps at a time.
+    """The jump chain's path, PATH_CHUNK jumps at a time.
 
-    Yields (waits, bursts, total) per block: views of two buffers reused
-    by every block, the unit exponentials of the holding times and the
-    burst sizes (0 marks a degradation), and the list of rate+decay of
-    states 0, 1, ... past every state visited so far.  A block is valid
-    until the next one is drawn.
+    Jump k reads uniforms 3k, 3k+1 and 3k+2 of make_rng(seed, stream),
+    the wait, the decision and the burst size, whether or not it bursts.
+    So a block's waits and sizes are formed in numpy, and the Python loop
+    does only what depends on the state: at state n, a decision below
+    decay/(rate+decay) of n is a degradation, any other a burst.
 
-    The loop runs on Python floats, with uniforms in blocks and per-state
-    decay probabilities in a list, and writes each jump's draws straight
-    into the buffers, so the same (model, n0, seed, stream) always yields
-    the same bits.
+    Yields (waits, visited, total) per block: the unit exponentials of
+    the holding times, the list of states from the one the block starts
+    in to the one after its last jump, and the list of rate+decay of
+    states 0, 1, ... past every state visited so far.  The rate lists grow
+    on a burst past their end, the only way n rises, so a path that enters
+    a state past a decay table raises there.
     """
-    rng = make_rng(seed, stream)
-    law = model.burst_size
-    # geometric sizes inline size_at: ceil(ln(1 - u) / ln b), and u = 0 maps
-    # to ceil(-0.0) = 0, so "or 1" stands in for its max(1, .)
-    log_b = law.log_b if isinstance(law, GeometricBurst) else None
-    size_at = law.size_at
-    log, log1p, ceil = math.log, math.log1p, math.ceil
+    size_at = model.burst_size.size_at
     pdec: list = []     # decay/(rate+decay) per state
     total: list = []    # rate+decay per state
-    _grow_rates(model, n0 + 1, pdec, total)
-
-    waits = np.empty(PATH_CHUNK)
-    bursts = np.empty(PATH_CHUNK, dtype=np.int64)
-
-    # the loop writes Python floats and ints through memoryviews, no numpy call
-    waits_w, bursts_w = map(memoryview, (waits, bursts))
-
-    # uniforms in blocks of DRAW_BLOCK, read in place; a jump takes at most
-    # three, and unread ones carry over, so the draws are those of scalar
-    # rng.random() calls in order (UniformStream, inlined)
-    draws: list = []
-    n_draws = pos = 0
+    _grow_rates(model, n0, pdec, total)
     n_cached = len(pdec)
     n = int(n0)
-    for c0 in range(0, n_jumps, PATH_CHUNK):
-        n_block = min(PATH_CHUNK, n_jumps - c0)
-        bursts.fill(0)
-        for k in range(n_block):
-            if pos > n_draws - 3:
-                draws = draws[pos:] + rng.random(DRAW_BLOCK).tolist()
-                n_draws = len(draws)
-                pos = 0
-            if n >= n_cached:
-                _grow_rates(model, n, pdec, total)
-                n_cached = len(pdec)
-            waits_w[k] = -log1p(-draws[pos])   # draw_unit_exponential
-            if draws[pos + 1] < pdec[n]:
+    for u in _uniform_blocks(seed, stream, n_jumps):
+        visited = [n]
+        append = visited.append
+        for d, size in zip(u[:, 1].tolist(), size_at(u[:, 2]).tolist()):
+            if d < pdec[n]:
                 n -= 1
-                pos += 2
             else:
-                if log_b is None:
-                    size = size_at(draws[pos + 2])
-                else:
-                    size = ceil(log(1.0 - draws[pos + 2]) / log_b) or 1
                 n += size
-                bursts_w[k] = size
-                pos += 3
-        yield waits[:n_block], bursts[:n_block], total
+                if n >= n_cached:
+                    _grow_rates(model, n, pdec, total)
+                    n_cached = len(pdec)
+            append(n)
+        yield _unit_waits(u), visited, total
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,11 +623,11 @@ class JumpChainResult:
 
     A run keeps only the occupancy, the clock and what fixes its draws:
     the model, n0, the jump count, seed and stream.  The path is read on
-    demand: the first access to wait_draws, burst_sizes, total_rates,
-    states or times re-runs the chain's draws once and caches them, and
-    the rest follows with the simulator's own float operations, so every
-    array is bit-identical to a per-jump loop.  Reading the path costs
-    32 B a jump; not reading it costs nothing.
+    demand.  wait_draws come straight from the generator; the first access
+    to states, burst_sizes, total_rates or times re-runs the chain's loop
+    once, and the rest follows with the simulator's own float operations,
+    so every array is bit-identical to a per-jump loop.  Reading the path
+    costs 32 B a jump; not reading it costs nothing.
     """
 
     occupancy: Pmf             # holding-time-weighted state frequencies
@@ -667,36 +639,40 @@ class JumpChainResult:
     stream: int
 
     @cached_property
-    def _draws(self) -> tuple:
-        waits = np.empty(self.n_jumps)
-        bursts = np.empty(self.n_jumps, dtype=np.int64)
+    def _path(self) -> tuple:
+        states = np.empty(self.n_jumps + 1, dtype=np.int64)
         c0 = 0
-        for w, b, total in _jump_blocks(self.model, self.n0, self.n_jumps,
-                                        self.seed, self.stream):
-            c1 = c0 + len(w)
-            waits[c0:c1], bursts[c0:c1] = w, b
-            c0 = c1
-        return waits, bursts, np.array(total)
+        for _, visited, total in _jump_blocks(self.model, self.n0, self.n_jumps,
+                                              self.seed, self.stream):
+            states[c0:c0 + len(visited)] = visited
+            c0 += len(visited) - 1
+        return states, np.array(total)
 
-    @property
+    @cached_property
     def wait_draws(self) -> np.ndarray:
         """Unit exponentials driving the holding times."""
-        return self._draws[0]
+        waits = np.empty(self.n_jumps)
+        c0 = 0
+        for u in _uniform_blocks(self.seed, self.stream, self.n_jumps):
+            waits[c0:c0 + len(u)] = _unit_waits(u)
+            c0 += len(u)
+        return waits
 
-    @property
+    @cached_property
     def burst_sizes(self) -> np.ndarray:
         """Burst size of each jump; 0 marks a degradation step."""
-        return self._draws[1]
+        steps = np.diff(self.states)
+        return np.maximum(steps, 0, out=steps)
 
     @property
     def total_rates(self) -> np.ndarray:
         """rate+decay of states 0, 1, ... past every visited one."""
-        return self._draws[2]
+        return self._path[1]
 
-    @cached_property
+    @property
     def states(self) -> np.ndarray:
         """Post-jump states, states[0] = n0."""
-        return _path_states(self.n0, self.burst_sizes)
+        return self._path[0]
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -738,19 +714,19 @@ def simulate_jump_chain(
     # state's weights in order from 0.0, and 0.0 + x is x; cumsum adds in
     # order, so the clock carried in front of a block continues its sum
     occupancy = rates = np.zeros(0)
-    n, t = int(n0), 0.0
-    for waits, bursts, total in _jump_blocks(model, n0, n_jumps, seed, stream):
+    t = 0.0
+    for waits, visited, total in _jump_blocks(model, n0, n_jumps, seed, stream):
         if len(rates) < len(total):
             rates = np.array(total)
-        states = _path_states(n, bursts)
+        left = np.array(visited[:-1], dtype=np.int64)   # the states each jump leaves
         clock = np.empty(len(waits) + 1)
         clock[0] = t
         dts = clock[1:]
-        _holding_times(rates, states[:-1], waits, dts)
-        occupancy = np.bincount(np.concatenate((np.arange(len(occupancy)), states[:-1])),
+        _holding_times(rates, left, waits, dts)
+        occupancy = np.bincount(np.concatenate((np.arange(len(occupancy)), left)),
                                 weights=np.concatenate((occupancy, dts)))
         np.cumsum(clock, out=clock)
-        n, t = int(states[-1]), float(clock[-1])
+        t = float(clock[-1])
 
     hi = int(np.max(np.nonzero(occupancy)[0])) if np.any(occupancy > 0) else 0
     occ = occupancy[: hi + 1]

@@ -14,7 +14,6 @@ construction and evaluates vectorized.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Union
@@ -279,15 +278,12 @@ class GeometricBurst:
     def mean(self) -> float:
         return 1.0 / (1.0 - self.b)
 
-    def size_at(self, u: float) -> int:
-        """The burst size drawn by the uniform u in [0, 1), by the inverse CDF.
+    def size_at(self, u: np.ndarray) -> np.ndarray:
+        """The burst sizes drawn by uniforms u in [0, 1), by the inverse CDF.
 
-        ceil(ln(1 - u) / ln b); u = 0 maps to 1.
+        ceil(ln(1 - u) / ln b), at least 1: u = 0 gives ceil(-0.0) = 0.
         """
-        v = 1.0 - u  # in (0, 1]
-        if v >= 1.0:
-            return 1
-        return max(1, math.ceil(math.log(v) / self.log_b))
+        return np.maximum(np.ceil(np.log1p(-u) / self.log_b), 1.0).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -295,8 +291,10 @@ class TabulatedBurst:
     """Burst-size table h_1 .. h_K; must sum to 1 within 1e-9 (then renormalized)."""
 
     weights: tuple[float, ...]
-    # running sums of the weights, the inverse-CDF table of size_at()
+    # running sums of the weights, the inverse-CDF table of size_at(), and
+    # the largest size of positive weight
     cumulative: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    largest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -310,6 +308,7 @@ class TabulatedBurst:
         weights = tuple(float(v) / s for v in w)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "cumulative", tuple(accumulate(weights)))
+        object.__setattr__(self, "largest", max(k for k, v in enumerate(weights, 1) if v > 0.0))
 
     def pmf(self, k):
         k_arr = np.asarray(k)
@@ -332,9 +331,13 @@ class TabulatedBurst:
     def mean(self) -> float:
         return float(math.fsum((k + 1) * w for k, w in enumerate(self.weights)))
 
-    def size_at(self, u: float) -> int:
-        """The burst size drawn by the uniform u in [0, 1), by the inverse CDF."""
-        return bisect_right(self.cumulative, u) + 1
+    def size_at(self, u: np.ndarray) -> np.ndarray:
+        """The burst sizes drawn by uniforms u in [0, 1), by the inverse CDF.
+
+        The running sums may round below 1, so a u past the last one still
+        draws the largest size of positive weight.
+        """
+        return np.minimum(np.searchsorted(self.cumulative, u, side="right") + 1, self.largest)
 
 
 BurstPmf = Union[GeometricBurst, TabulatedBurst]

@@ -685,6 +685,23 @@ def test_boundary_mode_refuses_a_grid_that_cuts_off_the_origin():
         density_from_fixed_point(m, v)
 
 
+def test_a_grid_far_below_the_law_is_not_taken_for_growth():
+    # the middle knot lies near 1e-149, where u, like x^(a0 - 1), still
+    # rises for six decades and more: the rule alone decides integrability
+    u = stationary_density(gamma_model(2.0, 1.0), geometric_grid(1e-300, 30.0, 256))
+    assert u.mass_outside == pytest.approx(31.0 * math.exp(-30.0), rel=1e-9)
+
+
+def test_a_density_that_grows_at_infinity_is_still_refused(monkeypatch):
+    # with the model screen off, a rate slope past the burst tail's 1/b
+    # leaves u growing like e^x, and the rule refuses it
+    monkeypatch.setattr(continuous, "_screen", lambda model, nu: None)
+    m = ContinuousBurstModel(LinearRate(1.0, 3.0), LinearDecay(1.0),
+                             ExponentialBurstKernel(0.5))
+    with pytest.raises(NotIntegrable, match="has not decayed"):
+        stationary_density(m, geometric_grid(1e-6, 30.0, 256))
+
+
 # ---------------------------------------------------------------------------
 # integrability screens
 # ---------------------------------------------------------------------------

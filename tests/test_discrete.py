@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
+from burstkin import discrete
 from burstkin.discrete import (
     GeneralizedHypergeometricFamily,
     HypergeometricFamily,
@@ -42,7 +43,7 @@ from burstkin.models import (
     TabulatedRate,
     TruncatedLinearRate,
 )
-from burstkin.numerics import DRAW_BLOCK, PATH_CHUNK, expm, make_rng
+from burstkin.numerics import PATH_CHUNK, expm, make_rng, tv_distance
 
 
 def nb_model(lam0=1.0, lam1=0.0, gamma=1.0, b=0.5):
@@ -566,9 +567,11 @@ def test_simulation_rejects_bad_start():
 
 
 def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
-    """The jump chain as it ran before the block-drawn stream: one scalar
-    rng.random() per draw, numpy rate arrays grown by concatenation, the
-    burst laws' own inverse CDFs, and every output written per jump."""
+    """The jump chain as a per-jump loop: each jump draws three uniforms,
+    the wait, the decision and the size, and reads them through the same
+    numpy expressions one float at a time; numpy rate arrays grown by
+    concatenation past every state entered, the burst laws' inverse CDFs
+    written out, and every output written per jump."""
     rng = make_rng(seed, stream)
     lam_arr, gam_arr = np.empty(0), np.empty(0)
 
@@ -583,17 +586,14 @@ def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
         lam_arr = np.concatenate([lam_arr, np.asarray(model.burst_rate.value(idx), float)])
         gam_arr = np.concatenate([gam_arr, np.asarray(model.decay.value(idx), float)])
 
-    def burst_size():
+    def burst_size(v):
         law = model.burst_size
         if isinstance(law, GeometricBurst):
-            u = 1.0 - rng.random()
-            if u >= 1.0:
-                return 1
-            return max(1, math.ceil(math.log(u) / math.log(law.b)))
-        u = rng.random()
-        return int(np.searchsorted(np.cumsum(law.weights), u, side="right")) + 1
+            return max(1, math.ceil(np.log1p(-v) / math.log(law.b)))
+        k = int(np.searchsorted(np.cumsum(law.weights), v, side="right"))
+        return min(k, len(law.weights) - 1) + 1
 
-    ensure(n0 + 1)
+    ensure(n0)
     times = np.zeros(n_jumps + 1)
     states = np.zeros(n_jumps + 1, dtype=np.int64)
     waits = np.zeros(n_jumps)
@@ -603,20 +603,21 @@ def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
     states[0] = n
     t = 0.0
     for k in range(n_jumps):
-        ensure(n)
         lam, gam = lam_arr[n], gam_arr[n]
         total = lam + gam
-        eps = -math.log1p(-rng.random())
+        wait, decision, size = rng.random(3)
+        eps = -np.log1p(-wait)
         dt = eps / total
         if n >= len(occupancy):
             occupancy = np.concatenate([occupancy, np.zeros(len(occupancy) + n)])
         occupancy[n] += dt
         t += dt
-        if rng.random() < gam / total:
+        if decision < gam / total:
             n -= 1
         else:
-            n += burst_size()
+            n += burst_size(size)
             bursts[k] = n - states[k]
+            ensure(n)
         times[k + 1] = t
         states[k + 1] = n
         waits[k] = eps
@@ -660,8 +661,8 @@ def chain_models(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(model=chain_models(),
-       n_jumps=st.sampled_from((DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1,
-                                3 * DRAW_BLOCK + 7)),
+       n_jumps=st.sampled_from((PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1,
+                                2 * PATH_CHUNK + 7)),
        n0=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), stream=st.integers(0, 3))
 # the post-pass's chunk edges
 @example(model=DiscreteBurstModel(ConstantRate(2.0), LinearDecay(1.0), GeometricBurst(0.5)),
@@ -674,7 +675,8 @@ def chain_models(draw):
 @example(model=DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
                                   TabulatedBurst((0.5, 0.3, 0.2))),
          n_jumps=2 * PATH_CHUNK + 7, n0=5, seed=1, stream=1)
-# runs past its 16-state decay table at jump 5143, inside the second chunk
+# enters state 16, past its 16-state decay table, at jump 5738, inside the
+# second chunk
 @example(model=DiscreteBurstModel(ConstantRate(1.0),
                                   TabulatedDecay((0.0,) + tuple(map(float, range(1, 16)))),
                                   GeometricBurst(0.5)),
@@ -694,6 +696,48 @@ def test_jump_chain_is_bit_identical_to_the_scalar_loop(model, n_jumps, n0, seed
         assert mine.dtype == theirs.dtype
         assert mine.tobytes() == theirs.tobytes()
     assert got.total_time == ref[5]
+
+
+def test_jump_chain_does_not_depend_on_its_block_size(monkeypatch):
+    models = (DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
+                                 GeometricBurst(0.5)),
+              DiscreteBurstModel(ConstantRate(3.0), LinearDecay(1.0),
+                                 TabulatedBurst((0.2, 0.5, 0.3))))
+    for m in models:
+        runs = []
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(discrete, "PATH_CHUNK", chunk)
+            res = simulate_jump_chain(m, 2, 3000, seed=11, stream=1)
+            runs.append((res.occupancy.values, res.times, res.states, res.wait_draws,
+                         res.burst_sizes, res.total_rates, np.array(res.total_time)))
+        for run in runs[1:]:
+            for mine, theirs in zip(run, runs[0]):
+                assert mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes()
+
+
+def test_jump_chain_waits_are_every_third_uniform():
+    m = DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
+                           GeometricBurst(0.5))
+    n = 2 * PATH_CHUNK + 5
+    res = simulate_jump_chain(m, 0, n, seed=8, stream=2)
+    expected = -np.log1p(-make_rng(8, 2).random((n, 3))[:, 0])
+    assert res.wait_draws.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("model, seed", [
+    (DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
+                        GeometricBurst(0.5)), 2201),
+    (DiscreteBurstModel(ConstantRate(3.0), LinearDecay(1.0),
+                        TabulatedBurst((0.2, 0.5, 0.3))), 2202),
+    (DiscreteBurstModel(TruncatedLinearRate(4.0, -0.25), LinearDecay(1.0),
+                        GeometricBurst(0.4)), 2203),
+])
+def test_jump_chain_occupancy_tracks_the_general_recurrence(model, seed):
+    res = simulate_jump_chain(model, 0, 60_000, seed=seed)
+    occ = res.occupancy.values
+    target = stationary_pmf_general(model, len(occ) + 50, tail_tol=None)
+    assert tv_distance(np.pad(occ, (0, 51)), target.values) <= 0.05
 
 
 def test_jump_chain_past_a_decay_table_still_raises():

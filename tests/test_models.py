@@ -151,24 +151,39 @@ def test_tabulated_burst():
 
 
 def test_tabulated_burst_draws_match_the_numpy_inverse_cdf():
-    # the prebuilt running sums and bisect_right pick the same size as
-    # np.cumsum + searchsorted(side="right"), bit for bit, including
-    # uniforms that sit exactly on a cumulative weight
+    # the prebuilt running sums pick the same size as np.cumsum +
+    # searchsorted(side="right"), clipped to the table, bit for bit,
+    # including uniforms in [0, 1) that sit exactly on a cumulative weight,
+    # whether drawn one at a time or as an array
     rng = np.random.default_rng(2)
     for _ in range(300):
         t = TabulatedBurst(tuple(rng.dirichlet(np.ones(rng.integers(1, 12)))))
         cum = np.cumsum(t.weights)
         assert t.cumulative == tuple(cum.tolist())
-        for u in rng.random(20).tolist() + cum.tolist() + [0.0]:
-            assert t.size_at(u) == int(np.searchsorted(cum, u, side="right")) + 1
+        u = np.array(rng.random(20).tolist() + [c for c in cum.tolist() if c < 1.0] + [0.0])
+        expected = np.minimum(np.searchsorted(cum, u, side="right") + 1, len(cum))
+        assert [t.size_at(v) for v in u.tolist()] == expected.tolist()
+        assert np.array_equal(t.size_at(u), expected)
+
+
+def test_tabulated_burst_never_draws_a_size_of_weight_zero():
+    # ten weights of 0.1 sum to 0.9999999999999999, which the largest
+    # uniform below 1 reaches
+    t = TabulatedBurst((0.1,) * 10)
+    assert t.cumulative[-1] == 1.0 - 2.0**-53
+    assert t.size_at(1.0 - 2.0**-53) == 10
+    # a trailing zero weight is never drawn either
+    t = TabulatedBurst((0.1,) * 10 + (0.0,))
+    assert np.array_equal(t.size_at(np.array([0.0, 0.95, 1.0 - 2.0**-53])), [1, 10, 10])
 
 
 def test_geometric_size_at_inverts_the_cdf():
     # size k for u in [F(k-1), F(k)), F(k) = 1 - b^k the burst-size CDF
     g = GeometricBurst(0.45)
-    for u in make_rng(8, 0).random(500).tolist():
-        k = g.size_at(u)
-        assert 1.0 - g.b ** (k - 1) <= u < 1.0 - g.b ** k
+    u = make_rng(8, 0).random(500)
+    for v, k in zip(u.tolist(), g.size_at(u).tolist()):
+        assert 1.0 - g.b ** (k - 1) <= v < 1.0 - g.b ** k
+        assert g.size_at(v) == k
     assert g.size_at(0.0) == 1
 
 
