@@ -83,7 +83,6 @@ from .models import (
     TruncatedLinearRate,
 )
 from .numerics import (
-    draw_unit_exponential,
     expm,
     l1_distance,
     make_rng,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,11 +43,10 @@ from .models import (
 )
 from .numerics import (
     PATH_CHUNK,
-    UniformStream,
     find_root,
     log_quad,
-    make_rng,
     trapezoid,
+    uniform_blocks,
 )
 
 __all__ = [
@@ -332,6 +332,7 @@ class Potential:
     Closed forms cover all shipped rate laws with first-order decay, each
     written once (_rate_law) and built twice per instance: over math for
     a Python float (or int), over numpy ufuncs for an array.
+    ``ln_rate`` is ln rate(x) of an array, from the same build.
     ``inverse_evals`` counts the evaluations of Q that ``inverse`` has
     made.
     """
@@ -345,7 +346,8 @@ class Potential:
         self.gamma = model.decay.rate
         self._q, self._xdq, self._q_inf, _, self._closed_inverse, _ = _rate_law(
             self.rate, self.gamma, self.x_ref)
-        self._q_array = _rate_law(self.rate, self.gamma, self.x_ref, _ARRAY_FNS)[0]
+        self._q_array, *_, self.ln_rate = _rate_law(self.rate, self.gamma, self.x_ref,
+                                                    _ARRAY_FNS)
         self.inverse_evals = 0
 
         # Newton's F(u) = Q(e^u) - target and its slope, built once: the
@@ -499,9 +501,12 @@ def simulate_pdmp(
     per full traversal.  The histogram is therefore exact given the jump
     skeleton; no time discretization enters.
 
-    The loop only fixes the path: on Python floats, with uniforms from a
-    UniformStream and Q and its inverse on their scalar paths, it writes
-    the wait draws, flow ends and burst sizes into the output arrays.
+    The loop only fixes the path: on Python floats, with Q and its
+    inverse on their scalar paths, it writes the wait draws, flow ends
+    and burst sizes into the output arrays.  Jump k reads row k of
+    uniform_blocks(seed, stream, n_jumps, 2): the wait, -log1p(-u) in
+    math, and the burst, nu's overshoot past the flow end of a unit
+    exponential formed the same way.
     Post-jump states, holding times and the histogram then follow in
     chunks of PATH_CHUNK jumps, with the same float operations in the
     same order: logs through math, the crossed bins of each flow segment
@@ -543,14 +548,15 @@ def simulate_pdmp(
 
     # the loop writes Python floats through memoryviews, no numpy call
     pre_w, waits_w, bursts_w = map(memoryview, (y_pre, waits, bursts))
-    uniforms = UniformStream(make_rng(seed, stream))
-    value, inverse, sample = pot.value, pot.inverse, model.burst_size.sample
-    random, log1p, isfinite = uniforms.random, math.log1p, math.isfinite
+    value, inverse = pot.value, pot.inverse
+    overshoot = model.burst_size.nu.draw_overshoot
+    log1p, isfinite = math.log1p, math.isfinite
+    rows = chain.from_iterable(u.tolist() for u in uniform_blocks(seed, stream, n_jumps, 2))
     y = float(y0)
-    for k in range(n_jumps):
-        eps = -log1p(-random())   # draw_unit_exponential
+    for k, (wait, size) in enumerate(rows):
+        eps = -log1p(-wait)
         y_end = inverse(value(y) + eps, hint=y)
-        e = sample(uniforms, y_end)
+        e = overshoot(-log1p(-size), y_end)
         pre_w[k] = y_end
         waits_w[k] = eps
         bursts_w[k] = e
@@ -827,11 +833,10 @@ def _kernel_log_factors(
     if math.isfinite(cap) and grid[-1] >= cap:
         raise ModelError(f"kernel_matrix: grid must stay below the support cap {cap}")
     ln_a = nu.log_value(grid) + np.log(nu.log_slope(grid))
-    ln_rate = _rate_law(model.burst_rate, gamma, x_ref, _ARRAY_FNS)[5]
 
     def ln_w(z):
         # ln of rate(z) / (decay(z) * nu(z))
-        return -nu.log_value(z) + ln_rate(z) - np.log(gamma * z)
+        return -nu.log_value(z) + pot.ln_rate(z) - np.log(gamma * z)
 
     # ln S_abs[j] = ln of the integral of w(z) e^{-Q(z)} over (0, x_j],
     # accumulated with exponential-fitted panels on geometric substeps,
@@ -1182,7 +1187,6 @@ def ergodicity_scan(
     pot = Potential(model, x_ref=1.0)
     gamma = model.decay.rate
     burst = model.burst_size
-    ln_rate = _rate_law(model.burst_rate, gamma, 1.0, _ARRAY_FNS)[5]
     margins = []
     y, q_y, margin = 0.0, math.inf, 0.0
     for p in ps:
@@ -1192,7 +1196,7 @@ def ergodicity_scan(
             return q_p - pot.value(z)
 
         def ln_gain(z):
-            return np.log(burst.mean_burst(z)) + ln_rate(z) - np.log(gamma * z) + ln_loss(z)
+            return np.log(burst.mean_burst(z)) + pot.ln_rate(z) - np.log(gamma * z) + ln_loss(z)
 
         gain = math.exp(log_quad(ln_gain, y, p, quad_tol))
         loss = math.exp(log_quad(ln_loss, y, p, quad_tol))

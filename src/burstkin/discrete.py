@@ -32,7 +32,7 @@ from .models import (
     LinearDecay,
     TabulatedDecay,
 )
-from .numerics import PATH_CHUNK, expm, l1_distance, make_rng
+from .numerics import expm, l1_distance, uniform_blocks
 
 # perfbench/baseline.py saves, patches and restores this attribute around
 # evolve_master; nothing in burstkin reads it
@@ -558,128 +558,36 @@ def _grow_rates(model: DiscreteBurstModel, n: int, pdec: list, total: list) -> N
     pdec.extend((gam / rate).tolist())
 
 
-def _holding_times(total: np.ndarray, visited: np.ndarray, waits: np.ndarray,
-                   out: np.ndarray) -> None:
-    """out = eps/(rate+decay) of each visited state; mode="clip" stops take
-    from buffering a copy of its output."""
-    np.take(total, visited, out=out, mode="clip")
-    np.divide(waits, out, out=out)
-
-
-def _uniform_blocks(seed: int, stream: int, n_jumps: int):
-    """The jump chain's uniforms, PATH_CHUNK jumps at a time: row k of a
-    block holds jump k's wait, decision and size draws."""
-    rng = make_rng(seed, stream)
-    for c0 in range(0, n_jumps, PATH_CHUNK):
-        yield rng.random((min(PATH_CHUNK, n_jumps - c0), 3))
-
-
 def _unit_waits(u: np.ndarray) -> np.ndarray:
     """The unit exponentials of a block's holding times."""
     return -np.log1p(-u[:, 0])
 
 
-def _jump_blocks(model: DiscreteBurstModel, n0: int, n_jumps: int, seed: int,
-                 stream: int):
-    """The jump chain's path, PATH_CHUNK jumps at a time.
-
-    Jump k reads uniforms 3k, 3k+1 and 3k+2 of make_rng(seed, stream),
-    the wait, the decision and the burst size, whether or not it bursts.
-    So a block's waits and sizes are formed in numpy, and the Python loop
-    does only what depends on the state: at state n, a decision below
-    decay/(rate+decay) of n is a degradation, any other a burst.
-
-    Yields (waits, visited, total) per block: the unit exponentials of
-    the holding times, the list of states from the one the block starts
-    in to the one after its last jump, and the list of rate+decay of
-    states 0, 1, ... past every state visited so far.  The rate lists grow
-    on a burst past their end, the only way n rises, so a path that enters
-    a state past a decay table raises there.
-    """
-    size_at = model.burst_size.size_at
-    pdec: list = []     # decay/(rate+decay) per state
-    total: list = []    # rate+decay per state
-    _grow_rates(model, n0, pdec, total)
-    n_cached = len(pdec)
-    n = int(n0)
-    for u in _uniform_blocks(seed, stream, n_jumps):
-        visited = [n]
-        append = visited.append
-        for d, size in zip(u[:, 1].tolist(), size_at(u[:, 2]).tolist()):
-            if d < pdec[n]:
-                n -= 1
-            else:
-                n += size
-                if n >= n_cached:
-                    _grow_rates(model, n, pdec, total)
-                    n_cached = len(pdec)
-            append(n)
-        yield _unit_waits(u), visited, total
-
-
 @dataclass(frozen=True, eq=False)
 class JumpChainResult:
-    """Time-weighted occupancy of a jump chain, and how to replay its path.
+    """Time-weighted occupancy of a jump chain.
 
-    A run keeps only the occupancy, the clock and what fixes its draws:
-    the model, n0, the jump count, seed and stream.  The path is read on
-    demand.  wait_draws come straight from the generator; the first access
-    to states, burst_sizes, total_rates or times re-runs the chain's loop
-    once, and the rest follows with the simulator's own float operations,
-    so every array is bit-identical to a per-jump loop.  Reading the path
-    costs 32 B a jump; not reading it costs nothing.
+    A run keeps the occupancy, the clock, n0, the jump count, and the
+    seed and stream that fix its draws; the path itself is not kept.
     """
 
     occupancy: Pmf             # holding-time-weighted state frequencies
     total_time: float
     n0: int
     n_jumps: int
-    model: DiscreteBurstModel
     seed: int
     stream: int
 
-    @cached_property
-    def _path(self) -> tuple:
-        states = np.empty(self.n_jumps + 1, dtype=np.int64)
-        c0 = 0
-        for _, visited, total in _jump_blocks(self.model, self.n0, self.n_jumps,
-                                              self.seed, self.stream):
-            states[c0:c0 + len(visited)] = visited
-            c0 += len(visited) - 1
-        return states, np.array(total)
-
+    # perfbench/tracing.py counts the chain's jumps as len(wait_draws)
     @cached_property
     def wait_draws(self) -> np.ndarray:
         """Unit exponentials driving the holding times."""
         waits = np.empty(self.n_jumps)
         c0 = 0
-        for u in _uniform_blocks(self.seed, self.stream, self.n_jumps):
+        for u in uniform_blocks(self.seed, self.stream, self.n_jumps, 3):
             waits[c0:c0 + len(u)] = _unit_waits(u)
             c0 += len(u)
         return waits
-
-    @cached_property
-    def burst_sizes(self) -> np.ndarray:
-        """Burst size of each jump; 0 marks a degradation step."""
-        steps = np.diff(self.states)
-        return np.maximum(steps, 0, out=steps)
-
-    @property
-    def total_rates(self) -> np.ndarray:
-        """rate+decay of states 0, 1, ... past every visited one."""
-        return self._path[1]
-
-    @property
-    def states(self) -> np.ndarray:
-        """Post-jump states, states[0] = n0."""
-        return self._path[0]
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        """t_0 = 0 and the jump epochs."""
-        times = np.zeros(self.n_jumps + 1)
-        _holding_times(self.total_rates, self.states[:-1], self.wait_draws, times[1:])
-        return np.cumsum(times, out=times)
 
 
 def simulate_jump_chain(
@@ -699,15 +607,27 @@ def simulate_jump_chain(
     holding time.  Every state has a positive total rate (rate(0) > 0
     and decay(n) > 0 for n >= 1), so the chain always takes n_jumps.
 
-    Each block of PATH_CHUNK jumps is folded into the occupancy and the
-    clock as soon as it is drawn, so memory stays a few hundred KiB
-    however long the chain.  The result replays the draws when its path
-    is read.
+    Jump k reads row k of uniform_blocks(seed, stream, n_jumps, 3): the
+    wait, the decision and the burst size, whether or not it bursts.  So
+    a block's waits and sizes are formed in numpy, and the Python loop
+    does only what depends on the state: at state n, a decision below
+    decay/(rate+decay) of n is a degradation, any other a burst.  The
+    per-state rate lists grow on a burst past their end, the only way n
+    rises, so a path that enters a state past a decay table raises
+    there.  Each block is folded into the occupancy and the clock as
+    soon as it is drawn, so memory stays a few hundred KiB however long
+    the chain.
     """
     if n0 < 0:
         raise ModelError("simulate_jump_chain: n0 must be >= 0")
     if n_jumps < 1:
         raise ModelError("simulate_jump_chain: need at least one jump")
+    size_at = model.burst_size.size_at
+    pdec: list = []     # decay/(rate+decay) per state
+    total: list = []    # rate+decay per state
+    _grow_rates(model, n0, pdec, total)
+    n_cached = len(pdec)
+    n = int(n0)
 
     # holding times summed per state and along the path in the order the
     # jumps were taken.  The running totals go first: bincount adds each
@@ -715,14 +635,28 @@ def simulate_jump_chain(
     # order, so the clock carried in front of a block continues its sum
     occupancy = rates = np.zeros(0)
     t = 0.0
-    for waits, visited, total in _jump_blocks(model, n0, n_jumps, seed, stream):
+    for u in uniform_blocks(seed, stream, n_jumps, 3):
+        leaving: list = []      # the state each jump leaves
+        append = leaving.append
+        for d, size in zip(u[:, 1].tolist(), size_at(u[:, 2]).tolist()):
+            append(n)
+            if d < pdec[n]:
+                n -= 1
+            else:
+                n += size
+                if n >= n_cached:
+                    _grow_rates(model, n, pdec, total)
+                    n_cached = len(pdec)
         if len(rates) < len(total):
             rates = np.array(total)
-        left = np.array(visited[:-1], dtype=np.int64)   # the states each jump leaves
-        clock = np.empty(len(waits) + 1)
+        left = np.array(leaving, dtype=np.int64)
+        clock = np.empty(len(u) + 1)
         clock[0] = t
         dts = clock[1:]
-        _holding_times(rates, left, waits, dts)
+        # eps/(rate+decay) of each state left; mode="clip" stops take from
+        # buffering a copy of its output
+        np.take(rates, left, out=dts, mode="clip")
+        np.divide(_unit_waits(u), dts, out=dts)
         occupancy = np.bincount(np.concatenate((np.arange(len(occupancy)), left)),
                                 weights=np.concatenate((occupancy, dts)))
         np.cumsum(clock, out=clock)
@@ -731,7 +665,7 @@ def simulate_jump_chain(
     hi = int(np.max(np.nonzero(occupancy)[0])) if np.any(occupancy > 0) else 0
     occ = occupancy[: hi + 1]
     occ_pmf = Pmf(occ / t if t > 0 else occ)
-    return JumpChainResult(occ_pmf, t, int(n0), int(n_jumps), model, seed, stream)
+    return JumpChainResult(occ_pmf, t, int(n0), int(n_jumps), seed, stream)
 
 
 # ---------------------------------------------------------------------------

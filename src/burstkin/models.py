@@ -21,7 +21,6 @@ from typing import Union
 import numpy as np
 
 from .errors import ModelError
-from .numerics import draw_unit_exponential
 
 __all__ = [
     "ConstantRate", "LinearRate", "QuadraticRate", "HillRate",
@@ -544,9 +543,6 @@ class SeparableBurstKernel:
 
     def mean_burst(self, y):
         return self.nu.mean_overshoot(y)
-
-    def sample(self, rng, y: float) -> float:
-        return self.nu.draw_overshoot(draw_unit_exponential(rng), y)
 
     @property
     def support_cap(self) -> float:

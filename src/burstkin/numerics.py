@@ -1,8 +1,8 @@
 """Shared numeric substrate.
 
 Everything downstream leans on the primitives collected here: a seeded
-random generator with documented stream splitting, inverse-CDF draws,
-the matrix exponential, the trapezoid rule in a log variable for
+random generator with documented stream splitting, its uniforms drawn
+in blocks, the matrix exponential, the trapezoid rule in a log variable for
 integrals from the origin, and a safeguarded Newton root finder.
 Keeping them in one place makes the reproducibility story auditable: a
 run is a pure function of (seed, stream, config).
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DomainError,
     GridMismatch,
+    ModelError,
     NoConvergence,
     NotIntegrable,
     NumericalBlowup,
@@ -27,8 +28,7 @@ from .errors import (
 
 __all__ = [
     "make_rng",
-    "UniformStream",
-    "draw_unit_exponential",
+    "uniform_blocks",
     "expm",
     "log_quad",
     "trapezoid",
@@ -53,54 +53,31 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     PCG64 seeded through SeedSequence with ``spawn_key=(stream,)``.  The
     same pair always yields the same draw sequence; distinct streams are
-    statistically independent replicas of the same seed.
+    statistically independent replicas of the same seed.  ModelError
+    for a negative seed or stream, which SeedSequence refuses.
     """
+    if seed < 0 or stream < 0:
+        raise ModelError(f"seed and stream must be >= 0, got seed {seed}, stream {stream}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-# uniforms drawn per refill of a UniformStream
-DRAW_BLOCK = 256
-
-# jumps per block of the jump chain's draws and per chunk of the PDMP's
+# rows per block of uniform_blocks, and jumps per chunk of the PDMP's
 # post-pass: the working arrays stay a few hundred KiB however long the path
 PATH_CHUNK = 4096
 
 
-class UniformStream:
-    """The uniforms of a generator, drawn DRAW_BLOCK at a time.
+def uniform_blocks(seed: int, stream: int, n: int, width: int):
+    """The first n * width uniforms of make_rng(seed, stream), as
+    rng.random((rows, width)) blocks of up to PATH_CHUNK rows.
 
-    ``random()`` hands out rng.random(DRAW_BLOCK) as Python floats, one
-    at a time, and refills when the block runs out.  A block is the next
-    DRAW_BLOCK values of the scalar sequence, so the draws consumed are
-    exactly those of repeated ``rng.random()`` calls, at the cost of a
-    list index instead of a generator call.  Anything written against
-    ``rng.random()`` accepts the stream in place of the generator.
+    Row k holds uniforms width*k to width*k + width - 1: a block is the
+    next rows * width values of the scalar sequence, so the draws are
+    those of repeated ``rng.random()`` calls, whatever PATH_CHUNK is.
+    make_rng runs at the call, so a bad seed raises there, not at the
+    first block.
     """
-
-    __slots__ = ("rng", "_block", "_pos")
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._block: list = []
-        self._pos = 0
-
-    def random(self) -> float:
-        pos = self._pos
-        if pos == len(self._block):
-            self._block = self.rng.random(DRAW_BLOCK).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._block[pos]
-
-
-def draw_unit_exponential(rng: np.random.Generator) -> float:
-    """Unit-mean exponential via the inverse CDF, -ln U with U in (0, 1].
-
-    The inverse CDF keeps the draw a monotone function of the underlying
-    uniform, which is what makes coupled comparisons across parameter
-    values meaningful.
-    """
-    return -math.log1p(-rng.random())
+    rng = make_rng(seed, stream)
+    return (rng.random((min(PATH_CHUNK, n - c0), width)) for c0 in range(0, n, PATH_CHUNK))
 
 
 # ---------------------------------------------------------------------------

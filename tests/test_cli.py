@@ -338,6 +338,39 @@ def test_simulators_refuse_empty_runs_before_writing(tmp_path, capsys, mode, num
     assert not list((tmp_path / "cli").glob("*"))
 
 
+SIM_STARTS = {"simulate-discrete": "numeric.n0 = 0\n", "simulate-pdmp": "numeric.y0 = 1.0\n"}
+
+
+@pytest.mark.parametrize("mode", sorted(SIM_MODELS))
+@pytest.mark.parametrize("numeric, flags", [
+    ("numeric.seed = -1\n", []),
+    ("numeric.stream = -2\n", []),
+    ("", ["--seed", "-1"]),
+], ids=["config-seed", "config-stream", "flag-seed"])
+def test_simulators_refuse_a_negative_seed_or_stream(tmp_path, capsys, mode, numeric, flags):
+    # numpy's SeedSequence refuses them with a bare ValueError; to the CLI
+    # they are a config error: exit 1, a one-line message, no artifact
+    text = (f"run.mode = {mode}\n{SIM_MODELS[mode]}{SIM_STARTS[mode]}"
+            f"numeric.n_jumps = 50\n{numeric}")
+    p = write_cfg(tmp_path, text)
+    assert main([mode, "--config", str(p), "--out", str(tmp_path / "cli")] + flags) == 1
+    err = capsys.readouterr().err
+    assert "must be >= 0" in err and "Traceback" not in err
+    assert not list((tmp_path / "cli").glob("*"))
+
+
+@pytest.mark.parametrize("mode", sorted(SIM_MODELS))
+def test_a_seed_sweep_reports_negative_seeds_as_config_errors(tmp_path, capsys, mode):
+    text = f"run.mode = {mode}\n{SIM_MODELS[mode]}{SIM_STARTS[mode]}numeric.n_jumps = 50\n"
+    p = write_cfg(tmp_path, text)
+    assert main([mode, "--config", str(p), "--out", str(tmp_path / "s"),
+                 "--sweep", "numeric.seed=-2:1:4"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (tmp_path / "s" / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["config-error"] * 2 + ["ok"] * 2
+    assert not list((tmp_path / "s" / "sweep_0000").glob("*.csv"))
+
+
 def test_pdmp_reports_potential_evals_per_jump(tmp_path):
     linear = PDMP_CFG.replace("model.rate = constant\nmodel.rate_level = 2.0",
                               "model.rate = linear\nmodel.rate_base = 1.5\n"

@@ -45,12 +45,8 @@ from burstkin.errors import (
     ToleranceNotMet,
     WindowTooSmall,
 )
-from burstkin.numerics import (
-    UniformStream,
-    draw_unit_exponential,
-    make_rng,
-    trapezoid,
-)
+from burstkin import numerics
+from burstkin.numerics import make_rng, trapezoid
 from burstkin.models import (
     ConstantRate,
     ContinuousBurstModel,
@@ -389,18 +385,19 @@ def bracketed_pdmp(model, y0, n_jumps, seed):
     times, y_pre = [0.0], []
     y = y0
     for _ in range(n_jumps):
-        y_end = inverse(pot.value(y) + draw_unit_exponential(rng), y)
+        y_end = inverse(pot.value(y) - math.log1p(-rng.random()), y)
         times.append(times[-1] + math.log(y / y_end) / model.decay.rate)
         y_pre.append(y_end)
-        y = y_end + model.burst_size.sample(rng, y_end)
+        y = y_end + model.burst_size.nu.draw_overshoot(-math.log1p(-rng.random()), y_end)
     return np.array(times), np.array(y_pre)
 
 
 def scalar_pdmp(model, y0, n_jumps, seed, *, hist_edges=None, n_bins=64):
     """simulate_pdmp as it ran before the two-pass split: one loop that
-    draws, inverts, bins the flow segment by bisection on the log edges
-    and writes every output per jump.  Returns (times, y_pre, y_post,
-    waits, bursts, exposure, below, above, total_time, inverse_evals)."""
+    draws each uniform by its own rng.random() call, inverts, bins the
+    flow segment by bisection on the log edges and writes every output
+    per jump.  Returns (times, y_pre, y_post, waits, bursts, exposure,
+    below, above, total_time, inverse_evals)."""
     pot = Potential(model, 1.0)
     gamma = model.decay.rate
     if hist_edges is None:
@@ -415,11 +412,11 @@ def scalar_pdmp(model, y0, n_jumps, seed, *, hist_edges=None, n_bins=64):
     below = above = 0.0
     times = np.zeros(n_jumps + 1)
     y_pre, y_post, waits, bursts = (np.zeros(n_jumps) for _ in range(4))
-    uniforms = UniformStream(make_rng(seed, 0))
+    rng = make_rng(seed, 0)
     y = float(y0)
     t = 0.0
     for k in range(n_jumps):
-        eps = draw_unit_exponential(uniforms)
+        eps = -math.log1p(-rng.random())
         y_end = pot.inverse(pot.value(y) + eps, hint=y)
         t += math.log(y / y_end) / gamma
         la, lb = math.log(y_end), math.log(y)
@@ -430,7 +427,7 @@ def scalar_pdmp(model, y0, n_jumps, seed, *, hist_edges=None, n_bins=64):
             below += (min(lb, log_edges[0]) - la) / gamma
         if lb > log_edges[-1]:
             above += (lb - max(la, log_edges[-1])) / gamma
-        e = model.burst_size.sample(uniforms, y_end)
+        e = model.burst_size.nu.draw_overshoot(-math.log1p(-rng.random()), y_end)
         times[k + 1] = t
         y_pre[k] = y_end
         y_post[k] = y_end + e
@@ -461,6 +458,22 @@ def test_simulate_pdmp_is_bit_identical_to_the_scalar_loop(family, n_jumps, edge
     assert (h.below, h.above, h.total_time, tr.inverse_evals) == ref[6:]
     if edges == "inside" and n_jumps > 1:
         assert h.below > 0.0 and h.above > 0.0
+
+
+def test_simulate_pdmp_does_not_depend_on_its_block_size(monkeypatch):
+    # the draws' blocks and the post-pass's chunks share PATH_CHUNK
+    for family in ("hill", "quadratic"):
+        runs = []
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(numerics, "PATH_CHUNK", chunk)
+            monkeypatch.setattr(continuous, "PATH_CHUNK", chunk)
+            tr = simulate_pdmp(PDMP_FAMILIES[family], 1.0, 3000, seed=11, stream=1)
+            d = tr.histogram.density()
+            runs.append((tr.times, tr.y_pre, tr.y_post, tr.histogram.exposure, d.grid,
+                         d.values, np.array(tr.inverse_evals)))
+        for run in runs[1:]:
+            for mine, theirs in zip(run, runs[0]):
+                assert mine.tobytes() == theirs.tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(PDMP_FAMILIES))

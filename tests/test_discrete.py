@@ -7,7 +7,6 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
-from burstkin import discrete
 from burstkin.discrete import (
     GeneralizedHypergeometricFamily,
     HypergeometricFamily,
@@ -43,6 +42,7 @@ from burstkin.models import (
     TabulatedRate,
     TruncatedLinearRate,
 )
+from burstkin import numerics
 from burstkin.numerics import PATH_CHUNK, expm, make_rng, tv_distance
 
 
@@ -516,22 +516,26 @@ def test_simulation_is_reproducible_and_stream_split():
     a = simulate_jump_chain(m, 0, 2000, seed=5)
     b = simulate_jump_chain(m, 0, 2000, seed=5)
     c = simulate_jump_chain(m, 0, 2000, seed=5, stream=1)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.times, b.times)
-    assert not np.array_equal(a.states, c.states)
+    assert np.array_equal(a.occupancy.values, b.occupancy.values)
+    assert a.total_time == b.total_time
+    assert np.array_equal(a.wait_draws, b.wait_draws)
+    assert not np.array_equal(a.wait_draws, c.wait_draws)
+    assert a.total_time != c.total_time
 
 
 def test_simulation_bookkeeping():
     m = nb_model()
     res = simulate_jump_chain(m, 0, 500, seed=1)
-    assert len(res.states) == 501
-    assert np.all(np.diff(res.times) > 0)
+    assert len(res.wait_draws) == 500
     assert np.all(res.wait_draws > 0)
-    # state 0 has no decay channel, so the first event must be a burst
-    assert res.states[1] == res.burst_sizes[0] >= 1
+    # state 0 has no decay channel, so the first event must be a burst:
+    # the second holding time is spent above 0
+    two = simulate_jump_chain(m, 0, 2, seed=1)
+    assert two.occupancy.n_max >= 1 and two.occupancy.values[0] > 0.0
     # occupancy is a normalized time-weighted histogram
     assert res.occupancy.mass() == pytest.approx(1.0, abs=1e-12)
-    assert res.total_time == pytest.approx(float(res.times[-1]))
+    ref = scalar_jump_chain(m, 0, 500, 1)
+    assert res.total_time == ref[2]
 
 
 def test_simulation_occupancy_tracks_stationary_law():
@@ -549,7 +553,7 @@ def test_simulation_inside_a_short_decay_table():
     m = DiscreteBurstModel(TruncatedLinearRate(2.0, -0.5), decay, TabulatedBurst((0.5, 0.5)))
     pmf = stationary_pmf_general(m, 30)
     res = simulate_jump_chain(m, 0, 20000, seed=4)
-    assert int(np.max(res.states)) <= 5
+    assert res.occupancy.n_max <= 5
     n = res.occupancy.n_max
     tv = 0.5 * float(np.sum(np.abs(res.occupancy.values - pmf.values[: n + 1])))
     assert tv < 0.05
@@ -571,7 +575,8 @@ def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
     the wait, the decision and the size, and reads them through the same
     numpy expressions one float at a time; numpy rate arrays grown by
     concatenation past every state entered, the burst laws' inverse CDFs
-    written out, and every output written per jump."""
+    written out, and every output written per jump.  Returns (waits,
+    occupancy, total_time)."""
     rng = make_rng(seed, stream)
     lam_arr, gam_arr = np.empty(0), np.empty(0)
 
@@ -594,13 +599,9 @@ def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
         return min(k, len(law.weights) - 1) + 1
 
     ensure(n0)
-    times = np.zeros(n_jumps + 1)
-    states = np.zeros(n_jumps + 1, dtype=np.int64)
     waits = np.zeros(n_jumps)
-    bursts = np.zeros(n_jumps, dtype=np.int64)
     occupancy = np.zeros(max(16, n0 + 1))
     n = n0
-    states[0] = n
     t = 0.0
     for k in range(n_jumps):
         lam, gam = lam_arr[n], gam_arr[n]
@@ -616,13 +617,10 @@ def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
             n -= 1
         else:
             n += burst_size(size)
-            bursts[k] = n - states[k]
             ensure(n)
-        times[k + 1] = t
-        states[k + 1] = n
         waits[k] = eps
     hi = int(np.max(np.nonzero(occupancy)[0]))
-    return times, states, waits, bursts, occupancy[: hi + 1] / t, t
+    return waits, occupancy[: hi + 1] / t, t
 
 
 @st.composite
@@ -690,12 +688,10 @@ def test_jump_chain_is_bit_identical_to_the_scalar_loop(model, n_jumps, n0, seed
             simulate_jump_chain(model, n0, n_jumps, seed, stream=stream)
         return
     got = simulate_jump_chain(model, n0, n_jumps, seed, stream=stream)
-    outputs = (got.times, got.states, got.wait_draws, got.burst_sizes,
-               got.occupancy.values)
-    for mine, theirs in zip(outputs, ref[:5]):
+    for mine, theirs in zip((got.wait_draws, got.occupancy.values), ref[:2]):
         assert mine.dtype == theirs.dtype
         assert mine.tobytes() == theirs.tobytes()
-    assert got.total_time == ref[5]
+    assert got.total_time == ref[2]
 
 
 def test_jump_chain_does_not_depend_on_its_block_size(monkeypatch):
@@ -706,10 +702,9 @@ def test_jump_chain_does_not_depend_on_its_block_size(monkeypatch):
     for m in models:
         runs = []
         for chunk in (1, 7, 4096):
-            monkeypatch.setattr(discrete, "PATH_CHUNK", chunk)
+            monkeypatch.setattr(numerics, "PATH_CHUNK", chunk)
             res = simulate_jump_chain(m, 2, 3000, seed=11, stream=1)
-            runs.append((res.occupancy.values, res.times, res.states, res.wait_draws,
-                         res.burst_sizes, res.total_rates, np.array(res.total_time)))
+            runs.append((res.occupancy.values, res.wait_draws, np.array(res.total_time)))
         for run in runs[1:]:
             for mine, theirs in zip(run, runs[0]):
                 assert mine.dtype == theirs.dtype
@@ -770,7 +765,8 @@ def test_jump_chain_memory_does_not_grow_with_its_length():
 
 
 def test_jump_chain_memory_is_its_output_arrays():
-    # the loop keeps one block of Python objects, not the whole path
+    # the loop keeps one block of Python objects, not the whole path: the
+    # peak stays within 4 MiB of the 32 B a jump the path would take
     m = DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
                            GeometricBurst(0.5))
     n_jumps = 300_000
@@ -780,9 +776,8 @@ def test_jump_chain_memory_is_its_output_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = sum(a.nbytes for a in (res.times, res.states, res.wait_draws, res.burst_sizes))
-    assert outputs == 32 * n_jumps + 16
-    assert peak <= outputs + 4 * 2**20
+    assert res.n_jumps == n_jumps
+    assert peak <= 32 * n_jumps + 16 + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

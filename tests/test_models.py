@@ -264,7 +264,7 @@ def test_nu_layer_is_finite_and_matches_its_oracle(case, seed):
     for x in (0.0, 0.5 * mean, mean, 10.0 * mean, 1e150):
         t = kern.tail(x, y)
         assert math.isfinite(t) and 0.0 <= t <= 1.0
-    draw = kern.sample(make_rng(seed, 0), y)
+    draw = nu.draw_overshoot(-math.log1p(-make_rng(seed, 0).random()), y)
     assert math.isfinite(draw) and draw >= 0.0
     if isinstance(nu, GaussianExpNu) and nu.quad > 0.0:
         q = nu.quad
@@ -303,7 +303,8 @@ def test_exponential_kernel():
     assert k.tail(1.0, 2.0) == pytest.approx(math.exp(-2.0))
     assert not math.isfinite(k.support_cap)
     rng = make_rng(4, 0)
-    draws = np.array([k.sample(rng, 1.0) for _ in range(20000)])
+    draws = np.array([k.nu.draw_overshoot(-math.log1p(-rng.random()), 1.0)
+                      for _ in range(20000)])
     assert abs(draws.mean() - 0.5) < 0.02
 
 
@@ -322,7 +323,8 @@ def test_separable_kernel_sampling_stays_in_support():
     kern = SeparableBurstKernel(FiniteSupportNu(2.0, 1.0))
     rng = make_rng(8, 0)
     y = 0.5
-    draws = np.array([kern.sample(rng, y) for _ in range(5000)])
+    draws = np.array([kern.nu.draw_overshoot(-math.log1p(-rng.random()), y)
+                      for _ in range(5000)])
     assert draws.min() > 0
     assert draws.max() < 2.0 - y
     # mean burst from y matches the kernel moment
@@ -335,7 +337,7 @@ def test_separable_kernel_rejects_states_outside_support():
     kern = SeparableBurstKernel(FiniteSupportNu(2.0, 1.0))
     rng = make_rng(8, 0)
     with pytest.raises(ModelError):
-        kern.sample(rng, 2.5)
+        kern.nu.draw_overshoot(-math.log1p(-rng.random()), 2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from burstkin.models import GeometricBurst
 from burstkin.errors import (
     DomainError,
     GridMismatch,
+    ModelError,
     NoConvergence,
     NotIntegrable,
     NumericalBlowup,
@@ -15,9 +16,7 @@ from burstkin.errors import (
     ToleranceNotMet,
 )
 from burstkin.numerics import (
-    DRAW_BLOCK,
-    UniformStream,
-    draw_unit_exponential,
+    PATH_CHUNK,
     expm,
     find_root,
     l1_distance,
@@ -25,6 +24,7 @@ from burstkin.numerics import (
     make_rng,
     trapezoid,
     tv_distance,
+    uniform_blocks,
 )
 
 
@@ -49,11 +49,21 @@ def test_rng_streams_are_distinct_and_stable():
 
 
 def test_unit_exponential_golden_and_positive():
-    r = make_rng(123, 0)
-    got = [draw_unit_exponential(r) for _ in range(3)]
+    # the simulators' waits, -log1p(-u) in math, of the pinned uniforms
+    (block,) = uniform_blocks(123, 0, 3, 1)
+    got = [-math.log1p(-u) for u in block[:, 0].tolist()]
     assert got == [0.21523842216015965, 1.4029888092924088, 0.3233649907145321]
-    r = make_rng(5, 0)
-    assert all(draw_unit_exponential(r) > 0 for _ in range(1000))
+    (block,) = uniform_blocks(5, 0, 1000, 1)
+    assert all(-math.log1p(-u) > 0 for u in block[:, 0].tolist())
+
+
+def test_rng_refuses_a_negative_seed_or_stream():
+    # SeedSequence's own ValueError would escape the CLI as a traceback
+    for seed, stream in ((-1, 0), (0, -2), (-3, -1)):
+        with pytest.raises(ModelError, match="must be >= 0"):
+            make_rng(seed, stream)
+        with pytest.raises(ModelError):
+            uniform_blocks(seed, stream, 10, 2)
 
 
 def test_geometric_draws_support_and_mean():
@@ -66,20 +76,17 @@ def test_geometric_draws_support_and_mean():
     assert abs(draws.mean() - 1.0 / 0.3) < 0.1
 
 
-def test_uniform_stream_is_the_scalar_sequence():
-    # the blocks, read one value at a time, are the scalar draws exactly,
-    # across every refill
-    n = 3 * DRAW_BLOCK + 7
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("n", [PATH_CHUNK - 1, PATH_CHUNK + 1, 2 * PATH_CHUNK + 7])
+def test_uniform_blocks_are_the_scalar_sequence(n, width):
+    # the rows, read in order, are the scalar draws exactly, across every
+    # block edge; a block holds at most PATH_CHUNK rows
+    blocks = list(uniform_blocks(42, 3, n, width))
+    assert all(b.shape == (min(PATH_CHUNK, n - PATH_CHUNK * i), width)
+               for i, b in enumerate(blocks))
     scalar = make_rng(42, 3)
-    stream = UniformStream(make_rng(42, 3))
-    assert [stream.random() for _ in range(n)] == [scalar.random() for _ in range(n)]
-    # and the draw helpers take the stream in place of the generator
-    scalar = make_rng(5, 0)
-    stream = UniformStream(make_rng(5, 0))
-    burst = GeometricBurst(0.7)
-    for _ in range(DRAW_BLOCK + 1):
-        assert draw_unit_exponential(stream) == draw_unit_exponential(scalar)
-        assert burst.size_at(stream.random()) == burst.size_at(scalar.random())
+    assert np.concatenate(blocks).ravel().tolist() == [scalar.random()
+                                                       for _ in range(n * width)]
 
 
 # ---------------------------------------------------------------------------
