@@ -28,12 +28,10 @@ from .continuous import (
     stationary_density,
 )
 from .discrete import (
-    GeneralizedHypergeometricFamily,
     HypergeometricFamily,
     JumpChainResult,
     MasterTrace,
     ModeReportDiscrete,
-    NegativeBinomialFamily,
     Pmf,
     count_modes_discrete,
     evolve_master,

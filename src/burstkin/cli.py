@@ -421,9 +421,8 @@ def _run_stationary_discrete(cfg, model, out: Path):
     scalars = {"mean_identity_residual": disc.mean_identity_residual(model, pmf)}
     family = disc.named_family_params(model)
     if family is not None:
-        scalars["family"] = type(family).__name__
-        scalars["family_residual"] = float(
-            np.max(np.abs(pmf.values - family.pmf(pmf.n_max))))
+        scalars["family"] = family.label
+        scalars["family_residual"] = float(np.max(np.abs(pmf.values - family.pmf(pmf.n_max))))
     return scalars, ["pmf.csv"]
 
 

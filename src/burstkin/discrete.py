@@ -4,8 +4,7 @@ The state n = 0, 1, 2, ... jumps up by a whole burst of size k >= 1 at
 rate burst_rate(n) * P(K = k) and down by one unit at rate decay(n).
 The stationary law solves a one-sided recurrence driven by the burst
 tail sums; with geometric bursts the recurrence collapses to a pure
-ratio form, which is what makes the named closed-form families drop
-out.
+ratio form, which is what makes the named closed-form family drop out.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +41,7 @@ __all__ = [
     "Pmf",
     "stationary_pmf_general",
     "stationary_pmf_geometric",
-    "NegativeBinomialFamily",
     "HypergeometricFamily",
-    "GeneralizedHypergeometricFamily",
     "named_family_params",
     "mean_identity_residual",
     "master_rhs_truncated",
@@ -149,9 +146,10 @@ def stationary_pmf_general(
     The net probability flux down across every cut n | n+1 vanishes,
         decay(n+1) p(n+1) = sum_{k<=n} tail(n-k) * rate(k) * p(k),
     which is solved forward from p(0) = 1 in O(n_max K) through the tail
-    recurrence and normalized at the end.  Interim values are rescaled
-    against the running maximum so dynamic ranges beyond float range
-    survive.
+    recurrence and normalized at the end.  Once w passes 2^930 (about
+    1e280) over the largest rate, the loop's state is shifted down by a
+    power of two before rate * w can overflow, and earlier w at the end:
+    exactly, so no bit moves unless an entry leaves the normal range.
 
     Set ``tail_tol=None`` to skip the truncation-quality check (used
     deliberately when studying truncation error itself).
@@ -159,27 +157,60 @@ def stationary_pmf_general(
     if n_max < 1:
         raise ModelError("stationary_pmf_general: n_max must be >= 1")
     _reject_divergent_linear(model)
-    lam, gam = (a.tolist() for a in _rate_arrays(model, n_max))
+    lam, gam = _rate_arrays(model, n_max)
+    top = math.frexp(max(float(np.max(lam)), 1.0))[1]     # every rate is below 2^top
+    limit = math.ldexp(1.0, 930 - top)
+    lam, gam = lam.tolist(), gam.tolist()
     carry, band = _tail_recurrence(model.burst_size)
     w = [1.0]
     lw = [lam[0]]   # rate(k) * w(k), kept in the same scale as w
     s = 0.0
+    drop = np.zeros(n_max + 1, dtype=np.int64)     # the shift made at each index
     for n in range(n_max):
         s = carry * s + sum(map(operator.mul, band, lw[:-len(band) - 1:-1]))
         w.append(s / gam[n + 1])
         lw.append(lam[n + 1] * w[-1])
-        if w[-1] > 1e280:   # rescale against the running maximum
-            peak = w[-1]
-            w = [v / peak for v in w]
-            lw = [v / peak for v in lw]
-            s /= peak
+        if w[-1] > limit:   # to w < 2^-top, so each rate * w < 1; lw is formed again
+            e = drop[n + 1] = math.frexp(w[-1])[1] + top
+            w[-1], s = math.ldexp(w[-1], -e), math.ldexp(s, -e)
+            lw[-len(band):] = [math.ldexp(v, -e) for v in lw[-len(band):-1]] + [lam[n + 1] * w[-1]]
 
+    if drop.any():
+        w = np.ldexp(w, np.cumsum(drop) - np.sum(drop)).tolist()
     total = math.fsum(w)
     if not (total > 0.0) or not math.isfinite(total):
         raise NotNormalizable("stationary recurrence produced no usable mass")
     values = np.array(w) / total
     _check_tail(values, tail_tol)
     return Pmf(values)
+
+
+def _ratio_terms(model: DiscreteBurstModel, n_max: int, caller: str):
+    """rate(n) + b decay(n) over decay(n+1), n < n_max: the geometric-burst p(n+1) / p(n)."""
+    if not isinstance(model.burst_size, GeometricBurst):
+        raise ModelError(f"{caller} needs a geometric burst-size law")
+    if n_max < 1:
+        raise ModelError(f"{caller}: n_max must be >= 1")
+    lam, gam = _rate_arrays(model, n_max)
+    return lam[:-1] + model.burst_size.b * gam[:-1], gam[1:]
+
+
+def _law_from_log_ratio(log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(n) proportional to exp(sum_{k<n} log_ratio[k]), as (values,
+    log_values).  The running sum is compensated, which keeps the products
+    honest over long ranges, and no term leaves log scale unscaled."""
+    log_w = np.zeros(len(log_ratio) + 1)
+    acc = comp = 0.0
+    for i, term in enumerate(log_ratio.tolist()):
+        y = term - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+        log_w[i + 1] = acc
+    peak = float(np.max(log_w))
+    w = np.exp(log_w - peak)
+    total = float(math.fsum(w.tolist()))
+    return w / total, log_w - peak - math.log(total)
 
 
 def stationary_pmf_geometric(
@@ -194,163 +225,90 @@ def stationary_pmf_geometric(
 
         p(n+1) / p(n) = (rate(n) + b * decay(n)) / decay(n+1),
 
-    so the law is a running product, accumulated here in log scale with
-    compensated summation.
+    so the law is a running product, accumulated in log scale.
     """
-    if not isinstance(model.burst_size, GeometricBurst):
-        raise ModelError("stationary_pmf_geometric needs a geometric burst-size law")
-    if n_max < 1:
-        raise ModelError("stationary_pmf_geometric: n_max must be >= 1")
+    up, down = _ratio_terms(model, n_max, "stationary_pmf_geometric")
     _reject_divergent_linear(model)
-    b = model.burst_size.b
-    lam, gam = _rate_arrays(model, n_max)
-    log_ratio = np.log(lam[:-1] + b * gam[:-1]) - np.log(gam[1:])
-
-    # compensated running sum keeps the products honest over long ranges
-    log_w = np.zeros(n_max + 1)
-    acc = 0.0
-    comp = 0.0
-    for i, term in enumerate(log_ratio.tolist()):
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        log_w[i + 1] = acc
-
-    peak = float(np.max(log_w))
-    w = np.exp(log_w - peak)
-    total = float(math.fsum(w.tolist()))
-    values = w / total
-    log_values = log_w - peak - math.log(total)
+    values, log_values = _law_from_log_ratio(np.log(up) - np.log(down))
     _check_tail(values, tail_tol)
     return Pmf(values, log_values)
 
 
 # ---------------------------------------------------------------------------
-# named stationary families (geometric bursts, first-order decay)
+# the named stationary family (geometric bursts, first-order decay)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NegativeBinomialFamily:
-    """p(n) = (shape)_n / n! * success^n * (1-success)^shape."""
-
-    success: float
-    shape: float
-
-    def pmf(self, n_max: int) -> np.ndarray:
-        out = np.empty(n_max + 1)
-        out[0] = (1.0 - self.success) ** self.shape
-        for n in range(n_max):
-            out[n + 1] = out[n] * self.success * (self.shape + n) / (n + 1)
-        return out
+def _log_factors(params: tuple, k: np.ndarray) -> np.ndarray:
+    """sum_i ln|a_i + k|, in real arithmetic for complex-conjugate pairs too."""
+    return sum((np.log(np.hypot(k + a.real, a.imag)) for a in params), np.zeros(len(k)))
 
 
 @dataclass(frozen=True)
 class HypergeometricFamily:
-    """p(n) proportional to (a1)_n (a2)_n / (b1)_n * s^n / n!."""
+    """p(n) proportional to prod (a_i)_n / prod (b_j)_n * s^n / n!, the pFq law
+    with the a_i in ``upper`` and the b_j in ``lower``, complex ones in
+    conjugate pairs.  The negative binomial is ((shape,), (), success)."""
 
-    a1: float
-    a2: float
-    b1: float
+    upper: tuple
+    lower: tuple
     s: float
 
-    def pmf(self, n_max: int) -> np.ndarray:
-        out = np.empty(n_max + 1)
-        out[0] = 1.0
-        for n in range(n_max):
-            out[n + 1] = out[n] * self.s * (self.a1 + n) * (self.a2 + n) / ((self.b1 + n) * (n + 1))
-        return out / math.fsum(out.tolist())
-
-
-@dataclass(frozen=True)
-class GeneralizedHypergeometricFamily:
-    """p(n) proportional to prod (a_i)_n / prod (b_j)_n * s^n / n!.
-
-    Parameters may come in complex-conjugate pairs; the resulting mass
-    function is real and positive, so the imaginary residue is dropped
-    after the product.
-    """
-
-    upper: tuple[complex, ...]
-    lower: tuple[complex, ...]
-    s: float
+    @property
+    def label(self) -> str:
+        return f"{len(self.upper)}F{len(self.lower)}"
 
     def pmf(self, n_max: int) -> np.ndarray:
-        out = np.empty(n_max + 1, dtype=complex)
-        out[0] = 1.0
-        for n in range(n_max):
-            num = np.prod([a + n for a in self.upper])
-            den = np.prod([b + n for b in self.lower]) * (n + 1)
-            out[n + 1] = out[n] * self.s * num / den
-        real = out.real
-        return real / math.fsum(real.tolist())
+        """The law on 0..n_max, normalized there."""
+        k = np.arange(n_max, dtype=float)
+        return _law_from_log_ratio(math.log(self.s) + _log_factors(self.upper, k)
+                                   - _log_factors(self.lower, k) - np.log1p(k))[0]
 
 
-NamedFamily = Union[NegativeBinomialFamily, HypergeometricFamily,
-                    GeneralizedHypergeometricFamily]
+def _negated_roots(poly: np.ndarray) -> tuple | None:
+    """The a_i with poly(n) = poly[0] prod_i (n + a_i), or None where they
+    miss poly, evaluated directly, by more than 1e-12 in ln at 0 or at the
+    integers next to a root, where a root error moves its factor most."""
+    if not np.all(np.isfinite(poly)):
+        return None
+    params = tuple((-np.roots(poly)).tolist())
+    near = np.array([-a.real for a in params if a.real < 0.0])
+    k = np.concatenate(([0.0], np.floor(near), np.ceil(near)))
+    with np.errstate(all="ignore"):     # an overflow or a zero lead fails the test
+        residual = np.log(poly[0]) + _log_factors(params, k) - np.log(np.polyval(poly, k))
+    return params if np.max(np.abs(residual)) <= 1e-12 else None
 
 
-def named_family_params(model: DiscreteBurstModel) -> NamedFamily | None:
+def named_family_params(model: DiscreteBurstModel) -> HypergeometricFamily | None:
     """Recognize the closed-form stationary family of a geometric-burst model.
 
-    Returns None when the model is outside the catalogued families.
-    Raises NotNormalizable when the family exists formally but has no
-    finite normalization (linear rate too steep).
+    With decay gamma n, a rate R(n) / D(n) (constant, linear, or Hill with
+    an integer exponent) makes p(n+1) / p(n) = P(n) / (gamma (n+1) D(n)),
+    P(n) = R(n) + b gamma n D(n): the pFq law with upper = -roots(P),
+    lower = -roots(D) and s = lead(P) / (gamma lead(D)).  Returns None for
+    other models and where the roots miss P or D.  A linear rate too steep
+    (s >= 1) raises NotNormalizable, by the stationary routes' own screen.
     """
-    if not isinstance(model.burst_size, GeometricBurst):
+    if not (isinstance(model.burst_size, GeometricBurst)
+            and isinstance(model.decay, LinearDecay)):
         return None
-    if not isinstance(model.decay, LinearDecay):
+    _reject_divergent_linear(model)
+    rate, gamma = model.burst_rate, model.decay.rate
+    if isinstance(rate, ConstantRate):     # coefficients from the highest power down
+        num, den = np.array([rate.level]), np.ones(1)
+    elif isinstance(rate, LinearRate):
+        num, den = np.array([rate.slope, rate.base]), np.ones(1)
+    elif isinstance(rate, HillRate) and float(rate.exponent).is_integer():
+        num, den = np.zeros((2, int(rate.exponent) + 1))
+        num[[0, -1]] = rate.scale * rate.numer_coeff, rate.scale
+        den[[0, -1]] = rate.denom_coeff, rate.denom_const
+    else:
         return None
-    b = model.burst_size.b
-    gamma = model.decay.rate
-    rate = model.burst_rate
-
-    if isinstance(rate, (ConstantRate, LinearRate)):
-        lam0 = rate.level if isinstance(rate, ConstantRate) else rate.base
-        lam1 = 0.0 if isinstance(rate, ConstantRate) else rate.slope
-        success = (lam1 + b * gamma) / gamma
-        if success >= 1.0:
-            raise NotNormalizable(
-                f"success parameter {success} >= 1: no negative-binomial normalization")
-        return NegativeBinomialFamily(success=success, shape=lam0 / (b * gamma + lam1))
-
-    if isinstance(rate, HillRate):
-        n_exp = rate.exponent
-        if abs(n_exp - round(n_exp)) > 1e-12:
-            return None
-        n_exp = int(round(n_exp))
-        lam = rate.scale
-        theta = rate.numer_coeff
-        den0 = rate.denom_const
-        den1 = rate.denom_coeff
-        if n_exp == 1:
-            b1 = den0 / den1
-            alpha = den0 / den1 + lam * theta / (b * gamma * den1)
-            disc = alpha * alpha - 4.0 * lam / (b * gamma * den1)
-            if disc >= 0.0:
-                root = math.sqrt(disc)
-                return HypergeometricFamily(a1=0.5 * (alpha - root),
-                                            a2=0.5 * (alpha + root),
-                                            b1=b1, s=b)
-            root = complex(0.0, math.sqrt(-disc))
-            return GeneralizedHypergeometricFamily(
-                upper=(0.5 * (alpha - root), 0.5 * (alpha + root)),
-                lower=(complex(b1),), s=b)
-        # higher integer exponents: factor the jump/decay balance polynomial
-        #   b*gamma*den1 n^(N+1) + lam*theta n^N + b*gamma*den0 n + lam
-        coeffs = np.zeros(n_exp + 2)
-        coeffs[0] = b * gamma * den1
-        coeffs[1] = lam * theta
-        coeffs[-2] = b * gamma * den0
-        coeffs[-1] = lam
-        upper = tuple(-r for r in np.roots(coeffs))
-        lower_poly = np.zeros(n_exp + 1)
-        lower_poly[0] = 1.0
-        lower_poly[-1] = den0 / den1
-        lower = tuple(-r for r in np.roots(lower_poly))
-        return GeneralizedHypergeometricFamily(upper=upper, lower=lower, s=b)
-
-    return None
+    poly = np.append(model.burst_size.b * gamma * den, 0.0)
+    poly[-len(num):] += num
+    upper, lower = _negated_roots(poly), _negated_roots(den)
+    if upper is None or lower is None:
+        return None
+    return HypergeometricFamily(upper, lower, float(poly[0] / (gamma * den[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -691,26 +649,11 @@ def count_modes_discrete(model: DiscreteBurstModel, n_max: int) -> ModeReportDis
     which counts a flat top once, at its last index.  A mode sits at the
     boundary iff rate(0) < decay(1).
     """
-    if not isinstance(model.burst_size, GeometricBurst):
-        raise ModelError("count_modes_discrete needs a geometric burst-size law")
-    if n_max < 1:
-        raise ModelError("count_modes_discrete: n_max must be >= 1")
-    b = model.burst_size.b
-    lam, gam = _rate_arrays(model, n_max)
-    s = lam[:-1] + b * gam[:-1] - gam[1:]
-
-    sign_changes: list[int] = []
-    maxima: list[int] = []
-    prev = 0
-    for n, v in enumerate(s.tolist()):
-        cur = (v > 0) - (v < 0)
-        if cur == 0:
-            continue
-        if prev != 0 and cur != prev:
-            sign_changes.append(n)
-            if prev > 0:
-                maxima.append(n)
-        prev = cur
-
-    boundary = float(lam[0]) < float(gam[1])
-    return ModeReportDiscrete(tuple(sign_changes), tuple(maxima), boundary)
+    up, down = _ratio_terms(model, n_max, "count_modes_discrete")
+    s = up - down
+    sign = (s > 0) * 1 - (s < 0)
+    strict = np.flatnonzero(sign)
+    changes = strict[1:][sign[strict[1:]] != sign[strict[:-1]]]
+    maxima = changes[sign[changes] < 0]
+    return ModeReportDiscrete(tuple(changes.tolist()), tuple(maxima.tolist()),
+                              float(up[0]) < float(down[0]))

@@ -206,7 +206,7 @@ def test_run_stationary_discrete_artifacts(tmp_path):
     cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "o")})
     summary = run_experiment(cfg)
     assert summary.artifacts == ["pmf.csv"]
-    assert summary.scalars["family"] == "NegativeBinomialFamily"
+    assert summary.scalars["family"] == "1F0"
     assert summary.scalars["family_residual"] <= 1e-12
     assert summary.scalars["mean_identity_residual"] <= 1e-10
 
@@ -218,6 +218,33 @@ def test_run_stationary_discrete_artifacts(tmp_path):
         blob = json.load(fh)
     assert blob["mode"] == "stationary-discrete"
     assert "numeric.n_max = 200" in blob["config"]
+
+
+@pytest.mark.parametrize("rate, label", [
+    # a linear-scale complex product of the parameters overflows here (exit 2)
+    ("model.rate = hill\nmodel.rate_scale = 800\nmodel.rate_numer = 1\n"
+     "model.rate_denom_const = 1\nmodel.rate_denom_coeff = 1\nmodel.rate_exponent = 1",
+     "2F1"),
+    # (1 - s)^shape = 0.5^4000 underflows: a linear-scale pmf is all zeros
+    ("model.rate = constant\nmodel.rate_level = 2000", "1F0"),
+], ids=["hill-800", "constant-2000"])
+def test_stationary_discrete_family_holds_at_large_burst_frequencies(tmp_path, rate, label):
+    text = (DISCRETE_CFG.replace("model.rate = constant\nmodel.rate_level = 1.0", rate)
+            .replace("n_max = 200", "n_max = 12000"))
+    rc = main(["stationary-discrete", "--config", str(write_cfg(tmp_path, text)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    scalars = json.loads((tmp_path / "o" / "summary.json").read_text())["scalars"]
+    assert scalars["family"] == label
+    assert scalars["family_residual"] <= 1e-12
+
+
+def test_sweep_writes_the_family_label(tmp_path):
+    cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})
+    assert run_sweep(cfg, "model.rate_level=0.5:1.5:2") == 0
+    lines = (tmp_path / "s" / "sweep_summary.csv").read_text().splitlines()
+    column = lines[0].split(",").index("family")
+    assert [line.split(",")[column] for line in lines[1:]] == ["1F0", "1F0"]
 
 
 def test_rerun_rewrites_identical_artifacts(tmp_path):

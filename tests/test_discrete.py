@@ -8,9 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
 from burstkin.discrete import (
-    GeneralizedHypergeometricFamily,
     HypergeometricFamily,
-    NegativeBinomialFamily,
     Pmf,
     _DROP,
     _MIXED,
@@ -165,6 +163,21 @@ def test_log_values_cover_underflowed_tail():
     assert np.allclose(np.log(pmf.values[live]), pmf.log_values[live], atol=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(level=st.floats(0.0, 300.0).map(lambda u: 10.0 ** u),
+       gamma=st.floats(-1.0, 1.0).map(lambda u: 10.0 ** u), b=st.floats(0.05, 0.95))
+@example(level=1e16, gamma=1.0, b=0.5)
+@example(level=1e300, gamma=0.1, b=0.5)
+def test_large_rates_agree_on_both_routes(level, gamma, b):
+    # from a rate of about 1e16 on, rate * w overflows unless the
+    # recurrence rescales before forming it
+    m = DiscreteBurstModel(ConstantRate(level), LinearDecay(gamma), GeometricBurst(b))
+    a = stationary_pmf_general(m, 200, tail_tol=None)
+    c = stationary_pmf_geometric(m, 200, tail_tol=None)
+    assert np.all(np.isfinite(a.values))
+    assert np.max(np.abs(a.values - c.values)) <= 1e-12
+
+
 def test_pmf_container():
     p = Pmf(np.array([0.25, 0.5, 0.25]))
     assert p.n_max == 2
@@ -182,9 +195,10 @@ def test_pmf_container():
 
 def test_named_family_negative_binomial_parameters():
     fam = named_family_params(nb_model(1.0, 0.0, 1.0, 0.5))
-    assert isinstance(fam, NegativeBinomialFamily)
-    assert fam.success == pytest.approx(0.5)
-    assert fam.shape == pytest.approx(2.0)
+    assert isinstance(fam, HypergeometricFamily) and fam.label == "1F0"
+    assert fam.s == pytest.approx(0.5)
+    assert fam.upper == pytest.approx((2.0,)) and fam.lower == ()
+    assert np.max(np.abs(fam.pmf(300) - nb_oracle(1.0, 0.0, 1.0, 0.5, 300))) < 1e-13
     with pytest.raises(NotNormalizable):
         named_family_params(nb_model(1.0, 0.6, 1.0, 0.5))
 
@@ -193,8 +207,9 @@ def test_named_family_hill_real_roots():
     m = DiscreteBurstModel(HillRate(1.0, 1.0, 1.0, 1.0, 1.0), LinearDecay(1.0),
                            GeometricBurst(0.5))
     fam = named_family_params(m)
-    assert isinstance(fam, HypergeometricFamily)
-    assert (fam.a1, fam.a2, fam.b1, fam.s) == pytest.approx((1.0, 2.0, 1.0, 0.5))
+    assert isinstance(fam, HypergeometricFamily) and fam.label == "2F1"
+    assert sorted(fam.upper) == pytest.approx([1.0, 2.0])
+    assert (*fam.lower, fam.s) == pytest.approx((1.0, 0.5))
     pmf = stationary_pmf_general(m, 300, tail_tol=None)
     assert np.max(np.abs(pmf.values - fam.pmf(300))) < 1e-12
 
@@ -203,7 +218,7 @@ def test_named_family_hill_complex_pair():
     m = DiscreteBurstModel(HillRate(1.0, 0.1, 1.0, 1.0, 1.0), LinearDecay(1.0),
                            GeometricBurst(0.5))
     fam = named_family_params(m)
-    assert isinstance(fam, GeneralizedHypergeometricFamily)
+    assert isinstance(fam, HypergeometricFamily) and fam.label == "2F1"
     assert fam.upper[0].imag != 0.0
     assert fam.upper[0] == fam.upper[1].conjugate()
     pmf = stationary_pmf_general(m, 300, tail_tol=None)
@@ -214,10 +229,81 @@ def test_named_family_hill_second_order():
     m = DiscreteBurstModel(HillRate(1.5, 0.5, 2.0, 0.5, 2.0), LinearDecay(1.0),
                            GeometricBurst(0.3))
     fam = named_family_params(m)
-    assert isinstance(fam, GeneralizedHypergeometricFamily)
+    assert isinstance(fam, HypergeometricFamily) and fam.label == "3F2"
     assert len(fam.upper) == 3 and len(fam.lower) == 2
     pmf = stationary_pmf_general(m, 200, tail_tol=None)
     assert np.max(np.abs(pmf.values - fam.pmf(200))) < 1e-11
+
+
+def test_named_family_hill_fourth_order_is_finite():
+    # a linear-scale complex product of the parameters overflows to NaN here
+    m = DiscreteBurstModel(HillRate(30.0, 5.0, 1.0, 0.01, 4.0), LinearDecay(1.0),
+                           GeometricBurst(0.8))
+    fam = named_family_params(m)
+    assert fam.label == "5F4"
+    p = fam.pmf(4000)
+    assert np.all(np.isfinite(p))
+    assert np.max(np.abs(p - stationary_pmf_general(m, 4000, tail_tol=None).values)) <= 1e-12
+
+
+@pytest.mark.parametrize("exponent, scale", [(50, 2.0), (50, 20.0), (20, 2.0), (20, 20.0)])
+def test_named_family_declines_roots_that_miss_their_polynomial(exponent, scale):
+    # a switch from scale to 3 scale at n = 20: the roots of a degree-51
+    # balance polynomial are off by O(1), at degree 21 by enough to move
+    # the pmf past 1e-12, while the pmf itself is fine
+    m = DiscreteBurstModel(HillRate(scale, 3.0 * 20.0 ** -exponent, 1.0, 20.0 ** -exponent,
+                                    exponent), LinearDecay(1.0), GeometricBurst(0.6))
+    fam = named_family_params(m)
+    if fam is not None:
+        ref = stationary_pmf_general(m, 2000, tail_tol=None).values
+        assert np.max(np.abs(fam.pmf(2000) - ref)) <= 1e-12
+    if exponent == 50:
+        assert fam is None
+
+
+def test_named_family_declines_a_coefficient_past_the_float_range():
+    # rate 1e200 at every n, but scale * numer_coeff = 1e400 in P: np.roots
+    # would raise on the inf; the recurrence itself runs
+    m = DiscreteBurstModel(HillRate(1e200, 1e200, 1.0, 1e200, 2.0), LinearDecay(1.0),
+                           GeometricBurst(0.5))
+    assert named_family_params(m) is None
+    assert np.all(np.isfinite(stationary_pmf_general(m, 200, tail_tol=None).values))
+
+
+def _decades(draw, lo=-3.0, hi=3.0):
+    return 10.0 ** draw(st.floats(lo, hi))
+
+
+@st.composite
+def family_models(draw):
+    """Constant, linear and integer-exponent Hill rates x geometric bursts,
+    coefficients log-uniform over about +-3 decades, rates up to 1e3."""
+    gamma = _decades(draw, -1.0, 1.0)
+    b = draw(st.floats(0.01, 0.99))
+    family = draw(st.sampled_from(("constant", "linear", "hill")))
+    if family == "constant":
+        rate = ConstantRate(_decades(draw))
+    elif family == "linear":
+        # inside the normalizability margin slope < decay * (1 - b)
+        rate = LinearRate(_decades(draw), 0.999 * gamma * (1.0 - b) * _decades(draw, -3.0, 0.0))
+    else:
+        # rate(0) = scale / d0 and rate(inf) = scale * theta / d1, each up to 1e3
+        d0, d1 = _decades(draw), _decades(draw)
+        scale = _decades(draw) * d0
+        rate = HillRate(scale, _decades(draw) * d1 / scale, d0, d1, draw(st.integers(1, 4)))
+    return DiscreteBurstModel(rate, LinearDecay(gamma), GeometricBurst(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=family_models(), n_max=st.integers(1, 3000))
+def test_named_family_is_finite_and_matches_the_recurrence_or_declines(model, n_max):
+    fam = named_family_params(model)
+    if fam is None:
+        return
+    p = fam.pmf(n_max)
+    assert np.all(np.isfinite(p))
+    ref = stationary_pmf_general(model, n_max, tail_tol=None).values
+    assert np.max(np.abs(p - ref)) <= 1e-12
 
 
 def test_named_family_none_for_other_shapes():
