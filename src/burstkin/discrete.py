@@ -9,6 +9,7 @@ ratio form, which is what makes the named closed-form family drop out.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -278,6 +279,12 @@ def _negated_roots(poly: np.ndarray) -> tuple | None:
     return params if np.max(np.abs(residual)) <= 1e-12 else None
 
 
+# the highest Hill exponent handed to np.roots: its companion eigenproblem
+# costs O(N^3), 4.5 ms at N = 64 (about the general recurrence at n_max
+# 2000) against 61 ms at 128 and 5.8 s at 1000
+_MAX_FAMILY_DEGREE = 64
+
+
 def named_family_params(model: DiscreteBurstModel) -> HypergeometricFamily | None:
     """Recognize the closed-form stationary family of a geometric-burst model.
 
@@ -287,6 +294,8 @@ def named_family_params(model: DiscreteBurstModel) -> HypergeometricFamily | Non
     lower = -roots(D) and s = lead(P) / (gamma lead(D)).  Returns None for
     other models and where the roots miss P or D.  A linear rate too steep
     (s >= 1) raises NotNormalizable, by the stationary routes' own screen.
+    A Hill exponent above _MAX_FAMILY_DEGREE is declined before any root
+    is sought.
     """
     if not (isinstance(model.burst_size, GeometricBurst)
             and isinstance(model.decay, LinearDecay)):
@@ -297,7 +306,8 @@ def named_family_params(model: DiscreteBurstModel) -> HypergeometricFamily | Non
         num, den = np.array([rate.level]), np.ones(1)
     elif isinstance(rate, LinearRate):
         num, den = np.array([rate.slope, rate.base]), np.ones(1)
-    elif isinstance(rate, HillRate) and float(rate.exponent).is_integer():
+    elif (isinstance(rate, HillRate) and float(rate.exponent).is_integer()
+          and rate.exponent <= _MAX_FAMILY_DEGREE):
         num, den = np.zeros((2, int(rate.exponent) + 1))
         num[[0, -1]] = rate.scale * rate.numer_coeff, rate.scale
         den[[0, -1]] = rate.denom_coeff, rate.denom_const
@@ -385,18 +395,21 @@ def _mixing_bound(p: np.ndarray) -> float:
     return 1.0 - float(p.min(axis=1).sum())
 
 
-def _propagator(gen: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
+def _propagator(gen: np.ndarray, dt: float,
+                overwrite: bool = False) -> tuple[np.ndarray, int]:
     """exp(dt G) for a generator with zero column sums, and the number of
     squarings it took.
 
     expm runs on dt G / 2^h, whose 1-norm is below one, so it neither
     copies nor scales it, and the result is squared up to h times here
     with its columns renormalized to unit mass after each squaring.
-    With G, at most six n x n arrays are live: G, dt G, and expm's a^2,
-    a^3, sum and spare.  Squaring a stochastic matrix doubles any
-    rounding error in its unit eigenvalue; over the ~1000 squarings of a
-    horizon like 1e300 that error would under- or overflow, while the
-    renormalized squares settle on the stationary law.
+    With ``overwrite`` G itself is scaled to dt G / 2^h, and at most four
+    n x n arrays are live: dt G / 2^h, and expm's a^2, a^3 and sum, plus
+    its buffer of ceil(n/4) rows; without, G is kept and makes five.
+    Squaring a stochastic matrix doubles any rounding error in its unit
+    eigenvalue; over the ~1000 squarings of a horizon like 1e300 that
+    error would under- or overflow, while the renormalized squares
+    settle on the stationary law.
 
     The squarings stop once _mixing_bound(P) < _MIXED.  Every later
     square is P times a stochastic matrix, so each of its columns is a
@@ -413,7 +426,7 @@ def _propagator(gen: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
     rounding already allows.
     """
     with np.errstate(over="ignore"):       # an infinite norm raises in expm
-        a = dt * gen
+        a = np.multiply(gen, dt, out=gen if overwrite else None)
         halvings = max(0, math.frexp(float(np.linalg.norm(a, 1)))[1])
         p = expm(np.ldexp(a, -halvings, out=a))
     # each mask is read off the buffer that is dead until the next swap
@@ -454,7 +467,8 @@ def evolve_master(
     Evenly spaced snapshots t_end (i + 1) / n_snapshots form one
     propagator exp((t_end / n_snapshots) G) and apply it n_snapshots
     times; explicit ``snapshot_times`` (t_end is always added) form one
-    per gap.  G is dense, so the cap is limited to 2048 states.  The
+    per run of exactly equal gaps.  The last propagator formed scales G
+    in place.  G is dense, so the cap is limited to 2048 states.  The
     stationary reference is G's null vector: the law on the same
     truncated support with zero flux across every cut (tail check off).
     """
@@ -473,7 +487,7 @@ def evolve_master(
         if n_snapshots < 1:
             raise ModelError("evolve_master: n_snapshots must be >= 1")
         times = [t_end * (i + 1) / n_snapshots for i in range(n_snapshots)]
-        dts = [t_end / n_snapshots]
+        dts = [t_end / n_snapshots] * n_snapshots
     else:
         times = sorted({float(s) for s in snapshot_times if 0.0 < s <= t_end})
         if not times or times[-1] < t_end:
@@ -481,12 +495,15 @@ def evolve_master(
         dts = np.diff(times, prepend=0.0)
 
     pmfs, squarings = [], 0
-    for i in range(len(times)):
-        if i < len(dts):        # even snapshots reuse their one propagator
-            step, count = _propagator(gen, dts[i])
-            squarings += count
-        values = step @ values
-        pmfs.append(Pmf(values))
+    runs = [(dt, len(list(run))) for dt, run in itertools.groupby(dts)]
+    for k, (dt, repeats) in enumerate(runs):
+        step = None     # the previous propagator is freed before the next is formed
+        # the last propagator scales G in place: nothing reads G after it
+        step, count = _propagator(gen, dt, overwrite=k == len(runs) - 1)
+        squarings += count
+        for _ in range(repeats):
+            values = step @ values
+            pmfs.append(Pmf(values))
 
     stationary = stationary_pmf_general(model, cap, tail_tol=None)
     dists = np.array([l1_distance(p.values, stationary.values) for p in pmfs])

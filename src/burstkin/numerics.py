@@ -96,15 +96,18 @@ _EXPM_THETA = 5.371920351148152
 def expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of a square matrix of 1-norm at most theta_13 = 5.37.
 
-    The degree-18 Taylor polynomial in Paterson-Stockmeyer form, in blocks
-    of three in a^3 (Bader, Blanes & Casas 2019):
-        T = B0 + a3 (B1 + a3 (B2 + a3 (B3 + a3 (B4 + a3 (B5 + c18 a3))))),
+    The degree-18 Taylor polynomial in Paterson-Stockmeyer form (SIAM J.
+    Comput. 2, 1973), in blocks of three in a^3:
+        T = B0 + (B1 + (B2 + (B3 + (B4 + (B5 + c18 a3) a3) a3) a3) a3) a3,
     with Bj = c(3j) I + c(3j+1) a + c(3j+2) a^2: a^2, a^3 and five Horner
-    products, 7 matmuls and no linear solve.  An input of 1-norm above
-    one is scaled by 2^-s (s <= 3) and the result squared s times; at
-    most one, the input is only read.  Every product and axpy writes
-    into a reused buffer: besides the argument, four n x n arrays are
-    live at most, five when it is scaled.
+    products, 7 matmuls and no linear solve.  T is a polynomial in a, so
+    T a3 = a3 T, and rows I of T a3 read only rows I of T: each Horner
+    step overwrites T a block of rows at a time, its product and axpys
+    passing through one buffer of ceil(n/4) rows.  Four n x n arrays are
+    live, the argument, a^2, a^3 and T, plus the buffer.  An input of
+    1-norm above one is scaled by 2^-s (s <= 3) into a private copy, one
+    array more, and the result squared s times in a^2's memory; at most
+    one, the input is only read.
 
     Raises
     ------
@@ -125,18 +128,22 @@ def expm(a: np.ndarray) -> np.ndarray:
     if squarings:
         a = np.ldexp(a, -squarings)               # a private copy; the argument stays
     c = _TAYLOR18
-    diag = slice(None, None, n + 1)
     a2 = a @ a
     a3 = a2 @ a
     t = np.multiply(a3, c[18])
-    spare = np.empty_like(a)
-    for j in range(5, -1, -1):                    # t = Bj + a3 t, Horner in a3
-        if j < 5:
-            t, spare = np.matmul(a3, t, out=spare), t
-        t += np.multiply(a2, c[3 * j + 2], out=spare)
-        t += np.multiply(a, c[3 * j + 1], out=spare)
-        t.flat[diag] += c[3 * j]
-    del a2, a3
+    rows = -(-n // 4)
+    buf = np.empty((rows, n))
+    for j in range(5, -1, -1):                    # t = Bj + t a3, Horner in a3
+        for lo in range(0, n, rows):
+            block = t[lo:lo + rows]
+            out = buf[:len(block)]
+            if j < 5:
+                block[...] = np.matmul(block, a3, out=out)
+            block += np.multiply(a2[lo:lo + rows], c[3 * j + 2], out=out)
+            block += np.multiply(a[lo:lo + rows], c[3 * j + 1], out=out)
+        t.flat[::n + 1] += c[3 * j]
+    spare = a2
+    del a2, a3, buf
     for _ in range(squarings):
         t, spare = np.matmul(t, t, out=spare), t
     return t

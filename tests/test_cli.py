@@ -239,6 +239,23 @@ def test_stationary_discrete_family_holds_at_large_burst_frequencies(tmp_path, r
     assert scalars["family_residual"] <= 1e-12
 
 
+def test_stationary_discrete_high_hill_degree_runs_without_a_family(tmp_path, monkeypatch):
+    # degree 1e5 would ask np.roots for about 80 GB: the recognizer must
+    # decline before any root is sought
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.roots called")
+    monkeypatch.setattr(np, "roots", refuse)
+    text = DISCRETE_CFG.replace(
+        "model.rate = constant\nmodel.rate_level = 1.0",
+        "model.rate = hill\nmodel.rate_scale = 2\nmodel.rate_numer = 1\n"
+        "model.rate_denom_const = 1\nmodel.rate_denom_coeff = 1\nmodel.rate_exponent = 1e5")
+    rc = main(["stationary-discrete", "--config", str(write_cfg(tmp_path, text)),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    scalars = json.loads((tmp_path / "o" / "summary.json").read_text())["scalars"]
+    assert "family" not in scalars and "family_residual" not in scalars
+
+
 def test_sweep_writes_the_family_label(tmp_path):
     cfg = parse_config(DISCRETE_CFG, overrides={("output", "dir"): str(tmp_path / "s")})
     assert run_sweep(cfg, "model.rate_level=0.5:1.5:2") == 0

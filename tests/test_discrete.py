@@ -270,6 +270,23 @@ def test_named_family_declines_a_coefficient_past_the_float_range():
     assert np.all(np.isfinite(stationary_pmf_general(m, 200, tail_tol=None).values))
 
 
+def _refuse_roots(*args, **kwargs):
+    raise AssertionError("np.roots called")
+
+
+def test_named_family_declines_a_high_hill_degree_without_roots(monkeypatch):
+    # the companion eigenproblem of degree N costs O(N^3): N = 1500 took
+    # seconds, and N = 1e5 would ask for about 80 GB
+    at_bound = DiscreteBurstModel(HillRate(2.0, 1.0, 1.0, 1.0, 64.0), LinearDecay(1.0),
+                                  GeometricBurst(0.5))
+    assert named_family_params(at_bound) is not None
+    monkeypatch.setattr(np, "roots", _refuse_roots)
+    for exponent in (65.0, 1500.0, 1e5):
+        m = DiscreteBurstModel(HillRate(2.0, 1.0, 1.0, 1.0, exponent), LinearDecay(1.0),
+                               GeometricBurst(0.5))
+        assert named_family_params(m) is None
+
+
 def _decades(draw, lo=-3.0, hi=3.0):
     return 10.0 ** draw(st.floats(lo, hi))
 
@@ -497,6 +514,28 @@ def test_evolve_master_uneven_snapshots_compose():
     assert np.sum(np.abs(uneven.pmfs[1].values - ref)) < 1e-12
 
 
+def test_evolve_master_reuses_an_equal_gap_propagator():
+    m = nb_model(2.0, 0.3, 1.0, 0.5)
+    v0 = np.zeros(81)
+    v0[5] = 1.0
+    explicit = evolve_master(m, v0, 4.0, snapshot_times=[1.0, 2.0, 3.0, 4.0])
+    even = evolve_master(m, v0, 4.0, n_snapshots=4)
+    _, once = _propagator(master_rhs_truncated(m, np.eye(81)), 1.0)
+    assert explicit.squarings == even.squarings == once
+    for a, b in zip(explicit.pmfs, even.pmfs, strict=True):
+        assert np.sum(np.abs(a.values - b.values)) <= 1e-15
+
+
+def test_propagator_overwrites_the_generator_only_when_asked():
+    gen = master_rhs_truncated(nb_model(2.0, 0.3, 1.0, 0.5), np.eye(41))
+    kept = gen.copy()
+    p, count = _propagator(gen, 3.0)
+    assert np.array_equal(gen, kept)
+    q, count_in_place = _propagator(gen, 3.0, overwrite=True)
+    assert np.array_equal(p, q) and count == count_in_place
+    assert not np.array_equal(gen, kept)
+
+
 def undropped_propagator(gen, dt):
     """_propagator's scaling, renormalized squaring and stop once mixed,
     keeping every entry."""
@@ -566,9 +605,10 @@ def test_evolve_master_memory_at_cap_400():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one 401 x 401 array is 1.2 MiB, and at most six are live: G, dt G,
-    # and expm's a^2, a^3, sum and spare
-    assert peak <= 8 * 2 ** 20
+    # one 401 x 401 array is 1.23 MiB, and at most four are live, with
+    # expm's buffer of 101 rows: G scaled in place to dt G, and expm's
+    # a^2, a^3 and sum; that is 5.22 MiB
+    assert peak <= 5.75 * 2 ** 20
 
 
 def test_evolve_master_never_enters_lapack(monkeypatch):

@@ -127,6 +127,24 @@ def test_expm_matches_scipy():
         expm(np.array([[-700.0]]))
 
 
+@pytest.mark.parametrize("n", (*range(1, 10), 401))
+def test_expm_row_blocks_at_every_remainder(n):
+    # Horner's products go ceil(n/4) rows at a time: a last block that is
+    # short, and fewer rows than blocks for n < 4
+    rng = np.random.default_rng(n)
+    for norm in (0.5, 4.0):
+        off = rng.random((n, n))
+        np.fill_diagonal(off, 0.0)
+        gen = off - np.diag(off.sum(axis=0))
+        for a in (gen, rng.standard_normal((n, n))):
+            a = a * (norm / max(np.linalg.norm(a, 1), 1e-300))
+            before = a.copy()
+            ref = scipy.linalg.expm(a)
+            tol = 50.0 * np.finfo(float).eps * max(1.0, norm)
+            assert np.linalg.norm(expm(a) - ref, 1) <= tol * np.linalg.norm(ref, 1)
+            assert np.array_equal(a, before)
+
+
 def test_expm_small_and_degenerate_inputs():
     assert expm(np.array([[2.0]]))[0, 0] == pytest.approx(math.exp(2.0), rel=1e-15)
     assert expm(np.array([[-5.0]]))[0, 0] == pytest.approx(math.exp(-5.0), rel=1e-14)
