@@ -428,10 +428,10 @@ def _run_stationary_discrete(cfg, model, out: Path):
 
 def _run_stationary_continuous(cfg, model, out: Path):
     num = cfg.numeric
-    density = cont.stationary_density(model, n_knots=num["n_knots"], x_ref=num["x_ref"])
-    write_density_csv(out / "density.csv", density.grid, density.values)
-    return ({"normalization": density.normalization, "mass_outside_grid": density.mass_outside},
-            ["density.csv"])
+    d = cont.stationary_density(model, n_knots=num["n_knots"], x_ref=num["x_ref"])
+    write_density_csv(out / "density.csv", d.grid, d.values)
+    scalars = {"ln_normalization": d.ln_normalization, "mass_outside_grid": d.mass_outside}
+    return scalars, ["density.csv"]
 
 
 def _run_evolve_master(cfg, model, out: Path):
@@ -502,7 +502,7 @@ def _run_kernel_fixed_point(cfg, model, out: Path):
         "fixed_point_residual": kern.residual(v_star),
         "mean_identity_residual": cont.mean_identity_residual(model, u_star),
         "min_column_sum": float(np.min(kern.raw_column_sums)),
-        "normalization": u_star.normalization,
+        "ln_normalization": u_star.ln_normalization,
     }
     return scalars, ["vstar.csv", "density.csv"]
 

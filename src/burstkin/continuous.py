@@ -80,14 +80,14 @@ __all__ = [
 class GridDensity:
     """Density values on a strictly increasing positive grid.
 
-    ``normalization`` records the constant the raw (unnormalized) form
-    integrated to, and ``mass_outside`` the law's mass off [grid[0],
+    ``ln_normalization`` records the log of the constant the unnormalized
+    form integrated to, and ``mass_outside`` the law's mass off [grid[0],
     grid[-1]], when the producing operation knows them; NaN otherwise.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    normalization: float = math.nan
+    ln_normalization: float = math.nan
     mass_outside: float = math.nan
 
     def __post_init__(self):
@@ -103,11 +103,31 @@ class GridDensity:
     def mass(self) -> float:
         return trapezoid(self.values, self.grid)
 
-    def normalized(self) -> "GridDensity":
-        m = self.mass()
-        if not (m > 0.0) or not math.isfinite(m):
-            raise NotIntegrable(f"density mass {m!r} is not a positive finite number")
-        return GridDensity(self.grid, self.values / m, self.normalization, self.mass_outside)
+
+def _grid_density(grid: np.ndarray, ln_u: np.ndarray, *, ln_c: float | None = None,
+                  below: float = math.nan, above: float = math.nan) -> GridDensity:
+    """The density e^{ln_u} at unit trapezoid mass; every grid density is formed here.
+
+    One shift (the largest ln_u), one exp, the trapezoid mass divided out,
+    and only then the finiteness check.  With ``ln_c``, ln_u is the law's
+    log density already and ln_c is recorded; else ln_u's log trapezoid
+    mass.  GridTooNarrow when the grid holds none of the law: ln_u is -inf
+    throughout or, with ln_c, less than the smallest normal float of it.
+    """
+    top = float(np.max(ln_u))
+    if not top < math.inf:
+        raise NumericalBlowup("the log density is NaN or +inf on the grid")
+    values = np.exp(ln_u - top) if top > -math.inf else np.zeros(len(grid))
+    mass = trapezoid(values, grid)
+    ln_mass = top + math.log(mass) if mass > 0.0 else -math.inf
+    if not ln_mass > (-math.inf if ln_c is None else math.log(_TINY)):
+        off = "" if math.isnan(below) else f"{below:.3g} of it lies below, {above:.3g} above, "
+        raise GridTooNarrow(f"the grid holds none of the law: {off}knots up to a ratio "
+                            f"{float(np.max(grid[1:] / grid[:-1])):.6g} apart")
+    values /= mass
+    if not np.all(np.isfinite(values)):
+        raise NumericalBlowup("the density overflowed when normalized on the grid")
+    return GridDensity(grid, values, ln_mass if ln_c is None else ln_c, below + above)
 
 
 def geometric_grid(x_min: float, x_max: float, n_knots: int) -> np.ndarray:
@@ -676,22 +696,17 @@ def stationary_density(
 ) -> GridDensity:
     """Stationary density u(x) = nu(x) e^{-Q(x)} / (c decay(x)), c the normalization.
 
-    The exponential weight is formed as exp(ln nu(x) - Q(x)), so neither
-    factor overflows or underflows on its own.  c and the law's mass off
-    the grid, ``mass_outside``, come from numerics.log_quad; GridTooNarrow
-    when more than _MASS_LEAK of it lies below the first knot.
+    ln(c u) = ln nu - Q - ln(decay x) stays in log scale: ln c and the
+    law's mass off the grid, ``mass_outside``, come from numerics.log_quad
+    and the values from _grid_density.  GridTooNarrow when more than
+    _MASS_LEAK of the law lies below the first knot, or none on the grid.
     """
     nu = model.burst_size.nu
     _screen(model, nu)
     gamma = model.decay.rate
     pot = Potential(model, x_ref)
 
-    def raw(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.exp(nu.log_value(x) - pot.value(x)) / (gamma * x)
-
-    def ln_raw(x):
+    def ln_cu(x):
         return nu.log_value(x) - pot.value(x) - np.log(gamma * x)
 
     if grid is None:
@@ -699,16 +714,13 @@ def stationary_density(
     cap = nu.support_cap
     if grid[-1] > cap:
         raise ModelError(f"grid exceeds the kernel support cap {cap}")
-    ln_c = log_quad(ln_raw, 0.0, cap, 1e-12)
-    below = math.exp(log_quad(ln_raw, 0.0, float(grid[0]), 1e-12) - ln_c)
+    ln_c = log_quad(ln_cu, 0.0, cap, 1e-12)
+    below = math.exp(log_quad(ln_cu, 0.0, float(grid[0]), 1e-12) - ln_c)
     if below > _MASS_LEAK:
         raise GridTooNarrow(f"{below:.3g} of the law lies below the first knot {grid[0]:.6g}")
-    above = math.exp(log_quad(ln_raw, float(grid[-1]), cap, 1e-12) - ln_c)
-    values = raw(grid)
-    if not np.all(np.isfinite(values)):
-        raise NumericalBlowup("density overflowed on the grid; shrink the span")
-    mass = trapezoid(values, grid)
-    return GridDensity(grid, values / mass, math.exp(ln_c), below + above)
+    above = math.exp(log_quad(ln_cu, float(grid[-1]), cap, 1e-12) - ln_c)
+    with np.errstate(divide="ignore", invalid="ignore"):  # nu = 0 at a cap; NaN is refused
+        return _grid_density(grid, ln_cu(grid) - ln_c, ln_c=ln_c, below=below, above=above)
 
 
 # ---------------------------------------------------------------------------
@@ -917,16 +929,16 @@ def kernel_matrix(
     dq = np.diff(q)
     dl = np.diff(ln_s_abs)
     weights = _log_simpson_weights(grid)
-    # the transposed recurrences of KernelGrid.apply, on the same vectors,
-    # so the closure below holds to rounding for the operator apply uses
-    t = weights * np.exp(diag)
+    # apply's transposed recurrences on the same vectors, so the closure holds to
+    # rounding; a diagonal past the float range makes sums the gate refuses
     climb = -dq - dl
-    raw_sums = _prefix_scan(dq, t)
-    raw_sums[:-1] += np.exp(climb) * _suffix_scan(climb, t)[1:]
-    if not np.all(raw_sums >= 1.0 - _MASS_LEAK):  # NaN sums fail too
-        worst = float(np.min(raw_sums))
-        raise GridTooNarrow(
-            f"kernel column mass down to {worst:.6f}; widen or refine the grid")
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = weights * np.exp(diag)
+        raw_sums = _prefix_scan(dq, t)
+        raw_sums[:-1] += np.exp(climb) * _suffix_scan(climb, t)[1:]
+    if not np.all((raw_sums >= 1.0 - _MASS_LEAK) & (raw_sums < math.inf)):
+        raise GridTooNarrow(f"kernel column mass down to {float(np.min(raw_sums)):.6f}; "
+                            "widen or refine the grid")
     return KernelGrid(grid, weights, diag, dq, dl, raw_sums, ln_a + np.log(raw_sums) - q)
 
 
@@ -938,15 +950,11 @@ def kernel_fixed_point(kernel: KernelGrid, tol: float = 1e-10) -> GridDensity:
     m_j P_ij = alpha_i alpha_j S_min(i,j), which is symmetric in i and
     j: the chain is reversible, and detailed balance makes v its fixed
     point exactly (Kelly, Reversibility and Stochastic Networks, 1979).
-    v is formed as exp(ln_balance - max), so no factor overflows.
+    v is formed from ln_balance by _grid_density, so no factor overflows.
     ``tol`` is a certificate: one ``apply`` measures the weighted L1
     residual, and a residual above it raises ToleranceNotMet.
     """
-    ln_v = kernel.ln_balance
-    v = np.exp(ln_v - np.max(ln_v))
-    if not np.all(np.isfinite(v)):
-        raise NumericalBlowup("kernel fixed point is not a finite vector")
-    v_star = GridDensity(kernel.grid, v / trapezoid(v, kernel.grid))
+    v_star = _grid_density(kernel.grid, kernel.ln_balance)
     residual = kernel.residual(v_star)
     if not residual <= tol:
         raise ToleranceNotMet(f"kernel fixed point residual {residual:.3e} above {tol:.3e}")
@@ -963,33 +971,24 @@ def density_from_fixed_point(
 
         u(x) = (1/(c decay(x))) * integral_x^inf e^{Q(y) - Q(x)} v(y) dy.
 
-    The tail integral accumulates top-down through Q differences only,
-    so its exponential weights never overflow.  GridTooNarrow when the
-    mass below the first knot, u(x0) x0 over the slope of ln(u x) in ln x
-    there (u x is a power of x near 0), exceeds _MASS_LEAK.
+    The tail integral accumulates top-down through Q differences only, so
+    no weight overflows, and _grid_density takes its log less ln(decay x).
+    GridTooNarrow when the mass below the first knot, u(x0) x0 over the
+    slope of ln(u x) in ln x there (u x ~ x^slope near 0), exceeds _MASS_LEAK.
     """
-    grid = v_star.grid
-    v = v_star.values
-    pot = Potential(model, x_ref)
-    q = pot.value(grid)
-    gamma = model.decay.rate
-
-    dq = np.diff(q)
+    grid, v = v_star.grid, v_star.values
+    dq = np.diff(Potential(model, x_ref).value(grid))
     terms = np.zeros(len(grid))
     terms[:-1] = 0.5 * np.diff(grid) * (v[:-1] + np.exp(dq) * v[1:])  # e^{dq} <= 1
-    w_tail = _suffix_scan(dq, terms)
-
-    raw = w_tail / (gamma * grid)
-    c = trapezoid(raw, grid)
-    if not math.isfinite(c) or c <= 0.0:
-        raise NotIntegrable(f"fixed-point density integrated to {c!r}")
-    m0, m1 = grid[0] * raw[0], grid[1] * raw[1]     # none below where u(x0) underflowed
-    if m0 > 0.0:
-        below = (m0 * math.log(grid[1] / grid[0]) / (c * (math.log(m1) - math.log(m0)))
-                 if m1 > m0 else math.inf)
-        if below > _MASS_LEAK:
-            raise GridTooNarrow(f"{below:.3g} of the law lies below the first knot {grid[0]:.6g}")
-    return GridDensity(grid, raw / c, c)
+    with np.errstate(divide="ignore"):  # a tail that underflowed to 0
+        ln_u = np.log(_suffix_scan(dq, terms)) - np.log(model.decay.rate * grid)
+    u = _grid_density(grid, ln_u)
+    m0, step = grid[0] * u.values[0], math.log(grid[1] / grid[0])
+    rise = float(ln_u[1]) - float(ln_u[0]) + step     # of ln(u x) over the first gap
+    below = m0 * step / rise if rise > 0.0 else math.inf
+    if m0 > 0.0 and below > _MASS_LEAK:             # none below where u(x0) underflowed
+        raise GridTooNarrow(f"{below:.3g} of the law lies below the first knot {grid[0]:.6g}")
+    return u
 
 
 def mean_identity_residual(model: ContinuousBurstModel, density: GridDensity) -> float:

@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
 import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burstkin.cli import (
     ExperimentConfig,
@@ -15,7 +19,13 @@ from burstkin.cli import (
     run_experiment,
     run_sweep,
 )
-from burstkin.errors import ModelError, NumericalBlowup, ParseError, ValidationError
+from burstkin.errors import (
+    BurstkinError,
+    ModelError,
+    NumericalBlowup,
+    ParseError,
+    ValidationError,
+)
 
 
 DISCRETE_CFG = """\
@@ -557,6 +567,119 @@ def test_kernel_fixed_point_where_the_rate_underflows(tmp_path):
     scalars = json.loads(text, parse_constant=_no_bare_constants)["scalars"]
     assert scalars["fixed_point_residual"] < 1e-12
     assert scalars["mean_identity_residual"] < 1e-4
+
+
+def _constant_rate_law(a0, x_ref):
+    """Constant rate a0 x exponential bursts of mean 1 at unit decay: u is Gamma(a0, 1)."""
+    return ("run.mode = stationary-continuous\nmodel.kind = continuous\n"
+            f"model.rate = constant\nmodel.rate_level = {a0!r}\nmodel.decay = 1.0\n"
+            "model.burst = exponential\nmodel.burst_b = 1.0\n"
+            f"numeric.x_ref = {x_ref!r}\n")
+
+
+def _read_density(out):
+    x, u = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1, unpack=True)
+    assert np.all(np.isfinite(u)) and np.all(u >= 0.0)
+    return x, u
+
+
+def test_stationary_continuous_far_from_the_anchor_is_finite(tmp_path):
+    # e^{-Q} at x_ref = 1000 underflowed at every knot, and the grid values
+    # were 0/0: exit 0 with 1024 nan rows.  Formed in log scale, the law is
+    # Gamma(1000, 1), and c = Gamma(1000) / 1000^1000
+    p = write_cfg(tmp_path, _constant_rate_law(1000.0, 1000.0))
+    assert main(["stationary-continuous", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    x, u = _read_density(tmp_path / "out")
+    mean = float(np.dot(np.diff(x), 0.5 * (x[1:] * u[1:] + x[:-1] * u[:-1])))
+    assert mean == pytest.approx(1000.0, rel=1e-9)
+    text = (tmp_path / "out" / "summary.json").read_text()
+    scalars = json.loads(text, parse_constant=_no_bare_constants)["scalars"]
+    assert "normalization" not in scalars
+    assert scalars["ln_normalization"] == pytest.approx(
+        math.lgamma(1000.0) - 1000.0 * math.log(1000.0), rel=1e-12)
+
+
+def test_stationary_continuous_refuses_a_law_above_its_grid(tmp_path, capsys):
+    # ln c is finite, but e^{ln c} overflowed (a raw OverflowError).  The law
+    # lies above the grid's last knot, so the grid holds none of it
+    text = ("run.mode = stationary-continuous\nmodel.kind = continuous\n"
+            "model.rate = linear\nmodel.rate_base = 0.00164\nmodel.rate_slope = 1.1404\n"
+            "model.decay = 0.07283\nmodel.burst = gaussian-exp\n"
+            "model.burst_lin = 0.8287\nmodel.burst_quad = 0.00886\n")
+    p = write_cfg(tmp_path, text)
+    assert main(["stationary-continuous", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "GridTooNarrow" in err and "holds none of the law" in err
+    assert not (tmp_path / "out" / "density.csv").exists()
+
+
+@pytest.mark.parametrize("a0", [1000.0, 3000.0])
+def test_stationary_continuous_anchor_invariance_at_large_burst_frequencies(tmp_path, a0):
+    # at x_ref = 1, e^{-Q} reaches x^a0 and overflowed; acceptance 11's bound
+    values = []
+    for x_ref in (1.0, a0):
+        out = tmp_path / f"out{x_ref}"
+        p = write_cfg(tmp_path, _constant_rate_law(a0, x_ref))
+        assert main(["stationary-continuous", "--config", str(p), "--out", str(out)]) == 0
+        values.append(_read_density(out)[1])
+    assert float(np.max(np.abs(values[0] - values[1]))) <= 1e-10
+
+
+# base coefficients of every continuous rate and burst family the CLI
+# offers; the contract property scales each by 10^U(-4, 4).  Hill
+# exponents are drawn apart, unscaled
+_RATE_BASE = {
+    "constant": {"rate_level": 2.0},
+    "linear": {"rate_base": 2.0, "rate_slope": 0.3},
+    "quadratic": {"rate_base": 2.0, "rate_slope": 0.1, "rate_quad": 0.05},
+    "hill": {"rate_scale": 2.0, "rate_numer": 2.0, "rate_denom_const": 1.0,
+             "rate_denom_coeff": 1.0},
+}
+_BURST_BASE = {
+    "exponential": {"burst_b": 1.0},
+    "power-tail": {"burst_offset": 1.0, "burst_exponent": 6.0},
+    "gaussian-exp": {"burst_lin": 1.0, "burst_quad": 0.4},
+    "finite-support": {"burst_cap": 8.0, "burst_exponent": 3.0},
+}
+
+
+@st.composite
+def density_mode_configs(draw):
+    mode = draw(st.sampled_from(["stationary-continuous", "invert-phi", "kernel-fixed-point"]))
+    rate = draw(st.sampled_from(sorted(_RATE_BASE)))
+    burst = draw(st.sampled_from(sorted(_BURST_BASE)))
+
+    def scaled(base):
+        return base * 10.0 ** draw(st.floats(-4.0, 4.0))
+
+    lines = [f"run.mode = {mode}", "model.kind = continuous", f"model.rate = {rate}",
+             f"model.decay = {scaled(1.0)!r}", f"model.burst = {burst}"]
+    lines += [f"model.{k} = {scaled(v)!r}" for k, v in _RATE_BASE[rate].items()]
+    if rate == "hill":
+        lines.append(f"model.rate_exponent = {draw(st.floats(0.5, 4.0))!r}")
+    lines += [f"model.{k} = {scaled(v)!r}" for k, v in _BURST_BASE[burst].items()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400)
+@given(text=density_mode_configs())
+def test_density_modes_return_finite_artifacts_or_a_burstkin_error(text):
+    # the contract of the three modes built on a grid density, over every
+    # continuous rate x burst pair: each run returns finite CSVs and a
+    # summary.json that parses strictly, or raises a BurstkinError.  No
+    # warning and no other exception may escape
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = parse_config(text, overrides={("output", "dir"): tmp})
+            summary = run_experiment(cfg)
+        except BurstkinError:
+            return
+        json.loads((Path(tmp) / "summary.json").read_text(),
+                   parse_constant=_no_bare_constants)
+        for name in summary.artifacts:
+            table = np.loadtxt(Path(tmp) / name, delimiter=",", skiprows=1, ndmin=2)
+            assert np.all(np.isfinite(table)), name
 
 
 @pytest.mark.parametrize("rate", [

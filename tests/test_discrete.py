@@ -163,7 +163,7 @@ def test_log_values_cover_underflowed_tail():
     assert np.allclose(np.log(pmf.values[live]), pmf.log_values[live], atol=1e-10)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(level=st.floats(0.0, 300.0).map(lambda u: 10.0 ** u),
        gamma=st.floats(-1.0, 1.0).map(lambda u: 10.0 ** u), b=st.floats(0.05, 0.95))
 @example(level=1e16, gamma=1.0, b=0.5)
@@ -311,7 +311,7 @@ def family_models(draw):
     return DiscreteBurstModel(rate, LinearDecay(gamma), GeometricBurst(b))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(model=family_models(), n_max=st.integers(1, 3000))
 def test_named_family_is_finite_and_matches_the_recurrence_or_declines(model, n_max):
     fam = named_family_params(model)
@@ -445,7 +445,7 @@ def tabulated_models(draw):
     return DiscreteBurstModel(model.burst_rate, model.decay, burst)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(model=st.one_of(discrete_models(), tabulated_models()), n_max=st.integers(1, 2000))
 def test_stationary_recurrence_matches_the_quadratic_loop(model, n_max):
     got = stationary_pmf_general(model, n_max, tail_tol=None).values
@@ -479,7 +479,7 @@ def test_master_rhs_matches_the_convolution_formula():
             assert np.max(np.abs(gen.sum(axis=0))) <= 1e-13
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(model=discrete_models(), cap=st.integers(3, 400),
        t_end=st.floats(1e-3, 1e3), n_snapshots=st.integers(1, 30),
        start=st.floats(0.0, 1.0))
@@ -550,7 +550,7 @@ def undropped_propagator(gen, dt):
     return p
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(model=discrete_models(), cap=st.integers(3, 400),
        t_end=st.floats(1e-3, 1e3), n_snapshots=st.integers(1, 30),
        start=st.floats(0.0, 1.0))
@@ -570,7 +570,7 @@ def test_propagator_drop_is_invisible_in_the_snapshots(model, cap, t_end, n_snap
         assert np.sum(np.abs(v - ref)) <= 1e-100
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(model=discrete_models(), cap=st.integers(3, 30), dt=st.floats(1e-3, 1e3))
 def test_mixing_bound_is_at_least_the_pairwise_dobrushin_coefficient(model, cap, dt):
     gen = master_rhs_truncated(model, np.eye(cap + 1))
@@ -783,7 +783,7 @@ def chain_models(draw):
     return DiscreteBurstModel(rate, decay, burst)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(model=chain_models(),
        n_jumps=st.sampled_from((PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1,
                                 2 * PATH_CHUNK + 7)),

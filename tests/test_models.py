@@ -254,7 +254,7 @@ def _tail_integral(kern, y, scale):
     return val
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(case=nu_and_state(), seed=st.integers(0, 2**32 - 1))
 def test_nu_layer_is_finite_and_matches_its_oracle(case, seed):
     nu, y = case
