@@ -249,59 +249,56 @@ def _log_simpson_weights(grid: np.ndarray) -> np.ndarray:
 # the hazard potential
 # ---------------------------------------------------------------------------
 
-# Newton in u = ln x stays where exp(u) is a positive finite float
+# Newton in ln x stays where exp(ln x) is a positive finite float; the flow's
+# roots must lie strictly between these
 _LOG_X_MIN = -744.0
 _LOG_X_MAX = 709.0
-
-# the elementary functions Q is written in: math for one float, numpy
-# ufuncs for an array
-_FLOAT_FNS = (math.log, math.log1p, math.exp, max)
-_ARRAY_FNS = (np.log, np.log1p, np.exp, np.maximum)
+_X_MIN = math.exp(_LOG_X_MIN)
+_X_MAX = math.exp(_LOG_X_MAX)
 
 
-def _rate_law(rate, g: float, ref: float, fns=_FLOAT_FNS):
+def _rate_law(rate, g: float, ref: float):
     """The closed forms of a rate law under first-order decay at rate g.
 
-    Returns (q, xdq, q_inf, ratio_inf, inverse, ln_rate):
+    Returns (q, ratio, rise, q_inf, ratio_inf, ln_rate):
 
-    - q(x): Q(x) anchored at ref, one expression over the elementary
-      functions fns = (log, log1p, exp, maximum), _FLOAT_FNS for a Python
-      float and _ARRAY_FNS for an array.  No form raises or turns NaN for
-      x > 0; a quadratic law's Q is -inf past x ~ 1e154, as it should be;
-    - xdq(x) = x Q'(x) = -rate(x)/g, math-only, for a float;
+    - q(x): Q(x) anchored at ref, over numpy ufuncs.  No form raises or
+      turns NaN for x > 0; a quadratic law's Q is -inf past x ~ 1e154, as
+      it should be;
+    - ratio(x) = rate(x)/g = -x Q'(x), in math, for a float;
+    - rise(y, ly, d): the pair (D(d), ratio(y e^d)) in math, with
+      D(d) = Q(y e^d) - Q(y) written in d itself and ly = ln y, so
+      neither the anchor nor Q(y) enters; None for a constant rate, whose
+      D is -ratio d;
     - q_inf and ratio_inf: the limits of Q and of rate/g at +inf;
-    - inverse(target): the x with Q(x) = target where a closed form
-      exists, else None;
-    - ln_rate(x): ln rate(x) over fns, finite where a Hill rate that
+    - ln_rate(x): ln rate(x) over numpy, finite where a Hill rate that
       shuts off underflows to 0.
     """
-    log, log1p, exp, maximum = fns
     log_ref = math.log(ref)
 
     def ln_rate(x):
-        return log(rate.value(x))
+        return np.log(rate.value(x))
 
     if isinstance(rate, ConstantRate):
         a = rate.level / g
-
-        def inverse(target):
-            t = -target * g / rate.level
-            x = ref * math.exp(t) if t <= _LOG_X_MAX else math.inf
-            if not 0.0 < x < math.inf:
-                raise RangeError(f"target {target}: the root lies outside the float range")
-            return x
-
-        return ((lambda x: a * (log_ref - log(x))), (lambda x: -a), -math.inf, a, inverse,
-                ln_rate)
+        return (lambda x: a * (log_ref - np.log(x))), (lambda x: a), None, -math.inf, a, ln_rate
     if isinstance(rate, (LinearRate, QuadraticRate)):
         a, s = rate.base / g, rate.slope / g
         c = getattr(rate, "quad", 0.0) / (2.0 * g)
         ratio_inf = a if s == c == 0.0 else math.inf
+        expm1, exp = math.expm1, math.exp
+
+        def rise(y, ly, d):
+            # D = -a d - s (x - y) - c (x^2 - y^2), with x - y = y expm1(d)
+            dx = y * expm1(d) if d < 700.0 else exp(ly + d) - y
+            x = y + dx
+            return -a * d - dx * (s + c * (x + y)), a + x * (s + 2.0 * c * x)
+
         if c == 0.0:    # no x * x term, which would make 0 * inf past 1e154
-            return ((lambda x: a * (log_ref - log(x)) + s * (ref - x)),
-                    (lambda x: -(a + s * x)), -math.inf, ratio_inf, None, ln_rate)
-        return ((lambda x: a * (log_ref - log(x)) + s * (ref - x) + c * (ref * ref - x * x)),
-                (lambda x: -(a + x * (s + 2.0 * c * x))), -math.inf, ratio_inf, None, ln_rate)
+            return ((lambda x: a * (log_ref - np.log(x)) + s * (ref - x)),
+                    (lambda x: a + s * x), rise, -math.inf, ratio_inf, ln_rate)
+        return ((lambda x: a * (log_ref - np.log(x)) + s * (ref - x) + c * (ref * ref - x * x)),
+                (lambda x: a + x * (s + 2.0 * c * x)), rise, -math.inf, ratio_inf, ln_rate)
     if isinstance(rate, HillRate):
         lam, th = rate.scale, rate.numer_coeff
         d0, d1, ne = rate.denom_const, rate.denom_coeff, rate.exponent
@@ -309,39 +306,59 @@ def _rate_law(rate, g: float, ref: float, fns=_FLOAT_FNS):
         kappa = lam * th / d1 / g                  # rate(inf)/g
         curv = lam * (d1 / d0 - th) / (ne * d1 * g)
         knee = (math.log(d0) - math.log(d1)) / ne  # ln x where d1 x^ne = d0
+        exp, log1p = math.exp, math.log1p
 
         def s(d):
             # Q up to a constant, in d = ln x - knee: slope -lead below the
             # knee and -kappa above it, plus curv times what is left of
             # ln(d0 + d1 x^ne), the softplus remainder ln(1 + e^{-ne |d|})
-            return -lead * d + (lead - kappa) * maximum(d, 0.0) + curv * log1p(exp(-ne * abs(d)))
+            return (-lead * d + (lead - kappa) * np.maximum(d, 0.0)
+                    + curv * np.log1p(np.exp(-ne * np.abs(d))))
 
         s_ref = s(log_ref - knee)
 
-        def q(x):
-            return s(log(x) - knee) - s_ref
-
-        def xdq(x):
+        def ratio(x):
             if x > 1.0:     # rate in powers of x^-ne, which cannot overflow
                 w = x ** -ne
-                return -lam * (w + th) / (g * (d0 * w + d1))
+                return lam * (w + th) / (g * (d0 * w + d1))
             z = x ** ne
-            return -lam * (1.0 + th * z) / (g * (d0 + d1 * z))
+            return lam * (1.0 + th * z) / (g * (d0 + d1 * z))
+
+        def rise(y, ly, d):
+            # s differenced piece by piece from t = ln y - knee to e = t + d:
+            # the parts of the step below and above the knee, each exact
+            # where the step stays on one side, and the softplus remainders.
+            # With w = e^{-ne |e|}, ratio is (lead + kappa w)/(1 + w) below
+            # the knee and (lead w + kappa)/(1 + w) above it
+            t = ly - knee
+            e = t + d
+            if t >= 0.0:
+                below, above = (e if e < 0.0 else 0.0), (d if d > -t else -t)
+            else:
+                below, above = (d if d < -t else -t), (e if e > 0.0 else 0.0)
+            if e > 0.0:
+                w = exp(-ne * e)
+                r = (lead * w + kappa) / (1.0 + w)
+            else:
+                w = exp(ne * e)
+                r = (lead + kappa * w) / (1.0 + w)
+            g_t = log1p(exp(-ne * t if t > 0.0 else ne * t))
+            return -lead * below - kappa * above + curv * (log1p(w) - g_t), r
 
         def softplus(y):    # ln(1 + e^y)
-            return maximum(y, 0.0) + log1p(exp(-abs(y)))
+            return np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y)))
 
         def ln_hill(x):
             # ln(lam/d0) + ln(1 + th x^ne) - ln(1 + (d1/d0) x^ne), in ne ln x
-            u = ne * log(x)
+            u = ne * np.log(x)
             gain = softplus(u + math.log(th)) if th > 0.0 else 0.0
             return math.log(lam / d0) + gain - softplus(u - ne * knee)
 
         # a rate that shuts off leaves Q the finite infimum -s_ref: past the
         # knee s is then exactly 0 plus a nonnegative term, so no rounded
         # Q(x) falls below it
-        q_inf = -s_ref if th == 0.0 else -math.inf
-        return q, xdq, q_inf, kappa, None, ln_hill
+        q_inf = -float(s_ref) if th == 0.0 else -math.inf
+        return (lambda x: s(np.log(x) - knee) - s_ref), ratio, rise, q_inf, kappa, ln_hill
     raise ModelError(f"Potential: no closed form for {type(rate).__name__}")
 
 
@@ -350,11 +367,11 @@ class Potential:
 
     Strictly decreasing, +inf at the origin for every admissible model.
     Closed forms cover all shipped rate laws with first-order decay, each
-    written once (_rate_law) and built twice per instance: over math for
-    a Python float (or int), over numpy ufuncs for an array.
-    ``ln_rate`` is ln rate(x) of an array, from the same build.
-    ``inverse_evals`` counts the evaluations of Q that ``inverse`` has
-    made.
+    written once (_rate_law): Q over numpy for ``value`` (a float or an
+    array), ln rate(x) of an array for ``ln_rate``, and the difference
+    D(d) = Q(y e^d) - Q(y) in math for ``flow``, which moves a state
+    along the decay and so drives the PDMP.  ``inverse_evals`` counts the
+    evaluations of D that ``flow`` has made.
     """
 
     def __init__(self, model: ContinuousBurstModel, x_ref: float = 1.0):
@@ -364,37 +381,18 @@ class Potential:
         self.x_ref = float(x_ref)
         self.rate = model.burst_rate
         self.gamma = model.decay.rate
-        self._q, self._xdq, self._q_inf, _, self._closed_inverse, _ = _rate_law(
+        self._q, self._ratio, self._rise, self._q_inf, _, self.ln_rate = _rate_law(
             self.rate, self.gamma, self.x_ref)
-        self._q_array, *_, self.ln_rate = _rate_law(self.rate, self.gamma, self.x_ref,
-                                                    _ARRAY_FNS)
         self.inverse_evals = 0
-
-        # Newton's F(u) = Q(e^u) - target and its slope, built once: the
-        # target of the inverse under way (one at a time) is self._target
-        q, xdq, exp = self._q, self._xdq, math.exp
-
-        def gap(u):
-            self.inverse_evals += 1
-            return q(exp(u)) - self._target
-
-        self._gap, self._slope = gap, (lambda u: xdq(exp(u)))
 
     # -- evaluation ----------------------------------------------------
 
     def value(self, x):
-        if isinstance(x, (float, int)):
-            x = float(x)
-            if x > 0.0:
-                return self._q(x)
-            if x == 0.0:
-                return math.inf
-            raise DomainError("Potential: defined for x > 0 only")
         x_arr = np.asarray(x, dtype=float)
         if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
             raise DomainError("Potential: defined for x > 0 only")
         with np.errstate(divide="ignore", over="ignore"):  # Q = +inf at 0, -inf past the range
-            out = self._q_array(x_arr)
+            out = self._q(x_arr)
         return float(out) if np.ndim(x) == 0 else out
 
     # the tracer in perfbench patches value and __call__ on the class
@@ -404,38 +402,81 @@ class Potential:
         """Limit of Q at +inf; finite only for a rate that shuts off out there."""
         return self._q_inf
 
-    # -- generalized inverse -------------------------------------------
+    # -- the flow and the generalized inverse --------------------------
 
-    def inverse(self, target: float, *, hint: float | None = None) -> float:
-        """The x with Q(x) = target.
+    def flow(self, y: float, eps: float) -> tuple[float, float]:
+        """(x, d): the x with Q(x) - Q(y) = eps, and d = ln(x/y).
 
-        In closed form for a constant rate; otherwise safeguarded Newton
-        in u = ln x (numerics.find_root): F(u) = Q(e^u) - target falls
-        strictly, with slope x Q'(x) = -burst_rate(x)/decay.  It starts
-        from ``hint`` (a nearby state, which matters inside simulation
-        loops) or from x_ref, and stops once |Q(x) - target| <= 1e-13
-        max(1, |target|), or when the bracket holds no float between its
-        ends.  RangeError below the infimum of Q or for a root outside
-        the float range; exactly at a finite infimum the inverse is +inf.
+        A positive eps moves y down the decay flow.  D(d) = Q(y e^d) - Q(y)
+        is in closed form (_rate_law); for a constant rate it is linear,
+        so d = -eps decay/rate exactly.  Otherwise Newton in d, with slope
+        -rate(x)/decay, takes the step from d = 0 first, which needs no
+        evaluation, and stops once |D(d) - eps| <= 1e-13 max(1, |eps|) or
+        a step no longer moves d.  A step that fails to shrink |D - eps|,
+        or that takes ln x out of (_LOG_X_MIN, _LOG_X_MAX), hands the same
+        D to numerics.find_root.  RangeError for a root x outside
+        (e^-744, e^709).
         """
-        if target == 0.0:
-            return self.x_ref
+        r = self._ratio(y)
+        rise = self._rise
+        if rise is None:
+            d = -eps / r
+        else:
+            ly = math.log(y)
+            lo, hi = _LOG_X_MIN - ly, _LOG_X_MAX - ly
+            tol = 1e-13 * max(1.0, abs(eps))
+            d, f, n = 0.0, -eps, 0
+            while abs(f) > tol:
+                new = d + f / r if r > 0.0 else math.nan
+                if new == d:
+                    break       # the step is below the rounding of d
+                if lo < new < hi:
+                    dq, r = rise(y, ly, new)
+                    n += 1
+                    if abs(dq - eps) < abs(f):
+                        d, f = new, dq - eps
+                        continue
+                self.inverse_evals += n      # counted before find_root may raise
+                n = 0
+                d = self._bracketed(y, ly, eps, d, tol, (lo, hi))
+                break
+            self.inverse_evals += n
+        if -700.0 < d < 700.0:
+            x = y * math.exp(d)
+        else:           # e^d alone may leave the float range
+            u = math.log(y) + d
+            x = math.exp(u) if _LOG_X_MIN < u < _LOG_X_MAX else 0.0
+        if not _X_MIN < x < _X_MAX:
+            raise RangeError(f"flow from {y!r} by {eps!r}: the root lies outside the float range")
+        return x, d
+
+    def _bracketed(self, y, ly, eps, d, tol, domain):
+        """flow's root by numerics.find_root from d, where Newton stalled.
+
+        F = D - eps falls and F(0) = -eps, so 0 bounds the root on one side.
+        """
+        rise = self._rise
+        lo, hi = (-math.inf, 0.0) if eps > 0.0 else (0.0, math.inf)
+
+        def gap(v):
+            self.inverse_evals += 1
+            return rise(y, ly, v)[0] - eps
+
+        return find_root(gap, d, tol, fprime=lambda v: -rise(y, ly, v)[1], lo=lo, hi=hi,
+                         domain=domain)
+
+    def inverse(self, target: float) -> float:
+        """The x with Q(x) = target: the flow from x_ref by target, since Q(x_ref) = 0.
+
+        RangeError below the infimum of Q or for a root outside the float
+        range; exactly at a finite infimum the inverse is +inf.
+        """
         q_inf = self._q_inf
         if target < q_inf:
             raise RangeError(f"target {target} below the infimum {q_inf} of the potential")
         if target == q_inf:
             return math.inf
-        if self._closed_inverse is not None:
-            return self._closed_inverse(target)
-
-        self._target = target
-        if hint is not None and 0.0 < hint < math.inf:
-            u = math.log(hint)
-        else:
-            u = math.log(self.x_ref)
-        u = min(max(u, _LOG_X_MIN), _LOG_X_MAX)
-        return math.exp(find_root(self._gap, u, 1e-13 * max(1.0, abs(target)),
-                                  fprime=self._slope, domain=(_LOG_X_MIN, _LOG_X_MAX)))
+        return self.flow(self.x_ref, target)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +534,7 @@ class PdmpTrajectory:
     wait_draws: np.ndarray   # unit exponentials driving the jump clocks
     burst_draws: np.ndarray  # jump sizes
     histogram: ExposureHistogram
-    inverse_evals: int       # evaluations of Q made by Potential.inverse
+    inverse_evals: int       # evaluations of Q differences made by Potential.flow
     bins_crossed: int        # histogram bins met by the flow segments, summed
 
 
@@ -521,16 +562,18 @@ def simulate_pdmp(
     per full traversal.  The histogram is therefore exact given the jump
     skeleton; no time discretization enters.
 
-    The loop only fixes the path: on Python floats, with Q and its
-    inverse on their scalar paths, it writes the wait draws, flow ends
-    and burst sizes into the output arrays.  Jump k reads row k of
-    uniform_blocks(seed, stream, n_jumps, 2): the wait, -log1p(-u) in
-    math, and the burst, nu's overshoot past the flow end of a unit
-    exponential formed the same way.
-    Post-jump states, holding times and the histogram then follow in
-    chunks of PATH_CHUNK jumps, with the same float operations in the
-    same order: logs through math, the crossed bins of each flow segment
-    from searchsorted on the log edges, and every running sum sequential.
+    The loop only fixes the path: on Python floats, with one
+    Potential.flow per jump, it writes the wait draws, flow ends, flow
+    steps d = ln(y_pre/y_prev) (into times[1:]) and burst sizes into the
+    output arrays.  Jump k reads row k of uniform_blocks(seed, stream,
+    n_jumps, 2): the wait, -log1p(-u) in math, and the burst, nu's
+    overshoot past the flow end of a unit exponential formed the same way.
+    Post-jump states, holding times -d/gamma and the histogram then
+    follow in chunks of PATH_CHUNK jumps, with the same float operations
+    in the same order as a per-jump loop: ln y_prev through math.log,
+    ln y_pre = ln y_prev + d, the crossed bins of each flow segment from
+    searchsorted on the log edges, and every running sum sequential.
+    The flow never reads Q's anchor, so the path does not depend on x_ref.
     """
     if not y0 >= _TINY:
         raise ModelError(f"simulate_pdmp: y0 must be at least {_TINY:.4g}, "
@@ -566,18 +609,20 @@ def simulate_pdmp(
     waits = np.zeros(n_jumps)
     bursts = np.zeros(n_jumps)
 
-    # the loop writes Python floats through memoryviews, no numpy call
-    pre_w, waits_w, bursts_w = map(memoryview, (y_pre, waits, bursts))
-    value, inverse = pot.value, pot.inverse
+    # the loop writes Python floats through memoryviews, no numpy call; the
+    # flow's d = ln(y_pre/y_prev) goes into times[1:] for the post-pass
+    pre_w, steps_w, waits_w, bursts_w = map(memoryview, (y_pre, times[1:], waits, bursts))
+    flow = pot.flow
     overshoot = model.burst_size.nu.draw_overshoot
     log1p, isfinite = math.log1p, math.isfinite
     rows = chain.from_iterable(u.tolist() for u in uniform_blocks(seed, stream, n_jumps, 2))
     y = float(y0)
     for k, (wait, size) in enumerate(rows):
         eps = -log1p(-wait)
-        y_end = inverse(value(y) + eps, hint=y)
+        y_end, d = flow(y, eps)
         e = overshoot(-log1p(-size), y_end)
         pre_w[k] = y_end
+        steps_w[k] = d
         waits_w[k] = eps
         bursts_w[k] = e
         y = y_end + e
@@ -585,23 +630,23 @@ def simulate_pdmp(
             raise NumericalBlowup(f"state left (0, inf) at jump {k}")
 
     np.add(y_pre, bursts, out=y_post)
-    hist, crossed = _path_exposure(float(y0), y_pre, y_post, gamma, edges, times[1:])
+    hist, crossed = _path_exposure(float(y0), y_post, gamma, edges, times[1:])
     return PdmpTrajectory(times, y_pre, y_post, waits, bursts, hist,
                           pot.inverse_evals, crossed)
 
 
-def _path_exposure(y0: float, y_pre: np.ndarray, y_post: np.ndarray, gamma: float,
-                   edges: np.ndarray, epochs: np.ndarray) -> tuple[ExposureHistogram, int]:
+def _path_exposure(y0: float, y_post: np.ndarray, gamma: float, edges: np.ndarray,
+                   epochs: np.ndarray) -> tuple[ExposureHistogram, int]:
     """Jump epochs and the exposure histogram of a PDMP path, chunk by chunk.
 
-    Segment k flows from y_prev = y_post[k-1] (y0 for k = 0) down to
-    y_pre[k].  Its holding time math.log(y_prev/y_pre)/gamma goes into
-    ``epochs`` (times[1:]), which a sequential cumsum then turns into
-    jump epochs.  With la, lb the math.log of its ends, the segment adds
-    max(min(E[i+1], lb) - max(E[i], la), 0)/gamma to each bin i from
-    bisect_right(E, la) - 1 to bisect_left(E, lb) on the log edges E,
-    and bincount adds those in jump order.  Returns the histogram and
-    the number of (segment, bin) crossings.
+    Segment k flows from y_prev = y_post[k-1] (y0 for k = 0) down by
+    d = ln(y_pre[k]/y_prev), which ``epochs`` (times[1:]) holds on entry.
+    With lb the math.log of y_prev and la = lb + d, its holding time
+    -d/gamma replaces d, and a sequential cumsum then turns those into
+    jump epochs.  The segment adds max(min(E[i+1], lb) - max(E[i], la), 0)/gamma
+    to each bin i from bisect_right(E, la) - 1 to bisect_left(E, lb) on
+    the log edges E, and bincount adds those in jump order.  Returns the
+    histogram and the number of (segment, bin) crossings.
     """
     log = math.log
     log_edges = np.log(edges)
@@ -611,21 +656,16 @@ def _path_exposure(y0: float, y_pre: np.ndarray, y_post: np.ndarray, gamma: floa
     exposure = np.zeros(nbins)
     below = above = 0.0
     crossed = 0
-    n_jumps = len(y_pre)
+    n_jumps = len(y_post)
     for c0 in range(0, n_jumps, PATH_CHUNK):
         c1 = min(c0 + PATH_CHUNK, n_jumps)
-        pre = y_pre[c0:c1]
         prev = y_post[c0 - 1:c1 - 1] if c0 else np.concatenate(([y0], y_post[:c1 - 1]))
         m = c1 - c0
 
         dt = epochs[c0:c1]
-        with np.errstate(over="ignore"):  # as Python floats do, overflow to inf
-            np.divide(prev, pre, out=dt)
-        dt[:] = np.fromiter(map(log, dt.tolist()), float, m)
-        dt /= gamma
-
-        la = np.fromiter(map(log, pre.tolist()), float, m)
         lb = np.fromiter(map(log, prev.tolist()), float, m)
+        la = lb + dt
+        dt /= -gamma
         start = np.maximum(np.searchsorted(log_edges, la, side="right") - 1, 0)
         stop = np.minimum(np.searchsorted(log_edges, lb, side="left"), nbins)
         count = np.maximum(stop - start, 0)
@@ -669,7 +709,7 @@ def _screen(model: ContinuousBurstModel, nu) -> None:
     r = model.burst_rate
     gamma = model.decay.rate
     if isinstance(nu, PowerTailNu):
-        ratio_inf = _rate_law(r, gamma, 1.0)[3]
+        ratio_inf = _rate_law(r, gamma, 1.0)[4]
         need = ratio_inf + 1.0
         if not nu.exponent > need:
             raise NotIntegrable(
@@ -917,13 +957,16 @@ def kernel_matrix(
     stay accurate even where the integrand swings by many orders of
     magnitude across one log panel.  Columns are validated (GridTooNarrow
     below 1 - _MASS_LEAK of their mass) then closed to exactly stochastic, so
-    ``apply`` conserves mass to rounding.
+    ``apply`` conserves mass to rounding.  A pairing that _screen refuses
+    has no stationary law, so it raises NotIntegrable here as it does in
+    stationary_density.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 8 or np.any(np.diff(grid) <= 0):
         raise ModelError("kernel_matrix: need an increasing grid with >= 8 knots")
     if grid[0] <= 0.0:
         raise ModelError("kernel_matrix: grid must be strictly positive")
+    _screen(model, model.burst_size.nu)
     ln_a, q, ln_s_abs = _kernel_log_factors(model, grid, x_ref)
     diag = ln_a + q + ln_s_abs
     dq = np.diff(q)
@@ -1027,14 +1070,16 @@ def phi_from_density_grid(
     = -Q - ln c stays smooth up to a finite support cap, where ln u and
     ln nu are not.  The derivative is a second-order finite difference
     on the (possibly nonuniform) grid.  The window is trimmed to
-    u > floor * max(u); endpoints drop out.  Returns the evaluation
-    points and the rate estimate there.
+    u > floor * max(u); endpoints drop out, and fewer than 3 knots left
+    is a GridTooNarrow.  Returns the evaluation points and the rate
+    estimate there.
     """
     grid = density.grid
     u = density.values
     keep = u > max(floor * float(np.max(u)), 1e-300)
     if int(np.sum(keep)) < 3:
-        raise NumericalBlowup("density window too thin for finite differences")
+        raise GridTooNarrow("density window too thin for finite differences: fewer "
+                            f"than 3 knots above {floor:.3g} of the peak")
     x = grid[keep]
     g = np.log(decay.value(x) * u[keep]) - burst.nu.log_value(x)
 

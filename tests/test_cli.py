@@ -335,6 +335,18 @@ def test_cli_exit_code_for_numeric_failure(tmp_path, capsys):
     assert "NotNormalizable" in capsys.readouterr().err
 
 
+def test_kernel_fixed_point_refuses_a_model_without_a_law(tmp_path, capsys):
+    # slope/decay 1.5 reaches 1/b = 1: stationary-continuous refuses this
+    # pairing, and the kernel route must not certify a density for it
+    p = write_cfg(tmp_path, "run.mode = kernel-fixed-point\nmodel.kind = continuous\n"
+                  "model.rate = linear\nmodel.rate_base = 2.0\nmodel.rate_slope = 1.5\n"
+                  "model.decay = 1.0\nmodel.burst = exponential\nmodel.burst_b = 1.0\n"
+                  "numeric.n_knots = 512\n")
+    assert main(["kernel-fixed-point", "--config", str(p), "--out", str(tmp_path / "x")]) == 2
+    assert "NotIntegrable" in capsys.readouterr().err
+    assert not list((tmp_path / "x").glob("*.csv"))
+
+
 def test_non_finite_scalar_is_a_numeric_error(tmp_path, monkeypatch, capsys):
     # summary.json is strict JSON: a NaN or inf scalar is a numeric failure
     # that names its key, never a raw ValueError or a half-written file
@@ -440,7 +452,7 @@ def test_pdmp_reports_potential_evals_per_jump(tmp_path):
             assert blob["scalars"][key] == scalars[key]
         # no mass leaves the bins here, so each segment meets the bin it ends in
         assert 1.0 <= scalars["bins_crossed_per_jump"] <= 64.0
-    # the constant rate inverts in closed form; Newton needs a handful
+    # the constant rate flows in closed form; Newton needs a handful
     assert counts["constant"] == 0.0
     assert 1.0 <= counts["linear"] <= 8.0
 
@@ -645,7 +657,8 @@ _BURST_BASE = {
 
 @st.composite
 def density_mode_configs(draw):
-    mode = draw(st.sampled_from(["stationary-continuous", "invert-phi", "kernel-fixed-point"]))
+    mode = draw(st.sampled_from(["stationary-continuous", "invert-phi", "kernel-fixed-point",
+                                 "simulate-pdmp"]))
     rate = draw(st.sampled_from(sorted(_RATE_BASE)))
     burst = draw(st.sampled_from(sorted(_BURST_BASE)))
 
@@ -658,16 +671,18 @@ def density_mode_configs(draw):
     if rate == "hill":
         lines.append(f"model.rate_exponent = {draw(st.floats(0.5, 4.0))!r}")
     lines += [f"model.{k} = {scaled(v)!r}" for k, v in _BURST_BASE[burst].items()]
+    if mode == "simulate-pdmp":
+        lines += ["numeric.y0 = 1.0", "numeric.n_jumps = 200"]
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=400)
 @given(text=density_mode_configs())
-def test_density_modes_return_finite_artifacts_or_a_burstkin_error(text):
-    # the contract of the three modes built on a grid density, over every
-    # continuous rate x burst pair: each run returns finite CSVs and a
-    # summary.json that parses strictly, or raises a BurstkinError.  No
-    # warning and no other exception may escape
+def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text):
+    # the contract of the three modes built on a grid density, and of the
+    # PDMP, over every continuous rate x burst pair: each run returns finite
+    # CSVs and a summary.json that parses strictly, or raises a
+    # BurstkinError.  No warning and no other exception may escape
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,13 +14,11 @@ from burstkin import continuous
 from burstkin.continuous import (
     GridDensity,
     Potential,
-    _ARRAY_FNS,
     _grid_density,
     _kernel_log_factors,
     _log_simpson_weights,
     _natural_scale,
     _prefix_scan,
-    _rate_law,
     _suffix_scan,
     count_modes_continuous,
     default_grid,
@@ -216,8 +215,9 @@ def test_potential_inverse_round_trips():
         x = pot.inverse(target)
         assert x == pytest.approx(math.exp(-target), rel=1e-12)
         assert pot.value(x) == pytest.approx(target, abs=1e-10)
-    # a hint near the answer must not change it
-    assert pot.inverse(3.0, hint=0.06) == pytest.approx(math.exp(-3.0), rel=1e-12)
+    # the flow from any state moves ln x by -eps exactly where Q = -ln x
+    x, d = pot.flow(0.06, 3.0)
+    assert d == -3.0 and x == pytest.approx(0.06 * math.exp(-3.0), rel=1e-15)
 
 
 def test_potential_inverse_constant_rate_closed_form():
@@ -261,26 +261,25 @@ def potentials(draw):
 
 
 @settings(max_examples=300)
-@given(pot=potentials(), log_x=st.one_of(st.floats(-12.0, 12.0), st.floats(-700.0, 700.0)),
-       log_hint=st.floats(-3.0, 3.0))
-def test_potential_float_path_and_newton_inverse(pot, log_x, log_hint):
+@given(pot=potentials(), log_x=st.one_of(st.floats(-12.0, 12.0), st.floats(-700.0, 700.0)))
+def test_potential_float_path_and_newton_inverse(pot, log_x):
     x = math.exp(log_x)
     q = pot.value(x)
     assert type(q) is float
     # past x = 1e154 a quadratic law's Q and slope are -inf on every path
     q_array = pot.value(np.array([x]))[0]
     assert q == q_array or abs(q - q_array) <= 1e-14 * (1.0 + abs(q))
-    # the scalar x dQ/dx that inverse's Newton steps use, against the rate law
-    slope = pot._xdq(x) / x
+    # the scalar rate/decay = -x dQ/dx that starts the flow's Newton, against
+    # the rate law
+    slope = -pot._ratio(x) / x
     assert type(slope) is float
     with np.errstate(over="ignore"):
         exact = -pot.rate.value(x) / (pot.gamma * x)
     assert slope == exact or abs(slope - exact) <= 1e-14 * abs(exact)
     # ln rate as the kernel forms it: the log of the rate law where that is
     # a normal float, and finite below it, where a Hill rate shuts off
-    ln_rate = _rate_law(pot.rate, pot.gamma, pot.x_ref, _ARRAY_FNS)[5]
     with np.errstate(over="ignore"):
-        got, rate = float(ln_rate(np.array([x]))[0]), float(pot.rate.value(x))
+        got, rate = float(pot.ln_rate(np.array([x]))[0]), float(pot.rate.value(x))
     if sys.float_info.min <= rate < math.inf:
         # the Hill form sums terms of size exponent * |ln x|
         scale = 1.0 + getattr(pot.rate, "exponent", 1.0) * abs(log_x)
@@ -301,9 +300,82 @@ def test_potential_float_path_and_newton_inverse(pot, log_x, log_hint):
             with pytest.raises(RangeError):
                 pot.inverse(q)
         return
-    for hint in (None, x * math.exp(log_hint)):
-        root = pot.inverse(q, hint=hint)
-        assert abs(pot.value(root) - q) <= 1e-13 * max(1.0, abs(q))
+    root = pot.inverse(q)
+    assert abs(pot.value(root) - q) <= 1e-13 * max(1.0, abs(q))
+
+
+def ratio_mp(rate, gamma, u):
+    """rate(e^u)/gamma in mpmath, from the rate law's coefficients."""
+    z = mpmath.exp(u)
+    if isinstance(rate, ConstantRate):
+        r = mpmath.mpf(rate.level)
+    elif isinstance(rate, HillRate):
+        zn = mpmath.exp(rate.exponent * u)
+        r = rate.scale * (1 + rate.numer_coeff * zn) / (rate.denom_const + rate.denom_coeff * zn)
+    else:
+        r = rate.base + rate.slope * z + getattr(rate, "quad", 0.0) * z * z
+    return r / gamma
+
+
+def flow_integral(pot, x, y):
+    """The integral of rate(z)/(decay z) from x up to y at 30 digits, in
+    u = ln z, split where the integrand turns: around a Hill knee, and at
+    unit, then doubling, distances below the top for a growing law."""
+    with mpmath.workdps(30):
+        a, b = mpmath.log(mpmath.mpf(x)), mpmath.log(mpmath.mpf(y))
+        cuts = set()
+        rate = pot.rate
+        if isinstance(rate, HillRate):
+            knee = mpmath.log(mpmath.mpf(rate.denom_const) / rate.denom_coeff) / rate.exponent
+            cuts.update(knee + mpmath.mpf(j) / rate.exponent
+                        for j in (-64, -16, -4, -1, 0, 1, 4, 16, 64))
+        elif not isinstance(rate, ConstantRate):
+            cuts.update(b - 2 ** k for k in range(12))
+        points = [a] + sorted(c for c in cuts if a < c < b) + [b]
+        return float(mpmath.quad(lambda u: ratio_mp(rate, pot.gamma, u), points))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pot=potentials(), log_y=st.floats(-700.0, 700.0), eps=st.floats(1e-12, 60.0))
+def test_flow_solves_the_potential_difference(pot, log_y, eps):
+    # flow's x satisfies Q(x) - Q(y) = eps to its stop tolerance, plus the
+    # slope rate(x)/decay times the rounding of ln x: the half ulp that d
+    # carries, and x's own rounding, coarse for a subnormal x
+    y = math.exp(log_y)
+    try:
+        x, d = pot.flow(y, eps)
+    except RangeError:
+        # the root lies below e^-744: the flow down to there falls short of eps
+        floor = math.exp(-744.0)
+        slack = float(ratio_mp(pot.rate, pot.gamma, -744.0)) * (744.0 + log_y) * 2.0 ** -51
+        assert flow_integral(pot, floor, y) < eps * (1.0 + 1e-13) + slack
+        return
+    assert math.exp(-744.0) < x <= y and d <= 0.0
+    # past 700 e-folds x is e^(ln y + d), good to the rounding of that sum
+    rounding = 2.0 * math.ulp(x) / x
+    assert abs(math.log(x) - log_y - d) <= 4.0 * math.ulp(abs(log_y) + abs(d) + 1.0) + rounding
+    with np.errstate(over="ignore"):
+        slope = float(pot.rate.value(x)) / pot.gamma
+    allowance = 1e-13 * max(1.0, eps) + slope * (math.ulp(d) + rounding)
+    assert abs(flow_integral(pot, x, y) - eps) <= allowance
+
+
+def test_flow_hands_a_stalled_newton_to_find_root(monkeypatch):
+    # far above the knee of a Hill rate that shuts off, rate(y)/decay
+    # underflows to 0, so Newton has no first step
+    pot = Potential(ContinuousBurstModel(HillRate(1.0, 0.0, 1.0, 1.0, 300.0), LinearDecay(1.0),
+                                         ExponentialBurstKernel(1.0)))
+    y = math.exp(5.0)
+    assert pot._ratio(y) == 0.0
+    handed = []
+    bracketed = Potential._bracketed
+    monkeypatch.setattr(Potential, "_bracketed",
+                        lambda self, *args: handed.append(args) or bracketed(self, *args))
+    x, d = pot.flow(y, 2.0)
+    assert len(handed) == 1 and pot.inverse_evals >= 1
+    # rate/decay is 1 below the knee at x = 1 and 0 above it, to e^-300
+    assert d == pytest.approx(-7.0, abs=1e-13) and x == pytest.approx(math.exp(-2.0), rel=1e-13)
+    assert flow_integral(pot, x, y) == pytest.approx(2.0, abs=2e-13)
 
 
 def test_potential_inverse_counts_its_evaluations():
@@ -312,7 +384,7 @@ def test_potential_inverse_counts_its_evaluations():
     assert constant.inverse_evals == 0
     pot = Potential(ContinuousBurstModel(LinearRate(1.5, 0.3), LinearDecay(1.0),
                                          ExponentialBurstKernel(1.0)))
-    pot.inverse(1.5, hint=0.8)
+    pot.inverse(1.5)
     assert 1 <= pot.inverse_evals <= 8
     before = pot.inverse_evals
     with pytest.raises(RangeError):   # the root lies below the smallest float
@@ -395,7 +467,7 @@ def bracketed_pdmp(model, y0, n_jumps, seed):
 
 def scalar_pdmp(model, y0, n_jumps, seed, *, hist_edges=None, n_bins=64):
     """simulate_pdmp as it ran before the two-pass split: one loop that
-    draws each uniform by its own rng.random() call, inverts, bins the
+    draws each uniform by its own rng.random() call, flows, bins the
     flow segment by bisection on the log edges and writes every output
     per jump.  Returns (times, y_pre, y_post, waits, bursts, exposure,
     below, above, total_time, inverse_evals)."""
@@ -418,9 +490,10 @@ def scalar_pdmp(model, y0, n_jumps, seed, *, hist_edges=None, n_bins=64):
     t = 0.0
     for k in range(n_jumps):
         eps = -math.log1p(-rng.random())
-        y_end = pot.inverse(pot.value(y) + eps, hint=y)
-        t += math.log(y / y_end) / gamma
-        la, lb = math.log(y_end), math.log(y)
+        y_end, d = pot.flow(y, eps)
+        t += -d / gamma
+        lb = math.log(y)
+        la = lb + d
         for i in range(max(bisect.bisect_right(log_edges, la) - 1, 0),
                        min(bisect.bisect_left(log_edges, lb), nbins)):
             exposure[i] += max(min(log_edges[i + 1], lb) - max(log_edges[i], la), 0.0) / gamma
@@ -487,6 +560,20 @@ def test_simulate_pdmp_matches_the_bracketed_inverse(family):
     times, y_pre = bracketed_pdmp(model, 1.0, 2000, seed=17)
     assert np.max(np.abs(tr.y_pre - y_pre) / y_pre) <= 1e-10
     assert np.max(np.abs(tr.times[1:] - times[1:]) / times[1:]) <= 1e-10
+
+
+@pytest.mark.parametrize("family", sorted(PDMP_FAMILIES))
+def test_simulate_pdmp_does_not_depend_on_the_anchor(family):
+    # the flow solves Q(x) - Q(y) = eps in closed-form differences, so x_ref
+    # never enters the path
+    runs = [simulate_pdmp(PDMP_FAMILIES[family], 1.0, 2000, seed=5, x_ref=x_ref)
+            for x_ref in (1.0, 3.7, 20.0)]
+    for tr in runs[1:]:
+        for mine, theirs in ((tr.times, runs[0].times), (tr.y_pre, runs[0].y_pre),
+                             (tr.y_post, runs[0].y_post),
+                             (tr.histogram.exposure, runs[0].histogram.exposure)):
+            assert mine.tobytes() == theirs.tobytes()
+        assert tr.inverse_evals == runs[0].inverse_evals
 
 
 def test_simulate_pdmp_is_reproducible():
@@ -917,6 +1004,20 @@ def test_kernel_narrow_grid_is_refused():
         kernel_matrix(m, default_grid(m, 256))
 
 
+@pytest.mark.parametrize("model", [
+    # slope/decay 1.5 reaches 1/b: the mean burst gain outruns the decay
+    ContinuousBurstModel(LinearRate(2.0, 1.5), LinearDecay(1.0), ExponentialBurstKernel(1.0)),
+    # rate/decay 52830 beats the tail exponent: u grows like x^(a0 - 8132)
+    ContinuousBurstModel(ConstantRate(25.2), LinearDecay(4.77e-4),
+                         SeparableBurstKernel(PowerTailNu(0.0209, 8132.0))),
+], ids=["linear-exponential", "constant-power-tail"])
+def test_kernel_route_refuses_what_the_density_route_refuses(model):
+    with pytest.raises(NotIntegrable):
+        stationary_density(model)
+    with pytest.raises(NotIntegrable):
+        kernel_matrix(model, kernel_grid(model, 512))
+
+
 def test_kernel_matrix_refuses_non_finite_columns():
     # the grid runs to its 1e12 stop, where ln nu reaches -1e23 and the
     # log factors lose every digit: the diagonal overflows
@@ -1253,6 +1354,16 @@ def test_phi_recovery_from_grid():
     x, phi = phi_from_density_grid(m.decay, m.burst_size, u)
     assert np.max(np.abs(phi - 2.0) / 2.0) < 1e-3
     assert len(x) == len(phi)
+
+
+def test_phi_recovery_on_a_thin_window_is_a_grid_refusal():
+    # a finite density with two knots above floor * max leaves no room for
+    # the three-point difference: the grid is too coarse, nothing overflowed
+    m = gamma_model(2.0, 1.0)
+    grid = geometric_grid(0.1, 10.0, 8)
+    values = np.array([1e-20, 1e-15, 1.0, 0.5, 1e-13, 1e-16, 1e-18, 1e-20])
+    with pytest.raises(GridTooNarrow, match="too thin"):
+        phi_from_density_grid(m.decay, m.burst_size, GridDensity(grid, values))
 
 
 @pytest.mark.parametrize("cap,exponent", [(10.0, 2.0), (4.0, 0.5), (6.0, 0.4), (3.0, 3.0)])
