@@ -459,14 +459,18 @@ def _run_simulate_discrete(cfg, model, out: Path):
     num = cfg.numeric
     res = disc.simulate_jump_chain(model, num["n0"], num["n_jumps"],
                                    num["seed"], stream=num["stream"])
-    write_pmf_csv(out / "occupancy.csv", res.occupancy.values)
+    occ = res.occupancy.values
+    write_pmf_csv(out / "occupancy.csv", occ)
     scalars = {
         "total_time": res.total_time,
         "jumps_taken": res.n_jumps,
+        "start": res.start,
     }
     try:
-        target = disc.stationary_pmf_general(model, res.occupancy.n_max, tail_tol=None)
-        scalars["tv_to_stationary"] = tv_distance(res.occupancy.values, target.values)
+        # the solver needs two states; lanes that only left 0 occupy one
+        target = disc.stationary_pmf_general(model, max(len(occ) - 1, 1), tail_tol=None)
+        occ = np.pad(occ, (0, len(target.values) - len(occ)))
+        scalars["tv_to_stationary"] = tv_distance(occ, target.values)
     except NumericError:
         pass  # non-normalizable models still simulate fine
     return scalars, ["occupancy.csv"]

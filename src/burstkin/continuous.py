@@ -324,12 +324,17 @@ def _rate_law(rate, g: float, ref: float):
             z = x ** ne
             return lam * (1.0 + th * z) / (g * (d0 + d1 * z))
 
+        # (ln y, softplus remainder at y) of the latest flow call, formed
+        # once per call; one tuple, so a reader never sees a mixed pair
+        last = (math.nan, 0.0)
+
         def rise(y, ly, d):
             # s differenced piece by piece from t = ln y - knee to e = t + d:
             # the parts of the step below and above the knee, each exact
             # where the step stays on one side, and the softplus remainders.
             # With w = e^{-ne |e|}, ratio is (lead + kappa w)/(1 + w) below
             # the knee and (lead w + kappa)/(1 + w) above it
+            nonlocal last
             t = ly - knee
             e = t + d
             if t >= 0.0:
@@ -342,8 +347,10 @@ def _rate_law(rate, g: float, ref: float):
             else:
                 w = exp(ne * e)
                 r = (lead + kappa * w) / (1.0 + w)
-            g_t = log1p(exp(-ne * t if t > 0.0 else ne * t))
-            return -lead * below - kappa * above + curv * (log1p(w) - g_t), r
+            at_y = last
+            if at_y[0] != ly:
+                at_y = last = (ly, log1p(exp(-ne * t if t > 0.0 else ne * t)))
+            return -lead * below - kappa * above + curv * (log1p(w) - at_y[1]), r
 
         def softplus(y):    # ln(1 + e^y)
             return np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y)))

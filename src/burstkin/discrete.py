@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     ModelError,
     NotNormalizable,
+    NumericError,
     TailNotConverged,
 )
 from .models import (
@@ -32,7 +33,8 @@ from .models import (
     LinearDecay,
     TabulatedDecay,
 )
-from .numerics import expm, l1_distance, uniform_blocks
+from . import numerics
+from .numerics import expm, l1_distance, make_rng, uniform_blocks
 
 # perfbench/baseline.py saves, patches and restores this attribute around
 # evolve_master; nothing in burstkin reads it
@@ -514,12 +516,16 @@ def evolve_master(
 # jump-chain simulation
 # ---------------------------------------------------------------------------
 
-_RATE_BLOCK = 256   # states the jump chain's rate lists grow by at a time
+_LANES = 1024       # replicas of the jump chain advanced together
+_RATE_BLOCK = 256   # states the jump chain's rate arrays grow by at a time
+# the start law's first cap, its bound on pi's top 5%, and its last cap
+_START_CAP, _START_TAIL, _START_CAP_MAX = 64, 1e-12, 1 << 16
 
 
-def _grow_rates(model: DiscreteBurstModel, n: int, pdec: list, total: list) -> None:
-    """Extend the per-state lists pdec = decay/(rate+decay) and total =
-    rate+decay past state n, in one vectorized block of Python floats."""
+def _grow_rates(model: DiscreteBurstModel, n: int, pdec: np.ndarray,
+                total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-state arrays pdec = decay/(rate+decay) and total =
+    rate+decay, extended past state n by at least _RATE_BLOCK states."""
     lo = len(total)
     hi = max(n + 1, lo + _RATE_BLOCK)
     if isinstance(model.decay, TabulatedDecay):
@@ -529,8 +535,34 @@ def _grow_rates(model: DiscreteBurstModel, n: int, pdec: list, total: list) -> N
     lam = np.asarray(model.burst_rate.value(idx), float)
     gam = np.asarray(model.decay.value(idx), float)
     rate = lam + gam
-    total.extend(rate.tolist())
-    pdec.extend((gam / rate).tolist())
+    return np.concatenate((pdec, gam / rate)), np.concatenate((total, rate))
+
+
+def _jump_epoch_law(model: DiscreteBurstModel) -> np.ndarray | None:
+    """The stationary law at jump epochs, pi(n) (rate(n) + decay(n)) up
+    to its last positive state, unnormalized; None where
+    stationary_pmf_general refuses the model.
+
+    pi's cap doubles from _START_CAP until its top 5% holds under
+    _START_TAIL, up to _START_CAP_MAX and never past a decay table.
+    """
+    top = _START_CAP_MAX
+    if isinstance(model.decay, TabulatedDecay):
+        top = min(top, len(model.decay.table) - 1)
+    cap = min(_START_CAP, top)
+    while True:
+        try:
+            pi = stationary_pmf_general(model, cap, tail_tol=_START_TAIL)
+            break
+        except TailNotConverged:
+            if cap == top:
+                return None
+            cap = min(2 * cap, top)
+        except NumericError:
+            return None
+    lam, gam = _rate_arrays(model, cap)
+    law = pi.values * (lam + gam)
+    return law[: np.flatnonzero(law)[-1] + 1]
 
 
 def _unit_waits(u: np.ndarray) -> np.ndarray:
@@ -540,15 +572,17 @@ def _unit_waits(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JumpChainResult:
-    """Time-weighted occupancy of a jump chain.
+    """Time-weighted occupancy of a jump chain, over all its lanes.
 
-    A run keeps the occupancy, the clock, n0, the jump count, and the
-    seed and stream that fix its draws; the path itself is not kept.
+    A run keeps the occupancy, the clock, n0, how the lanes started
+    (``start``: "stationary" or "n0"), the jump count, and the seed and
+    stream that fix its draws; the paths themselves are not kept.
     """
 
     occupancy: Pmf             # holding-time-weighted state frequencies
-    total_time: float
+    total_time: float          # the holding times summed over every lane
     n0: int
+    start: str
     n_jumps: int
     seed: int
     stream: int
@@ -573,64 +607,74 @@ def simulate_jump_chain(
     *,
     stream: int = 0,
 ) -> JumpChainResult:
-    """Simulate the embedded jump chain for n_jumps events.
+    """Simulate the embedded jump chain for n_jumps events on
+    R = min(_LANES, n_jumps) lanes, replicas advanced in lock step.
 
-    At state n the next event fires after eps/(rate+decay) with eps a
-    unit exponential; it is a degradation with probability
-    decay/(rate+decay), otherwise the state gains a sampled burst.  The
-    occupancy estimate weights each visited state by its realized
-    holding time.  Every state has a positive total rate (rate(0) > 0
-    and decay(n) > 0 for n >= 1), so the chain always takes n_jumps.
+    At state n the next event fires after eps/(rate+decay), eps a unit
+    exponential: a degradation with probability decay/(rate+decay),
+    otherwise a sampled burst.  Each state a lane leaves is weighted by
+    its holding time, summed over the lanes, and so is the clock.
 
-    Jump k reads row k of uniform_blocks(seed, stream, n_jumps, 3): the
-    wait, the decision and the burst size, whether or not it bursts.  So
-    a block's waits and sizes are formed in numpy, and the Python loop
-    does only what depends on the state: at state n, a decision below
-    decay/(rate+decay) of n is a degradation, any other a burst.  The
-    per-state rate lists grow on a burst past their end, the only way n
-    rises, so a path that enters a state past a decay table raises
-    there.  Each block is folded into the occupancy and the clock as
-    soon as it is drawn, so memory stays a few hundred KiB however long
-    the chain.
+    The lanes start from the stationary law at jump epochs, pi_J(n)
+    proportional to pi(n) (rate(n) + decay(n)) (_jump_epoch_law): the
+    embedded chain keeps pi_J, not pi, so no lane holds an initial
+    transient.  Each lane reads one uniform of make_rng(seed,
+    stream).spawn(1)[0], a stream apart from the jumps', through pi_J's
+    inverse CDF.  Where stationary_pmf_general refuses the model every
+    lane starts at n0, which is validated either way.
+
+    Jump k = s R + r, step s of lane r, reads row k of
+    uniform_blocks(seed, stream, n_jumps, 3): the wait, the decision and
+    the burst size; the last step runs only the lanes it needs.  A step
+    is a few numpy calls over the lanes.  The rate arrays grow past the
+    highest state entered, so a lane that enters a state past a decay
+    table raises there.  Blocks of whole steps are folded into the
+    occupancy and the clock in jump order as they are drawn, so memory
+    stays a few hundred KiB however long the chain.
     """
     if n0 < 0:
         raise ModelError("simulate_jump_chain: n0 must be >= 0")
     if n_jumps < 1:
         raise ModelError("simulate_jump_chain: need at least one jump")
+    model.decay.value(n0)       # n0 must lie inside a decay table
+    rng = make_rng(seed, stream)
+    lanes = min(_LANES, n_jumps)
+    law = _jump_epoch_law(model)
+    if law is None:
+        n = np.full(lanes, n0, dtype=np.int64)
+    else:
+        cdf = np.cumsum(law)
+        u = rng.spawn(1)[0].random(lanes) * cdf[-1]
+        n = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    pdec, total = _grow_rates(model, int(np.max(n)), np.zeros(0), np.zeros(0))
     size_at = model.burst_size.size_at
-    pdec: list = []     # decay/(rate+decay) per state
-    total: list = []    # rate+decay per state
-    _grow_rates(model, n0, pdec, total)
-    n_cached = len(pdec)
-    n = int(n0)
 
-    # holding times summed per state and along the path in the order the
-    # jumps were taken.  The running totals go first: bincount adds each
-    # state's weights in order from 0.0, and 0.0 + x is x; cumsum adds in
-    # order, so the clock carried in front of a block continues its sum
-    occupancy = rates = np.zeros(0)
+    # holding times summed per state and over the jumps in order k.  The
+    # running totals go first: bincount adds each state's weights in order
+    # from 0.0, and 0.0 + x is x; cumsum adds in order, so the clock
+    # carried in front of a block continues its sum
+    occupancy = np.zeros(0)
     t = 0.0
-    for u in uniform_blocks(seed, stream, n_jumps, 3):
-        leaving: list = []      # the state each jump leaves
-        append = leaving.append
-        for d, size in zip(u[:, 1].tolist(), size_at(u[:, 2]).tolist()):
-            append(n)
-            if d < pdec[n]:
-                n -= 1
-            else:
-                n += size
-                if n >= n_cached:
-                    _grow_rates(model, n, pdec, total)
-                    n_cached = len(pdec)
-        if len(rates) < len(total):
-            rates = np.array(total)
-        left = np.array(leaving, dtype=np.int64)
+    block = lanes * max(1, numerics.PATH_CHUNK // lanes)
+    for c0 in range(0, n_jumps, block):
+        u = rng.random((min(block, n_jumps - c0), 3))
+        left = np.empty(len(u), dtype=np.int64)     # the state each jump leaves
+        steps = size_at(u[:, 2])                    # each jump's move
+        for s0 in range(0, len(u), lanes):
+            at = n[:len(u) - s0]                    # the lanes this step runs
+            step = steps[s0:s0 + len(at)]
+            left[s0:s0 + len(at)] = at
+            step[u[s0:s0 + len(at), 1] < pdec[at]] = -1
+            at += step
+            top = int(at.max())
+            if top >= len(pdec):
+                pdec, total = _grow_rates(model, top, pdec, total)
         clock = np.empty(len(u) + 1)
         clock[0] = t
         dts = clock[1:]
         # eps/(rate+decay) of each state left; mode="clip" stops take from
         # buffering a copy of its output
-        np.take(rates, left, out=dts, mode="clip")
+        np.take(total, left, out=dts, mode="clip")
         np.divide(_unit_waits(u), dts, out=dts)
         occupancy = np.bincount(np.concatenate((np.arange(len(occupancy)), left)),
                                 weights=np.concatenate((occupancy, dts)))
@@ -640,7 +684,8 @@ def simulate_jump_chain(
     hi = int(np.max(np.nonzero(occupancy)[0])) if np.any(occupancy > 0) else 0
     occ = occupancy[: hi + 1]
     occ_pmf = Pmf(occ / t if t > 0 else occ)
-    return JumpChainResult(occ_pmf, t, int(n0), int(n_jumps), seed, stream)
+    start = "n0" if law is None else "stationary"
+    return JumpChainResult(occ_pmf, t, int(n0), start, int(n_jumps), seed, stream)
 
 
 # ---------------------------------------------------------------------------

@@ -655,16 +655,36 @@ _BURST_BASE = {
 }
 
 
+# the same for the discrete rate families; a scaled linear slope often
+# outruns decay, where no stationary law exists and the chain starts at n0
+_DISCRETE_RATE_BASE = {
+    "constant": {"rate_level": 2.0},
+    "linear": {"rate_base": 2.0, "rate_slope": 0.3},
+    "hill": _RATE_BASE["hill"],
+    "truncated-linear": {"rate_base": 2.0, "rate_slope": -0.2, "rate_cutoff": 10.0},
+}
+
+
 @st.composite
 def density_mode_configs(draw):
     mode = draw(st.sampled_from(["stationary-continuous", "invert-phi", "kernel-fixed-point",
-                                 "simulate-pdmp"]))
-    rate = draw(st.sampled_from(sorted(_RATE_BASE)))
-    burst = draw(st.sampled_from(sorted(_BURST_BASE)))
+                                 "simulate-pdmp", "simulate-discrete"]))
 
     def scaled(base):
         return base * 10.0 ** draw(st.floats(-4.0, 4.0))
 
+    if mode == "simulate-discrete":
+        rate = draw(st.sampled_from(sorted(_DISCRETE_RATE_BASE)))
+        lines = [f"run.mode = {mode}", "model.kind = discrete", f"model.rate = {rate}",
+                 f"model.decay = {scaled(1.0)!r}", "model.burst = geometric",
+                 f"model.burst_b = {draw(st.floats(0.05, 0.95))!r}"]
+        lines += [f"model.{k} = {scaled(v)!r}" for k, v in _DISCRETE_RATE_BASE[rate].items()]
+        if rate == "hill":
+            lines.append(f"model.rate_exponent = {draw(st.floats(0.5, 4.0))!r}")
+        lines += [f"numeric.n0 = {draw(st.integers(0, 12))}", "numeric.n_jumps = 200"]
+        return "\n".join(lines) + "\n"
+    rate = draw(st.sampled_from(sorted(_RATE_BASE)))
+    burst = draw(st.sampled_from(sorted(_BURST_BASE)))
     lines = [f"run.mode = {mode}", "model.kind = continuous", f"model.rate = {rate}",
              f"model.decay = {scaled(1.0)!r}", f"model.burst = {burst}"]
     lines += [f"model.{k} = {scaled(v)!r}" for k, v in _RATE_BASE[rate].items()]
@@ -676,13 +696,14 @@ def density_mode_configs(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=400)
+@settings(max_examples=500)
 @given(text=density_mode_configs())
 def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text):
-    # the contract of the three modes built on a grid density, and of the
-    # PDMP, over every continuous rate x burst pair: each run returns finite
-    # CSVs and a summary.json that parses strictly, or raises a
-    # BurstkinError.  No warning and no other exception may escape
+    # the contract of the three modes built on a grid density, of the PDMP,
+    # over every continuous rate x burst pair, and of the jump chain over
+    # every discrete rate family: each run returns finite CSVs and a
+    # summary.json that parses strictly, or raises a BurstkinError.  No
+    # warning and no other exception may escape
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -908,6 +929,19 @@ def test_simulate_discrete_memory_does_not_grow_with_the_chain(tmp_path):
     short, long = peak(30_000), peak(300_000)
     assert long <= 2**20
     assert long <= short + 2**16
+
+
+def test_simulate_discrete_scores_an_occupancy_of_one_state(tmp_path):
+    # at seed 18 the one lane starts at 0 and leaves it, so the occupancy
+    # holds state 0 alone; the stationary solver needs two states, and its
+    # ModelError once failed the run
+    cfg = parse_config(SIM_DISCRETE_CFG, overrides={
+        ("numeric", "n_jumps"): "1", ("numeric", "seed"): "18", ("output", "dir"): str(tmp_path)})
+    scalars = run_experiment(cfg).scalars
+    assert (tmp_path / "occupancy.csv").read_text() == "n,p\n0,1\n"
+    assert scalars["start"] == "stationary"
+    # the law is solved on {0, 1}, where p(1)/p(0) = rate(0)/decay(1) = 1
+    assert scalars["tv_to_stationary"] == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -11,7 +12,9 @@ from burstkin.discrete import (
     HypergeometricFamily,
     Pmf,
     _DROP,
+    _LANES,
     _MIXED,
+    _jump_epoch_law,
     _mixing_bound,
     _propagator,
     count_modes_discrete,
@@ -26,6 +29,7 @@ from burstkin.discrete import (
 from burstkin.errors import (
     ModelError,
     NotNormalizable,
+    NumericError,
     TailNotConverged,
 )
 from burstkin.models import (
@@ -652,11 +656,15 @@ def test_simulation_is_reproducible_and_stream_split():
 def test_simulation_bookkeeping():
     m = nb_model()
     res = simulate_jump_chain(m, 0, 500, seed=1)
+    assert res.start == "stationary"
     assert len(res.wait_draws) == 500
     assert np.all(res.wait_draws > 0)
-    # state 0 has no decay channel, so the first event must be a burst:
-    # the second holding time is spent above 0
-    two = simulate_jump_chain(m, 0, 2, seed=1)
+    # a rate that outruns decay has no stationary law, so every lane starts
+    # at n0 = 0.  State 0 has no decay channel, so a lane's first event must
+    # be a burst: lane 0's second holding time is spent above 0
+    divergent = DiscreteBurstModel(LinearRate(1.0, 1.0), LinearDecay(1.0), GeometricBurst(0.5))
+    two = simulate_jump_chain(divergent, 0, _LANES + 1, seed=1)
+    assert two.start == "n0"
     assert two.occupancy.n_max >= 1 and two.occupancy.values[0] > 0.0
     # occupancy is a normalized time-weighted histogram
     assert res.occupancy.mass() == pytest.approx(1.0, abs=1e-12)
@@ -696,10 +704,43 @@ def test_simulation_rejects_bad_start():
             simulate_jump_chain(nb_model(), 0, n_jumps, seed=0)
 
 
+def scalar_start_states(model, n0, lanes, seed, stream):
+    """Each lane's first state: pi_J(n) proportional to pi(n) (rate(n) +
+    decay(n)), pi on the first cap from 64 up, doubling and never past a
+    decay table or 2^16, whose top 5% holds under 1e-12, read through its
+    running sums by one uniform of make_rng(seed, stream)'s first spawned
+    stream per lane; n0 for every lane where the solver refuses."""
+    top = 1 << 16
+    if isinstance(model.decay, TabulatedDecay):
+        top = min(top, len(model.decay.table) - 1)
+    cap = min(64, top)
+    while True:
+        try:
+            pi = stationary_pmf_general(model, cap, tail_tol=1e-12)
+            break
+        except TailNotConverged:
+            if cap == top:
+                return [n0] * lanes
+            cap = min(2 * cap, top)
+        except NumericError:
+            return [n0] * lanes
+    w = [p * float(model.burst_rate.value(n) + model.decay.value(n))
+         for n, p in enumerate(pi.values.tolist())]
+    last = max(n for n, x in enumerate(w) if x > 0.0)
+    cdf = list(itertools.accumulate(w[: last + 1]))
+    starts = []
+    rng = make_rng(seed, stream).spawn(1)[0]
+    for _ in range(lanes):
+        v = rng.random() * cdf[-1]
+        starts.append(min(sum(1 for c in cdf if c <= v), last))
+    return starts
+
+
 def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
-    """The jump chain as a per-jump loop: each jump draws three uniforms,
-    the wait, the decision and the size, and reads them through the same
-    numpy expressions one float at a time; numpy rate arrays grown by
+    """The jump chain as a per-jump loop over min(_LANES, n_jumps) lanes:
+    jump k moves lane k mod R and draws three uniforms, the wait, the
+    decision and the size, reading them through the same numpy
+    expressions one float at a time; numpy rate arrays grown by
     concatenation past every state entered, the burst laws' inverse CDFs
     written out, and every output written per jump.  Returns (waits,
     occupancy, total_time)."""
@@ -725,11 +766,14 @@ def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
         return min(k, len(law.weights) - 1) + 1
 
     ensure(n0)
+    lanes = min(_LANES, n_jumps)
+    states = scalar_start_states(model, n0, lanes, seed, stream)
+    ensure(max(states))
     waits = np.zeros(n_jumps)
-    occupancy = np.zeros(max(16, n0 + 1))
-    n = n0
+    occupancy = np.zeros(max(16, max(states) + 1))
     t = 0.0
     for k in range(n_jumps):
+        n = states[k % lanes]
         lam, gam = lam_arr[n], gam_arr[n]
         total = lam + gam
         wait, decision, size = rng.random(3)
@@ -744,6 +788,7 @@ def scalar_jump_chain(model, n0, n_jumps, seed, stream=0):
         else:
             n += burst_size(size)
             ensure(n)
+        states[k % lanes] = n
         waits[k] = eps
     hi = int(np.max(np.nonzero(occupancy)[0]))
     return waits, occupancy[: hi + 1] / t, t
@@ -799,12 +844,25 @@ def chain_models(draw):
 @example(model=DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
                                   TabulatedBurst((0.5, 0.3, 0.2))),
          n_jumps=2 * PATH_CHUNK + 7, n0=5, seed=1, stream=1)
-# enters state 16, past its 16-state decay table, at jump 5738, inside the
+# its tail is unsettled at the table's end, so the lanes start at n0; one
+# enters state 16, past its 16-state decay table, at jump 7801, inside the
 # second chunk
 @example(model=DiscreteBurstModel(ConstantRate(1.0),
                                   TabulatedDecay((0.0,) + tuple(map(float, range(1, 16)))),
                                   GeometricBurst(0.5)),
-         n_jumps=2 * PATH_CHUNK + 7, n0=0, seed=3, stream=0)
+         n_jumps=2 * PATH_CHUNK + 7, n0=0, seed=1, stream=0)
+# fewer jumps than lanes: one step, each lane one jump
+@example(model=DiscreteBurstModel(HillRate(2.0, 2.0, 1.0, 0.5, 2.0), LinearDecay(1.0),
+                                  GeometricBurst(0.5)),
+         n_jumps=_LANES // 3, n0=0, seed=5, stream=0)
+# a last step of all lanes but one, started from a law inside a short table
+@example(model=DiscreteBurstModel(TruncatedLinearRate(2.0, -0.5),
+                                  TabulatedDecay((0.0,) + tuple(0.5 * n for n in range(1, 40))),
+                                  TabulatedBurst((0.5, 0.5))),
+         n_jumps=3 * _LANES - 1, n0=0, seed=6, stream=1)
+# a last step of one lane, started at n0: the rate outruns decay
+@example(model=DiscreteBurstModel(LinearRate(1.0, 1.0), LinearDecay(1.0), GeometricBurst(0.5)),
+         n_jumps=3 * _LANES + 1, n0=4, seed=8, stream=2)
 def test_jump_chain_is_bit_identical_to_the_scalar_loop(model, n_jumps, n0, seed, stream):
     try:
         ref = scalar_jump_chain(model, n0, n_jumps, seed, stream)
@@ -844,6 +902,62 @@ def test_jump_chain_waits_are_every_third_uniform():
     res = simulate_jump_chain(m, 0, n, seed=8, stream=2)
     expected = -np.log1p(-make_rng(8, 2).random((n, 3))[:, 0])
     assert res.wait_draws.tobytes() == expected.tobytes()
+
+
+@st.composite
+def start_law_models(draw):
+    """Constant, linear, Hill and truncated-linear rates x geometric and
+    tabulated bursts, each with a stationary law; a truncated-linear rate
+    with tabulated bursts may run on a decay table its law fits inside."""
+    unit = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        burst = GeometricBurst(0.2 + 0.6 * draw(unit))
+    else:
+        weights = [0.05 + draw(unit) for _ in range(draw(st.integers(1, 6)))]
+        burst = TabulatedBurst(tuple(w / math.fsum(weights) for w in weights))
+    family = draw(st.sampled_from(("constant", "linear", "hill", "truncated-linear")))
+    gamma = 0.8 + 0.45 * draw(unit)
+    level = gamma * (0.3 + 3.7 * draw(unit))
+    decay = LinearDecay(gamma)
+    if family == "constant":
+        rate = ConstantRate(level)
+    elif family == "linear":    # slope * mean burst < decay: normalizable
+        rate = LinearRate(level, gamma / burst.mean() * 0.6 * draw(unit))
+    elif family == "hill":
+        rate = HillRate(level, 1.5 * draw(unit), 1.0, 0.3 + 0.7 * draw(unit),
+                        0.5 + 2.5 * draw(unit))
+    else:
+        cutoff = 2.0 + 8.0 * draw(unit)
+        rate = TruncatedLinearRate(level, -level / (cutoff + 1.0), cutoff)
+        if isinstance(burst, TabulatedBurst) and draw(st.booleans()):
+            # bursts fire below the cutoff and add at most six
+            decay = TabulatedDecay((0.0,) + tuple(
+                gamma * (n + 3.0 * draw(unit))
+                for n in range(1, draw(st.integers(int(cutoff) + 8, 40)))))
+    return DiscreteBurstModel(rate, decay, burst)
+
+
+@settings(max_examples=60)
+@given(model=start_law_models())
+@example(model=DiscreteBurstModel(TruncatedLinearRate(2.0, -0.5),
+                                  TabulatedDecay((0.0,) + tuple(0.5 * n for n in range(1, 40))),
+                                  TabulatedBurst((0.5, 0.5))))
+def test_the_lanes_start_from_the_jump_chains_own_stationary_law(model):
+    # the embedded chain steps down with probability decay/(rate+decay) and
+    # up by k with rate/(rate+decay) P(K = k); pi_J must be its fixed point.
+    # Only the cap row, which misses the decay from the state above, is left
+    # out: no other state can be entered from beyond the cap
+    law = _jump_epoch_law(model)
+    assert law is not None
+    pj = law / math.fsum(law.tolist())
+    n = np.arange(len(pj))
+    lam = np.asarray(model.burst_rate.value(n), float)
+    gam = np.asarray(model.decay.value(n), float)
+    P = np.zeros((len(pj), len(pj)))
+    P[n[1:], n[1:] - 1] = gam[1:] / (lam[1:] + gam[1:])
+    for k in range(1, len(pj)):
+        P[n[:-k], n[k:]] = lam[:-k] / (lam[:-k] + gam[:-k]) * model.burst_size.pmf(k)
+    assert float(np.sum(np.abs(pj @ P - pj)[:-1])) <= 1e-12
 
 
 @pytest.mark.parametrize("model, seed", [
