@@ -43,7 +43,8 @@ from .models import (
 )
 from .numerics import (
     PATH_CHUNK,
-    find_root,
+    _false_position,
+    _sign_changes,
     log_quad,
     trapezoid,
     uniform_blocks,
@@ -421,8 +422,7 @@ class Potential:
         evaluation, and stops once |D(d) - eps| <= 1e-13 max(1, |eps|) or
         a step no longer moves d.  A step that fails to shrink |D - eps|,
         or that takes ln x out of (_LOG_X_MIN, _LOG_X_MAX), hands the same
-        D to numerics.find_root.  RangeError for a root x outside
-        (e^-744, e^709).
+        D to _bracketed.  RangeError for a root x outside (e^-744, e^709).
         """
         r = self._ratio(y)
         rise = self._rise
@@ -443,9 +443,9 @@ class Potential:
                     if abs(dq - eps) < abs(f):
                         d, f = new, dq - eps
                         continue
-                self.inverse_evals += n      # counted before find_root may raise
+                self.inverse_evals += n      # counted before _bracketed may raise
                 n = 0
-                d = self._bracketed(y, ly, eps, d, tol, (lo, hi))
+                d = self._bracketed(y, ly, eps, tol)
                 break
             self.inverse_evals += n
         if -700.0 < d < 700.0:
@@ -457,20 +457,25 @@ class Potential:
             raise RangeError(f"flow from {y!r} by {eps!r}: the root lies outside the float range")
         return x, d
 
-    def _bracketed(self, y, ly, eps, d, tol, domain):
-        """flow's root by numerics.find_root from d, where Newton stalled.
+    def _bracketed(self, y, ly, eps, tol):
+        """flow's root d by numerics._false_position, where Newton stalled.
 
-        F = D - eps falls and F(0) = -eps, so 0 bounds the root on one side.
+        F = D - eps falls and F(0) = -eps, so the root lies between 0 and
+        the end of (_LOG_X_MIN, _LOG_X_MAX) - ly on its side, below 0 for
+        eps > 0.  RangeError when F has not changed sign at that end.
         """
         rise = self._rise
-        lo, hi = (-math.inf, 0.0) if eps > 0.0 else (0.0, math.inf)
+        end = (_LOG_X_MIN if eps > 0.0 else _LOG_X_MAX) - ly
 
         def gap(v):
-            self.inverse_evals += 1
-            return rise(y, ly, v)[0] - eps
+            self.inverse_evals += len(v)
+            return np.array([rise(y, ly, t)[0] for t in v.tolist()]) - eps
 
-        return find_root(gap, d, tol, fprime=lambda v: -rise(y, ly, v)[1], lo=lo, hi=hi,
-                         domain=domain)
+        f_end = float(gap(np.array([end]))[0])
+        if not f_end * eps > 0.0:
+            raise RangeError(f"flow from {y!r} by {eps!r}: the root lies outside the float range")
+        (lo, f_lo), (hi, f_hi) = sorted([(end, f_end), (0.0, -eps)])
+        return float(_false_position(gap, lo, hi, f_lo, f_hi, tol)[0])
 
     def inverse(self, target: float) -> float:
         """The x with Q(x) = target: the flow from x_ref by target, since Q(x_ref) = 0.
@@ -1144,11 +1149,12 @@ def count_modes_continuous(
         f(x) = rate(x) - hazard(x) decay(x) - decay'(x),
 
     so interior maxima are + to - crossings of f and minima the reverse.
-    ``n_scan`` log-spaced points (at least 2) bracket the crossings, and
-    numerics.find_root refines each by secant and bisection.  Without an
-    explicit window the scan expands upward until f is decisively
-    negative; a window that ends while f is still positive raises
-    WindowTooSmall, since a crossing may sit beyond it.
+    ``n_scan`` log-spaced points (at least 2) bracket the crossings, exact
+    zeros skipped, and numerics._false_position refines all the brackets
+    at once, from the end values of the scan.  Without an explicit window
+    the scan expands upward until f is decisively negative; a window that
+    ends while f is still positive raises WindowTooSmall, since a crossing
+    may sit beyond it.
     """
     if n_scan < 2:
         raise ModelError(f"count_modes_continuous: n_scan must be >= 2, got {n_scan}")
@@ -1182,28 +1188,15 @@ def count_modes_continuous(
 
     xs = np.exp(np.linspace(math.log(lo), math.log(hi), n_scan))
     fs = f(xs)
-
-    roots: list[float] = []
-    kinds: list[str] = []
-    prev_sign = 0
-    prev_x = prev_val = None
-    for x_cur, val in zip(xs.tolist(), fs.tolist()):
-        cur = (val > 0) - (val < 0)
-        if cur == 0:
-            continue  # exact zero: wait for a strict sign before deciding
-        if prev_sign != 0 and cur != prev_sign:
-            # prev_sign * f falls across the bracket, as find_root wants; at
-            # |f| <= 1e-13 of the bracket's scan values the root sits within
-            # about 1e-13 of the bracket width
-            roots.append(find_root(lambda t: prev_sign * float(f(t)), 0.5 * (prev_x + x_cur),
-                                   1e-13 * max(abs(prev_val), abs(val)), lo=prev_x, hi=x_cur))
-            kinds.append("max" if prev_sign > 0 else "min")
-        prev_sign = cur
-        prev_x = x_cur
-        prev_val = val
-
+    # a bracket's root is settled at |f| <= 1e-13 of its larger end value,
+    # about 1e-13 of its width from the root
+    before, after = _sign_changes(fs)
+    f_lo, f_hi = fs[before], fs[after]
+    roots = _false_position(f, xs[before], xs[after], f_lo, f_hi,
+                            1e-13 * np.maximum(np.abs(f_lo), np.abs(f_hi)))
+    kinds = tuple("max" if up else "min" for up in (f_lo > 0.0).tolist())
     boundary = float(f(lo)) < 0.0
-    return ModeReportContinuous(tuple(roots), tuple(kinds), boundary)
+    return ModeReportContinuous(tuple(roots.tolist()), kinds, boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .models import (
     TabulatedDecay,
 )
 from . import numerics
-from .numerics import expm, l1_distance, make_rng, uniform_blocks
+from .numerics import _sign_changes, expm, l1_distance, make_rng, uniform_blocks
 
 # perfbench/baseline.py saves, patches and restores this attribute around
 # evolve_master; nothing in burstkin reads it
@@ -113,11 +113,11 @@ def _check_tail(values: np.ndarray, tail_tol: float | None) -> None:
 
 
 def _reject_divergent_linear(model: DiscreteBurstModel) -> None:
-    """Fast analytic screen: a linear rate that outruns decay has no stationary law."""
-    if (isinstance(model.burst_rate, LinearRate)
-            and isinstance(model.decay, LinearDecay)
-            and isinstance(model.burst_size, GeometricBurst)):
-        gap = model.decay.rate * (1.0 - model.burst_size.b)
+    """Fast analytic screen: a linear rate that outruns decay has no
+    stationary law.  Far up, the drift per unit of n is slope E[K] - decay,
+    under any burst-size law."""
+    if isinstance(model.burst_rate, LinearRate) and isinstance(model.decay, LinearDecay):
+        gap = model.decay.rate / model.burst_size.mean()
         if model.burst_rate.slope >= gap:
             raise NotNormalizable(
                 f"rate slope {model.burst_rate.slope} >= decay margin {gap}; "
@@ -713,9 +713,7 @@ def count_modes_discrete(model: DiscreteBurstModel, n_max: int) -> ModeReportDis
     """
     up, down = _ratio_terms(model, n_max, "count_modes_discrete")
     s = up - down
-    sign = (s > 0) * 1 - (s < 0)
-    strict = np.flatnonzero(sign)
-    changes = strict[1:][sign[strict[1:]] != sign[strict[:-1]]]
-    maxima = changes[sign[changes] < 0]
+    changes = _sign_changes(s)[1]
+    maxima = changes[s[changes] < 0]
     return ModeReportDiscrete(tuple(changes.tolist()), tuple(maxima.tolist()),
                               float(up[0]) < float(down[0]))

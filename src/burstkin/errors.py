@@ -44,11 +44,13 @@ class NotIntegrable(NumericError):
 
 
 class ToleranceNotMet(NumericError):
-    """Adaptive quadrature exhausted its panel budget above tolerance."""
+    """A result missed its tolerance: log_quad's sums never agreed, or the
+    kernel fixed point's residual stayed above its bound."""
 
 
 class NoConvergence(NumericError):
-    """Fixed-point iteration stalled above tolerance."""
+    """An iteration stopped short of its tolerance.  Nothing in burstkin
+    raises it now; it stays exported for callers that catch it."""
 
 
 class NumericalBlowup(NumericError):

@@ -3,9 +3,10 @@
 Everything downstream leans on the primitives collected here: a seeded
 random generator with documented stream splitting, its uniforms drawn
 in blocks, the matrix exponential, the trapezoid rule in a log variable for
-integrals from the origin, and a safeguarded Newton root finder.
-Keeping them in one place makes the reproducibility story auditable: a
-run is a pure function of (seed, stream, config).
+integrals from the origin, and, private, false position on closed
+brackets, many solved at once, with the sign-change scan that finds
+them.  Keeping them in one place makes the reproducibility story
+auditable: a run is a pure function of (seed, stream, config).
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from .errors import (
     DomainError,
     GridMismatch,
     ModelError,
-    NoConvergence,
     NotIntegrable,
     NumericalBlowup,
-    RangeError,
     ToleranceNotMet,
 )
 
@@ -230,70 +229,62 @@ def log_quad(ln_f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# root finding
+# bracketed roots
 # ---------------------------------------------------------------------------
 
-# evaluations find_root makes before it gives up
-_ROOT_STEPS = 100
+def _sign_changes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(before, after): the index pairs around each change of strict sign
+    in ``values``.  Exact zeros and nan are skipped until a strict sign
+    settles the direction, so ``after`` is the first index of each new
+    sign and ``before`` the last index of the old one."""
+    sign = (values > 0) * 1 - (values < 0)      # nan counts as zero
+    strict = np.flatnonzero(sign)
+    flip = np.flatnonzero(sign[strict[1:]] != sign[strict[:-1]])
+    return strict[flip], strict[flip + 1]
 
 
-def find_root(
-    f: Callable[[float], float],
-    x: float,
-    tol: float,
-    *,
-    fprime: Callable[[float], float] | None = None,
-    lo: float = -math.inf,
-    hi: float = math.inf,
-    domain: tuple[float, float] = (-math.inf, math.inf),
-) -> float:
-    """Root of an f that falls through zero, by safeguarded Newton (rtsafe).
+def _false_position(f: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi,
+                    tol) -> np.ndarray:
+    """The roots of f on the brackets [lo, hi], all solved at once.
 
-    Newton runs from ``x`` with slope ``fprime``, or without one along
-    the secant through the bracket ends.  Every evaluation tightens the
-    bracket [lo, hi], f(lo) > 0 > f(hi), which may start open on either
-    side.  A step that leaves the bracket, follows a zero slope, or fails
-    to halve the step before last (Numerical Recipes' rtsafe), becomes a
-    bisection, or an outward step of doubling length while one side is
-    still open.  Steps are clipped to ``domain``.  Returns the first x
-    with |f(x)| <= tol,
-    or the bracket end it sits on once no float lies between the ends.
-    RangeError when an open side cannot close inside ``domain``,
-    NoConvergence after _ROOT_STEPS evaluations.
+    ``f`` maps an array of points to their values; ``f_lo`` and ``f_hi``
+    are its values at the ends, of strictly opposite signs, and may be
+    infinite.  False position with the Illinois rule (Dowell & Jarratt,
+    BIT 11, 1971): when the same end moves twice running, the value kept
+    at the other end is halved.  The midpoint replaces the secant point
+    when that leaves the open bracket, as an infinite end value makes it
+    do, or when the last two steps together failed to halve the bracket,
+    so the bracket halves at least once in any three steps.  Each bracket
+    stops at the first point with |f| <= tol, or at the end it moved last
+    once no float lies between its ends.
     """
-    f_lo = f_hi = math.nan              # bracket values, for the secant
-    reach = 1.0                         # outward step while a side is open
-    last = before = math.inf            # lengths of the last two steps
-    for _ in range(_ROOT_STEPS):
-        fx = f(x)
-        if abs(fx) <= tol:
-            return x
-        if fx > 0.0:
-            lo, f_lo = x, fx
-        else:
-            hi, f_hi = x, fx
-        if fprime is not None:
-            slope = fprime(x)
-            step = x - fx / slope if slope != 0.0 else math.nan
-        else:
-            step = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not (lo < step < hi and abs(step - x) <= 0.5 * before):
-            if hi == math.inf:
-                step = lo + reach
-            elif lo == -math.inf:
-                step = hi - reach
-            else:
-                step = 0.5 * (lo + hi)
-            reach *= 2.0
-        step = min(max(step, domain[0]), domain[1])
-        if step == x:
-            if lo == -math.inf or hi == math.inf:
-                raise RangeError(f"root finder: f keeps its sign up to the end of {domain}")
-            return x    # no float left between the bracket ends
-        before, last = last, abs(step - x)
-        x = step
-    raise NoConvergence(f"root finder: bracket [{lo:.17g}, {hi:.17g}] still open "
-                        f"after {_ROOT_STEPS} steps")
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, f_lo, f_hi))
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), lo.shape)
+    root = np.empty_like(lo)
+    at = np.arange(lo.size)                     # where each open bracket's root goes
+    moved = np.zeros(lo.shape, dtype=int)       # the end moved last: -1 lo, +1 hi
+    slow = np.zeros(lo.shape, dtype=bool)       # bisect next
+    span = np.full(lo.shape, math.inf)          # the width before the last step
+    while at.size:
+        with np.errstate(all="ignore"):         # an infinite end value makes x nan
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x = np.where((lo < x) & (x < hi) & ~slow, x, 0.5 * lo + 0.5 * hi)
+        fx = np.asarray(f(x), dtype=float)
+        to_lo = (fx > 0.0) == (f_lo > 0.0)
+        side = np.where(to_lo, -1, 1)
+        scale = np.where(moved == side, 0.5, 1.0)   # for the value at the end that stays
+        width = hi - lo
+        lo, hi = np.where(to_lo, x, lo), np.where(to_lo, hi, x)
+        f_lo, f_hi = np.where(to_lo, fx, scale * f_lo), np.where(to_lo, scale * f_hi, fx)
+        moved, slow, span = side, hi - lo > 0.5 * span, width
+        mid = 0.5 * lo + 0.5 * hi
+        done = (np.abs(fx) <= tol) | (mid <= lo) | (mid >= hi)    # or adjacent floats
+        if done.any():
+            root[at[done]] = x[done]
+            go = ~done
+            at, lo, hi, f_lo, f_hi, tol, moved, slow, span = (
+                v[go] for v in (at, lo, hi, f_lo, f_hi, tol, moved, slow, span))
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -668,12 +668,15 @@ _DISCRETE_RATE_BASE = {
 @st.composite
 def density_mode_configs(draw):
     mode = draw(st.sampled_from(["stationary-continuous", "invert-phi", "kernel-fixed-point",
-                                 "simulate-pdmp", "simulate-discrete"]))
+                                 "simulate-pdmp", "simulate-discrete", "modes"]))
+    kind = "discrete" if mode == "simulate-discrete" else "continuous"
+    if mode == "modes":
+        kind = draw(st.sampled_from(["discrete", "continuous"]))
 
     def scaled(base):
         return base * 10.0 ** draw(st.floats(-4.0, 4.0))
 
-    if mode == "simulate-discrete":
+    if kind == "discrete":
         rate = draw(st.sampled_from(sorted(_DISCRETE_RATE_BASE)))
         lines = [f"run.mode = {mode}", "model.kind = discrete", f"model.rate = {rate}",
                  f"model.decay = {scaled(1.0)!r}", "model.burst = geometric",
@@ -681,7 +684,8 @@ def density_mode_configs(draw):
         lines += [f"model.{k} = {scaled(v)!r}" for k, v in _DISCRETE_RATE_BASE[rate].items()]
         if rate == "hill":
             lines.append(f"model.rate_exponent = {draw(st.floats(0.5, 4.0))!r}")
-        lines += [f"numeric.n0 = {draw(st.integers(0, 12))}", "numeric.n_jumps = 200"]
+        if mode == "simulate-discrete":
+            lines += [f"numeric.n0 = {draw(st.integers(0, 12))}", "numeric.n_jumps = 200"]
         return "\n".join(lines) + "\n"
     rate = draw(st.sampled_from(sorted(_RATE_BASE)))
     burst = draw(st.sampled_from(sorted(_BURST_BASE)))
@@ -696,14 +700,14 @@ def density_mode_configs(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=500)
+@settings(max_examples=600)
 @given(text=density_mode_configs())
 def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text):
     # the contract of the three modes built on a grid density, of the PDMP,
-    # over every continuous rate x burst pair, and of the jump chain over
-    # every discrete rate family: each run returns finite CSVs and a
-    # summary.json that parses strictly, or raises a BurstkinError.  No
-    # warning and no other exception may escape
+    # over every continuous rate x burst pair, of the jump chain over every
+    # discrete rate family, and of the mode census on both: each run
+    # returns finite CSVs and a summary.json that parses strictly, or
+    # raises a BurstkinError.  No warning and no other exception may escape
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -714,6 +718,10 @@ def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text
         json.loads((Path(tmp) / "summary.json").read_text(),
                    parse_constant=_no_bare_constants)
         for name in summary.artifacts:
+            if name == "modes.csv":     # x_root,kind, and maybe no row at all
+                rows = (Path(tmp) / name).read_text().splitlines()[1:]
+                assert all(math.isfinite(float(row.split(",")[0])) for row in rows), name
+                continue
             table = np.loadtxt(Path(tmp) / name, delimiter=",", skiprows=1, ndmin=2)
             assert np.all(np.isfinite(table)), name
 

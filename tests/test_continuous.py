@@ -551,6 +551,31 @@ def test_simulate_pdmp_does_not_depend_on_its_block_size(monkeypatch):
 
 
 @pytest.mark.parametrize("family", sorted(PDMP_FAMILIES))
+def test_simulate_pdmp_never_needs_the_bracketed_flow(family, monkeypatch):
+    # Newton is the flow's whole path on these models: the false-position
+    # fallback is for a stalled Newton, not a cost every run pays
+    def refuse(self, *args):
+        raise AssertionError(f"flow fell back to _bracketed{args}")
+    monkeypatch.setattr(Potential, "_bracketed", refuse)
+    tr = simulate_pdmp(PDMP_FAMILIES[family], 1.0, 20000, seed=23)
+    assert len(tr.y_pre) == 20000
+
+
+def test_bracketed_flow_refuses_a_root_past_the_float_range():
+    # a Hill rate that shuts off: rate/decay is 1 below x = 1 and 0 above it,
+    # so from y = e^5 the flow reaches at most 744 by x = e^-744
+    pot = Potential(ContinuousBurstModel(HillRate(1.0, 0.0, 1.0, 1.0, 300.0), LinearDecay(1.0),
+                                         ExponentialBurstKernel(1.0)))
+    y = math.exp(5.0)
+    x, d = pot.flow(y, 743.0)
+    assert d == pytest.approx(-748.0, abs=1e-10)
+    before = pot.inverse_evals
+    with pytest.raises(RangeError):
+        pot.flow(y, 745.0)
+    assert pot.inverse_evals == before + 1     # the end value alone
+
+
+@pytest.mark.parametrize("family", sorted(PDMP_FAMILIES))
 def test_simulate_pdmp_matches_the_bracketed_inverse(family):
     # Newton stops within 1e-13 max(1, |target|) of the root and bisection
     # at adjacent floats, so the two skeletons agree to round-off, not bit

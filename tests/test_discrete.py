@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import gammaln
 
 from burstkin.discrete import (
@@ -44,7 +44,7 @@ from burstkin.models import (
     TabulatedRate,
     TruncatedLinearRate,
 )
-from burstkin import numerics
+from burstkin import discrete, numerics
 from burstkin.numerics import PATH_CHUNK, expm, make_rng, tv_distance
 
 
@@ -145,6 +145,27 @@ def test_divergent_linear_rate_rejected():
         stationary_pmf_geometric(nb_model(1.0, 0.7, 1.0, 0.5), 100)
     # just under the margin is fine (heavy tail, so skip the truncation check)
     stationary_pmf_general(nb_model(1.0, 0.49, 1.0, 0.5), 400, tail_tol=None)
+
+
+def test_divergent_linear_rate_rejected_under_any_burst_law(monkeypatch):
+    # slope E[K] >= decay outruns decay whatever the size law: here
+    # 2 * 1.5 >= 1 with sizes 1 and 2, refused at once, not after a
+    # truncated recurrence that piles its mass at the cap
+    steep = DiscreteBurstModel(LinearRate(1.0, 2.0), LinearDecay(1.0), TabulatedBurst((0.5, 0.5)))
+    with pytest.raises(NotNormalizable):
+        stationary_pmf_general(steep, 100)
+    # so the chain asks the solver once, not once per doubled cap
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return stationary_pmf_general(*args, **kwargs)
+    monkeypatch.setattr(discrete, "stationary_pmf_general", counted)
+    assert simulate_jump_chain(steep, 0, 2000, seed=1).start == "n0" and len(calls) == 1
+    # below the margin, 0.6 * 1.5 < 1: a law exists and the lanes start from it
+    mild = DiscreteBurstModel(LinearRate(1.0, 0.6), LinearDecay(1.0), TabulatedBurst((0.5, 0.5)))
+    assert stationary_pmf_general(mild, 400, tail_tol=None).mass() == pytest.approx(1.0)
+    assert simulate_jump_chain(mild, 0, 2000, seed=1).start == "stationary"
 
 
 def test_tail_check_and_escape_hatch():
@@ -382,6 +403,46 @@ def test_evolve_master_snapshot_times_are_exact():
     v0[3] = 1.0
     trace = evolve_master(m, v0, 5.0, snapshot_times=[1.25, 2.5, 5.0])
     assert list(trace.times) == [1.25, 2.5, 5.0]
+
+
+def transient_pmf(lam, b, gamma, n0, t, n):
+    """P(N(t) = k), k <= n, for constant rate lam, geometric bursts b and
+    decay gamma k, started at n0: the generating function
+
+        G(z, t) = (1 + (z - 1) s)^n0 [(1 - b - b (z - 1) s) / (1 - b z)]^(lam / (gamma b)),
+
+    s = e^(-gamma t), solved by characteristics, inverted by one FFT on
+    2^14 roots of unity.  Both bracketed factors keep a positive real part
+    on the unit circle, so the principal power is the analytic one."""
+    size = 1 << 14
+    z = np.exp(2j * np.pi * np.arange(size) / size)
+    s = math.exp(-gamma * t)
+    g = (1.0 + (z - 1.0) * s) ** n0 * ((1.0 - b - b * (z - 1.0) * s) / (1.0 - b * z)) ** (
+        lam / (gamma * b))
+    return np.fft.fft(g).real[:n + 1] / size
+
+
+@settings(max_examples=25, deadline=None)
+@given(mean=st.floats(0.5, 60.0), b=st.floats(0.05, 0.8), gamma=st.floats(0.2, 5.0),
+       n0=st.integers(0, 150), t=st.floats(0.01, 5.0), slack=st.floats(0.0, 1.0))
+def test_evolve_master_matches_the_exact_transient(mean, b, gamma, n0, t, slack):
+    # the transient of a negative-binomial model in closed form: the
+    # truncated master equation, with under 1e-14 of mass at its cap, is
+    # the untruncated law to 1e-12 in L1
+    lam = mean * gamma * (1.0 - b)
+    times = (0.5 * t, t)
+    exact = [transient_pmf(lam, b, gamma, n0, u, 400) for u in times]
+    tails = [np.cumsum(p[::-1])[::-1] for p in exact]
+    need = max(int(np.argmax(tail < 1e-16)) for tail in tails)
+    assume(0 < need and n0 < need <= 400)
+    cap = need + int(slack * (400 - need))
+    v0 = np.zeros(cap + 1)
+    v0[n0] = 1.0
+    model = DiscreteBurstModel(ConstantRate(lam), LinearDecay(gamma), GeometricBurst(b))
+    trace = evolve_master(model, v0, t, n_snapshots=2)
+    assume(max(float(p.values[-1]) for p in trace.pmfs) < 1e-14)
+    for pmf, want in zip(trace.pmfs, exact):
+        assert np.sum(np.abs(pmf.values - want[:cap + 1])) <= 1e-12
 
 
 def test_evolve_master_validates_inputs():

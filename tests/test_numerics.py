@@ -9,16 +9,15 @@ from burstkin.errors import (
     DomainError,
     GridMismatch,
     ModelError,
-    NoConvergence,
     NotIntegrable,
     NumericalBlowup,
-    RangeError,
     ToleranceNotMet,
 )
 from burstkin.numerics import (
     PATH_CHUNK,
+    _false_position,
+    _sign_changes,
     expm,
-    find_root,
     l1_distance,
     log_quad,
     make_rng,
@@ -208,49 +207,117 @@ def test_log_quad_refuses_divergent_integrands(ln_f, end):
 
 
 # ---------------------------------------------------------------------------
-# root finding
+# bracketed roots
 # ---------------------------------------------------------------------------
 
-def test_root_cube():
-    # no derivative: the secant through the bracket ends
-    x = find_root(lambda x: 2.0 - x ** 3, 1.0, 1e-15, lo=0.0, hi=2.0)
-    assert abs(x - 2.0 ** (1.0 / 3.0)) < 1e-12
+def recorded(f):
+    """f, and a list that gets the points of each call to it."""
+    calls = []
+
+    def g(x):
+        calls.append(x.tolist())
+        return f(x)
+    return g, calls
 
 
-def test_root_with_derivative():
-    # Newton from an open bracket
-    x = find_root(lambda x: 5.0 - math.exp(x), 0.0, 1e-14, fprime=lambda x: -math.exp(x))
-    assert abs(x - math.log(5.0)) < 1e-12
+def test_false_position_solves_its_brackets_together():
+    # sin's roots pi, 2 pi and 3 pi, with sin falling or rising across the
+    # bracket; every step is elementwise, so each root is the one its
+    # bracket gives alone, and f runs once per step of the slowest bracket
+    lo, hi = np.array([3.0, 6.0, 9.0]), np.array([3.5, 6.5, 10.0])
+    f, calls = recorded(np.sin)
+    roots = _false_position(f, lo, hi, np.sin(lo), np.sin(hi), 1e-14)
+    alone = []
+    for a, b in zip(lo, hi):
+        g, steps = recorded(np.sin)
+        alone.append((_false_position(g, a, b, math.sin(a), math.sin(b), 1e-14)[0], len(steps)))
+    sizes = [len(c) for c in calls]
+    assert roots.tolist() == [r for r, _ in alone]
+    assert len(sizes) == max(n for _, n in alone) and sum(sizes) == sum(n for _, n in alone)
+    assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
+    assert np.all(np.abs(roots - math.pi * np.arange(1, 4)) <= 1e-14)
+    g, calls = recorded(np.sin)
+    assert _false_position(g, [], [], [], [], 0.0).size == 0 and calls == []
 
 
-def test_root_width_is_relative_to_the_root():
+def test_false_position_width_is_relative_to_the_root():
     # tol = 0 runs until no float lies between the bracket ends, a width
     # relative to the root: an absolute width of 1e-12 would leave 4e-10 here
     r = 2.4e-3
-    x = find_root(lambda x: r ** 3 - x ** 3, 0.5, 0.0, lo=0.0, hi=1.0)
+    x = _false_position(lambda x: r ** 3 - x ** 3, 0.0, 1.0, r ** 3, r ** 3 - 1.0, 0.0)[0]
     assert abs(x - r) <= 1e-12 * r
-    x = find_root(lambda x: math.log(r / x), 0.5, 0.0, fprime=lambda x: -1.0 / x,
-                  lo=1e-9, hi=1.0)
+    x = _false_position(lambda x: np.log(r / x), 1e-300, 1.0, math.log(r / 1e-300),
+                        math.log(r), 0.0)[0]
     assert abs(x - r) <= 1e-12 * r
 
 
-def test_root_zero_slope_falls_back_to_the_bracket():
-    # the slope vanishes at the start: an outward step, not a division by zero
-    x = find_root(lambda x: 1.0 - x ** 3, 0.0, 1e-15, fprime=lambda x: -3.0 * x * x)
-    assert abs(x - 1.0) < 1e-15
+def test_false_position_across_a_jump_stops_at_adjacent_floats():
+    # a jump at 1/3 never meets |f| <= tol: the bracket of width 2e300
+    # shrinks to adjacent floats.  Halving at least once in any three steps
+    # bounds that by 3 * 1100 evaluations; the Illinois rule's halved end
+    # values walk the secant points in on the jump in under 100, where
+    # plain false position and the midpoint take about 1050
+    f, calls = recorded(lambda x: np.where(x < 1.0 / 3.0, 1.0, -1.0))
+    x = _false_position(f, -1e300, 1e300, 1.0, -1.0, 0.0)[0]
+    assert abs(x - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
+    assert len(calls) <= 100
 
 
-def test_root_unconverged_raises():
-    # a jump at 1/3 never meets |f| <= tol; bisecting a bracket of width
-    # 2e300 down to adjacent floats takes about 1000 steps
-    with pytest.raises(NoConvergence):
-        find_root(lambda x: 1.0 if x < 1.0 / 3.0 else -1.0, 0.0, 0.0, lo=-1e300, hi=1e300)
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x ** 20 - 1e-6, 0.0, 2.0),
+    (lambda x: np.expm1(30.0 * x) - 1.0, 0.0, 1.0),
+    (lambda x: 2.4e-3 ** 3 - x ** 3, 0.0, 1.0),
+], ids=["x^20", "expm1", "cube"])
+def test_false_position_halves_the_bracket_once_in_three_steps(f, lo, hi):
+    # on a convex f the secant points creep in from one side; the midpoint
+    # steps in whenever two steps failed to halve the bracket
+    g, calls = recorded(f)
+    _false_position(g, lo, hi, f(lo), f(hi), 0.0)
+    f_lo, widths = f(lo), [hi - lo]
+    for (x,) in calls:
+        if (f(x) > 0.0) == (f_lo > 0.0):
+            lo = x
+        else:
+            hi = x
+        widths.append(hi - lo)
+    assert all(w <= 0.5 * before for w, before in zip(widths[3:], widths))
 
 
-def test_root_open_side_that_cannot_close():
-    # f stays positive up to the domain's end: the upper side never closes
-    with pytest.raises(RangeError):
-        find_root(lambda x: 10.0 - x, 0.5, 1e-12, fprime=lambda x: -1.0, domain=(0.0, 1.0))
+@pytest.mark.filterwarnings("error")
+def test_false_position_takes_the_midpoint_beside_an_infinite_end():
+    # the secant through an infinite end value is nan, formed without a
+    # RuntimeWarning: the first point is the midpoint, and the root is
+    # still found
+    for lo, hi, f_lo, f_hi in ((-1.0, 7.0, math.inf, -6.0), (-3.0, 7.0, 4.0, -math.inf)):
+        f, calls = recorded(lambda x: 1.0 - x)
+        x = _false_position(f, lo, hi, f_lo, f_hi, 1e-15)[0]
+        assert calls[0] == [0.5 * lo + 0.5 * hi] and abs(x - 1.0) <= 1e-15
+
+
+def sign_changes_loop(values):
+    """The census's scan as a plain loop: the reference for _sign_changes."""
+    pairs, last = [], None
+    for i, v in enumerate(values.tolist()):
+        if not (v > 0.0 or v < 0.0):
+            continue        # zero or nan: wait for a strict sign
+        if last is not None and (v > 0.0) != (values[last] > 0.0):
+            pairs.append((last, i))
+        last = i
+    return pairs
+
+
+def test_sign_changes_skip_zeros_and_nan():
+    # (before, after) around each strict change; zeros and nan wait for a
+    # strict sign, so a flat top is counted once
+    v = np.array([1.0, 0.0, -2.0, math.nan, -1.0, 0.0, 0.0, 3.0, 4.0, -5.0, 0.0])
+    before, after = _sign_changes(v)
+    assert before.tolist() == [0, 4, 8] and after.tolist() == [2, 7, 9]
+    assert [a.size for a in _sign_changes(np.zeros(4))] == [0, 0]
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 50, 50, 50, 400):
+        v = rng.choice([-2.0, -1.0, 0.0, 1.0, 3.0, math.nan], size=n)
+        before, after = _sign_changes(v)
+        assert list(zip(before.tolist(), after.tolist())) == sign_changes_loop(v)
 
 
 # ---------------------------------------------------------------------------
