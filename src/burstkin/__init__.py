@@ -49,7 +49,6 @@ from .errors import (
     GridMismatch,
     GridTooNarrow,
     ModelError,
-    NoConvergence,
     NotIntegrable,
     NotNormalizable,
     NumericalBlowup,

@@ -406,10 +406,6 @@ class Potential:
     # the tracer in perfbench patches value and __call__ on the class
     __call__ = value
 
-    def at_infinity(self) -> float:
-        """Limit of Q at +inf; finite only for a rate that shuts off out there."""
-        return self._q_inf
-
     # -- the flow and the generalized inverse --------------------------
 
     def flow(self, y: float, eps: float) -> tuple[float, float]:
@@ -418,11 +414,13 @@ class Potential:
         A positive eps moves y down the decay flow.  D(d) = Q(y e^d) - Q(y)
         is in closed form (_rate_law); for a constant rate it is linear,
         so d = -eps decay/rate exactly.  Otherwise Newton in d, with slope
-        -rate(x)/decay, takes the step from d = 0 first, which needs no
-        evaluation, and stops once |D(d) - eps| <= 1e-13 max(1, |eps|) or
-        a step no longer moves d.  A step that fails to shrink |D - eps|,
-        or that takes ln x out of (_LOG_X_MIN, _LOG_X_MAX), hands the same
-        D to _bracketed.  RangeError for a root x outside (e^-744, e^709).
+        -r, r = rate(x)/decay, takes the step from d = 0 first, which needs
+        no evaluation, and stops once a step no longer moves d or once
+        |D(d) - eps| <= tol min(1, r), tol = 1e-13 max(1, |eps|): a next
+        step would move d by at most tol, however flat D is.  A step that
+        fails to shrink |D - eps|, or takes ln x out of (_LOG_X_MIN,
+        _LOG_X_MAX), hands Newton's last d to _bracketed.  RangeError for
+        a root x outside (e^-744, e^709).
         """
         r = self._ratio(y)
         rise = self._rise
@@ -433,19 +431,19 @@ class Potential:
             lo, hi = _LOG_X_MIN - ly, _LOG_X_MAX - ly
             tol = 1e-13 * max(1.0, abs(eps))
             d, f, n = 0.0, -eps, 0
-            while abs(f) > tol:
+            while abs(f) > tol * min(1.0, r):
                 new = d + f / r if r > 0.0 else math.nan
                 if new == d:
                     break       # the step is below the rounding of d
                 if lo < new < hi:
-                    dq, r = rise(y, ly, new)
+                    dq, r_new = rise(y, ly, new)
                     n += 1
                     if abs(dq - eps) < abs(f):
-                        d, f = new, dq - eps
+                        d, f, r = new, dq - eps, r_new
                         continue
                 self.inverse_evals += n      # counted before _bracketed may raise
                 n = 0
-                d = self._bracketed(y, ly, eps, tol)
+                d = self._bracketed(y, ly, eps, tol, d, f, r)
                 break
             self.inverse_evals += n
         if -700.0 < d < 700.0:
@@ -457,24 +455,32 @@ class Potential:
             raise RangeError(f"flow from {y!r} by {eps!r}: the root lies outside the float range")
         return x, d
 
-    def _bracketed(self, y, ly, eps, tol):
-        """flow's root d by numerics._false_position, where Newton stalled.
+    def _bracketed(self, y, ly, eps, tol, d, f, r):
+        """flow's root by numerics._false_position, where Newton stalled at
+        d, with F = D - eps = f and r = rate/decay there.
 
-        F = D - eps falls and F(0) = -eps, so the root lies between 0 and
-        the end of (_LOG_X_MIN, _LOG_X_MAX) - ly on its side, below 0 for
-        eps > 0.  RangeError when F has not changed sign at that end.
+        F falls in d, so the bracket runs from d to the end of
+        (_LOG_X_MIN, _LOG_X_MAX) - ly on the root's side: RangeError when F
+        has not changed sign at that end.  False position runs on
+        F / min(1, r), r held at or above _TINY, which has F's signs and
+        root, is nearly the distance to the root in d where r is small, and
+        stops where Newton does.
         """
         rise = self._rise
-        end = (_LOG_X_MIN if eps > 0.0 else _LOG_X_MAX) - ly
+
+        def scaled(f, r):
+            return f / min(1.0, max(r, _TINY))
 
         def gap(v):
             self.inverse_evals += len(v)
-            return np.array([rise(y, ly, t)[0] for t in v.tolist()]) - eps
+            pairs = [rise(y, ly, t) for t in v.tolist()]
+            return np.array([scaled(dq - eps, r) for dq, r in pairs])
 
+        end = (_LOG_X_MIN if f < 0.0 else _LOG_X_MAX) - ly
         f_end = float(gap(np.array([end]))[0])
-        if not f_end * eps > 0.0:
+        if not f_end * f < 0.0:
             raise RangeError(f"flow from {y!r} by {eps!r}: the root lies outside the float range")
-        (lo, f_lo), (hi, f_hi) = sorted([(end, f_end), (0.0, -eps)])
+        (lo, f_lo), (hi, f_hi) = sorted([(end, f_end), (d, scaled(f, r))])
         return float(_false_position(gap, lo, hi, f_lo, f_hi, tol)[0])
 
     def inverse(self, target: float) -> float:
@@ -751,7 +757,8 @@ def stationary_density(
     ln(c u) = ln nu - Q - ln(decay x) stays in log scale: ln c and the
     law's mass off the grid, ``mass_outside``, come from numerics.log_quad
     and the values from _grid_density.  GridTooNarrow when more than
-    _MASS_LEAK of the law lies below the first knot, or none on the grid.
+    _MASS_LEAK of the law lies below the first knot or above the last, or
+    none on the grid.
     """
     nu = model.burst_size.nu
     _screen(model, nu)
@@ -771,6 +778,8 @@ def stationary_density(
     if below > _MASS_LEAK:
         raise GridTooNarrow(f"{below:.3g} of the law lies below the first knot {grid[0]:.6g}")
     above = math.exp(log_quad(ln_cu, float(grid[-1]), cap, 1e-12) - ln_c)
+    if above > _MASS_LEAK:
+        raise GridTooNarrow(f"{above:.3g} of the law lies above the last knot {grid[-1]:.6g}")
     with np.errstate(divide="ignore", invalid="ignore"):  # nu = 0 at a cap; NaN is refused
         return _grid_density(grid, ln_cu(grid) - ln_c, ln_c=ln_c, below=below, above=above)
 

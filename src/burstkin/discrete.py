@@ -9,12 +9,10 @@ ratio form, which is what makes the named closed-form family drop out.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -76,10 +74,6 @@ class Pmf:
     @property
     def n_max(self) -> int:
         return len(self.values) - 1
-
-    @property
-    def log_scale(self) -> bool:
-        return self.log_values is not None
 
     def mass(self) -> float:
         return float(math.fsum(np.asarray(self.values, dtype=float).tolist()))
@@ -397,17 +391,14 @@ def _mixing_bound(p: np.ndarray) -> float:
     return 1.0 - float(p.min(axis=1).sum())
 
 
-def _propagator(gen: np.ndarray, dt: float,
-                overwrite: bool = False) -> tuple[np.ndarray, int]:
+def _propagator(gen: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
     """exp(dt G) for a generator with zero column sums, and the number of
-    squarings it took.
+    squarings it took.  G itself is scaled in place to dt G / 2^h.
 
-    expm runs on dt G / 2^h, whose 1-norm is below one, so it neither
-    copies nor scales it, and the result is squared up to h times here
-    with its columns renormalized to unit mass after each squaring.
-    With ``overwrite`` G itself is scaled to dt G / 2^h, and at most four
-    n x n arrays are live: dt G / 2^h, and expm's a^2, a^3 and sum, plus
-    its buffer of ceil(n/4) rows; without, G is kept and makes five.
+    expm runs on dt G / 2^h, whose 1-norm is below one, and the result is
+    squared up to h times here with its columns renormalized to unit mass
+    after each squaring.  At most four n x n arrays are live: dt G / 2^h,
+    and expm's a^2, a^3 and sum, plus its buffer of ceil(n/4) rows.
     Squaring a stochastic matrix doubles any rounding error in its unit
     eigenvalue; over the ~1000 squarings of a horizon like 1e300 that
     error would under- or overflow, while the renormalized squares
@@ -428,7 +419,7 @@ def _propagator(gen: np.ndarray, dt: float,
     rounding already allows.
     """
     with np.errstate(over="ignore"):       # an infinite norm raises in expm
-        a = np.multiply(gen, dt, out=gen if overwrite else None)
+        a = np.multiply(gen, dt, out=gen)
         halvings = max(0, math.frexp(float(np.linalg.norm(a, 1)))[1])
         p = expm(np.ldexp(a, -halvings, out=a))
     # each mask is read off the buffer that is dead until the next swap
@@ -451,8 +442,7 @@ class MasterTrace:
     times: np.ndarray
     pmfs: list
     l1_to_stationary: np.ndarray
-    stationary: Pmf
-    squarings: int      # renormalized squarings over all propagators formed
+    squarings: int      # renormalized squarings of the one propagator
 
 
 def evolve_master(
@@ -460,16 +450,13 @@ def evolve_master(
     v0: np.ndarray | Pmf,
     t_end: float,
     *,
-    snapshot_times: Sequence[float] | None = None,
     n_snapshots: int = 25,
 ) -> MasterTrace:
     """Propagate the truncated master equation exactly and trace L1 decay.
 
-    The truncated generator G is constant, so p(t + dt) = exp(dt G) p(t).
-    Evenly spaced snapshots t_end (i + 1) / n_snapshots form one
-    propagator exp((t_end / n_snapshots) G) and apply it n_snapshots
-    times; explicit ``snapshot_times`` (t_end is always added) form one
-    per run of exactly equal gaps.  The last propagator formed scales G
+    The truncated generator G is constant, so the snapshots at
+    t_end (i + 1) / n_snapshots take one propagator
+    exp((t_end / n_snapshots) G), applied n_snapshots times; it scales G
     in place.  G is dense, so the cap is limited to 2048 states.  The
     stationary reference is G's null vector: the law on the same
     truncated support with zero flux across every cut (tail check off).
@@ -483,33 +470,18 @@ def evolve_master(
                          "the dense generator would not fit")
     if t_end <= 0:
         raise ModelError("evolve_master: t_end must be > 0")
-    gen = master_rhs_truncated(model, np.eye(cap + 1))
-
-    if snapshot_times is None:
-        if n_snapshots < 1:
-            raise ModelError("evolve_master: n_snapshots must be >= 1")
-        times = [t_end * (i + 1) / n_snapshots for i in range(n_snapshots)]
-        dts = [t_end / n_snapshots] * n_snapshots
-    else:
-        times = sorted({float(s) for s in snapshot_times if 0.0 < s <= t_end})
-        if not times or times[-1] < t_end:
-            times.append(float(t_end))
-        dts = np.diff(times, prepend=0.0)
-
-    pmfs, squarings = [], 0
-    runs = [(dt, len(list(run))) for dt, run in itertools.groupby(dts)]
-    for k, (dt, repeats) in enumerate(runs):
-        step = None     # the previous propagator is freed before the next is formed
-        # the last propagator scales G in place: nothing reads G after it
-        step, count = _propagator(gen, dt, overwrite=k == len(runs) - 1)
-        squarings += count
-        for _ in range(repeats):
-            values = step @ values
-            pmfs.append(Pmf(values))
-
-    stationary = stationary_pmf_general(model, cap, tail_tol=None)
-    dists = np.array([l1_distance(p.values, stationary.values) for p in pmfs])
-    return MasterTrace(np.array(times), pmfs, dists, stationary, squarings)
+    if n_snapshots < 1:
+        raise ModelError("evolve_master: n_snapshots must be >= 1")
+    step, squarings = _propagator(master_rhs_truncated(model, np.eye(cap + 1)),
+                                  t_end / n_snapshots)
+    pmfs = []
+    for _ in range(n_snapshots):
+        values = step @ values
+        pmfs.append(Pmf(values))
+    stationary = stationary_pmf_general(model, cap, tail_tol=None).values
+    dists = np.array([l1_distance(p.values, stationary) for p in pmfs])
+    times = np.array([t_end * (i + 1) / n_snapshots for i in range(n_snapshots)])
+    return MasterTrace(times, pmfs, dists, squarings)
 
 
 # ---------------------------------------------------------------------------

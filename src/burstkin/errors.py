@@ -48,11 +48,6 @@ class ToleranceNotMet(NumericError):
     kernel fixed point's residual stayed above its bound."""
 
 
-class NoConvergence(NumericError):
-    """An iteration stopped short of its tolerance.  Nothing in burstkin
-    raises it now; it stays exported for callers that catch it."""
-
-
 class NumericalBlowup(NumericError):
     """Intermediate values left the representable range."""
 

@@ -86,14 +86,10 @@ def uniform_blocks(seed: int, stream: int, n: int, width: int):
 # 1/k! for k = 0..18: the degree-18 Taylor polynomial is exact to double
 # precision up to 1-norm one, where its remainder is below 1/19! = 8e-18
 _TAYLOR18 = tuple(1.0 / math.factorial(k) for k in range(19))
-# the largest 1-norm accepted, theta_13 of Higham's Pade-13 step (SIAM J.
-# Matrix Anal. Appl. 26(4), 2005): callers keep that contract, and it
-# takes at most three squarings
-_EXPM_THETA = 5.371920351148152
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix of 1-norm at most theta_13 = 5.37.
+    """exp(a) of a square matrix of 1-norm at most one.
 
     The degree-18 Taylor polynomial in Paterson-Stockmeyer form (SIAM J.
     Comput. 2, 1973), in blocks of three in a^3:
@@ -103,15 +99,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     T a3 = a3 T, and rows I of T a3 read only rows I of T: each Horner
     step overwrites T a block of rows at a time, its product and axpys
     passing through one buffer of ceil(n/4) rows.  Four n x n arrays are
-    live, the argument, a^2, a^3 and T, plus the buffer.  An input of
-    1-norm above one is scaled by 2^-s (s <= 3) into a private copy, one
-    array more, and the result squared s times in a^2's memory; at most
-    one, the input is only read.
+    live, the argument, which is only read, a^2, a^3 and T, plus the
+    buffer.  A larger norm is the caller's to bring below one, as
+    discrete._propagator does.
 
     Raises
     ------
     DomainError
-        when the 1-norm of a exceeds theta_13.
+        when the 1-norm of a exceeds one.
     NumericalBlowup
         when the 1-norm of a is not finite.
     """
@@ -120,12 +115,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(a, 1))
     if not math.isfinite(norm):
         raise NumericalBlowup(f"expm: matrix 1-norm is {norm}")
-    if norm > _EXPM_THETA:
-        raise DomainError(f"expm: matrix 1-norm {norm:.6g} above theta_13 = {_EXPM_THETA}")
-    mant, exp2 = math.frexp(norm)
-    squarings = max(0, exp2 - (mant == 0.5))      # the least s with norm 2^-s <= 1
-    if squarings:
-        a = np.ldexp(a, -squarings)               # a private copy; the argument stays
+    if norm > 1.0:
+        raise DomainError(f"expm: matrix 1-norm {norm:.6g} above one")
     c = _TAYLOR18
     a2 = a @ a
     a3 = a2 @ a
@@ -141,10 +132,6 @@ def expm(a: np.ndarray) -> np.ndarray:
             block += np.multiply(a2[lo:lo + rows], c[3 * j + 2], out=out)
             block += np.multiply(a[lo:lo + rows], c[3 * j + 1], out=out)
         t.flat[::n + 1] += c[3 * j]
-    spare = a2
-    del a2, a3, buf
-    for _ in range(squarings):
-        t, spare = np.matmul(t, t, out=spare), t
     return t
 
 

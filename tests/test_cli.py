@@ -613,7 +613,8 @@ def test_stationary_continuous_far_from_the_anchor_is_finite(tmp_path):
 
 def test_stationary_continuous_refuses_a_law_above_its_grid(tmp_path, capsys):
     # ln c is finite, but e^{ln c} overflowed (a raw OverflowError).  The law
-    # lies above the grid's last knot, so the grid holds none of it
+    # lies above the grid's last knot, so the grid holds none of it, which
+    # the gate on the mass above the grid names first
     text = ("run.mode = stationary-continuous\nmodel.kind = continuous\n"
             "model.rate = linear\nmodel.rate_base = 0.00164\nmodel.rate_slope = 1.1404\n"
             "model.decay = 0.07283\nmodel.burst = gaussian-exp\n"
@@ -621,7 +622,7 @@ def test_stationary_continuous_refuses_a_law_above_its_grid(tmp_path, capsys):
     p = write_cfg(tmp_path, text)
     assert main(["stationary-continuous", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "GridTooNarrow" in err and "holds none of the law" in err
+    assert "GridTooNarrow" in err and "1 of the law lies above the last knot" in err
     assert not (tmp_path / "out" / "density.csv").exists()
 
 
@@ -668,8 +669,8 @@ _DISCRETE_RATE_BASE = {
 @st.composite
 def density_mode_configs(draw):
     mode = draw(st.sampled_from(["stationary-continuous", "invert-phi", "kernel-fixed-point",
-                                 "simulate-pdmp", "simulate-discrete", "modes"]))
-    kind = "discrete" if mode == "simulate-discrete" else "continuous"
+                                 "simulate-pdmp", "simulate-discrete", "evolve-master", "modes"]))
+    kind = "discrete" if mode in ("simulate-discrete", "evolve-master") else "continuous"
     if mode == "modes":
         kind = draw(st.sampled_from(["discrete", "continuous"]))
 
@@ -686,6 +687,10 @@ def density_mode_configs(draw):
             lines.append(f"model.rate_exponent = {draw(st.floats(0.5, 4.0))!r}")
         if mode == "simulate-discrete":
             lines += [f"numeric.n0 = {draw(st.integers(0, 12))}", "numeric.n_jumps = 200"]
+        if mode == "evolve-master":
+            n_max = draw(st.integers(3, 200))
+            lines += [f"numeric.n_max = {n_max}", f"numeric.n0 = {draw(st.integers(0, n_max))}",
+                      f"numeric.t_end = {10.0 ** draw(st.floats(-3.0, 300.0))!r}"]
         return "\n".join(lines) + "\n"
     rate = draw(st.sampled_from(sorted(_RATE_BASE)))
     burst = draw(st.sampled_from(sorted(_BURST_BASE)))
@@ -700,12 +705,13 @@ def density_mode_configs(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=600)
+@settings(max_examples=700)
 @given(text=density_mode_configs())
 def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text):
     # the contract of the three modes built on a grid density, of the PDMP,
-    # over every continuous rate x burst pair, of the jump chain over every
-    # discrete rate family, and of the mode census on both: each run
+    # over every continuous rate x burst pair, of the jump chain and the
+    # master equation's one propagator, from t_end = 1e-3 to 1e300, over
+    # every discrete rate family, and of the mode census on both: each run
     # returns finite CSVs and a summary.json that parses strictly, or
     # raises a BurstkinError.  No warning and no other exception may escape
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():

@@ -38,7 +38,6 @@ from burstkin.errors import (
     DomainError,
     GridTooNarrow,
     ModelError,
-    NoConvergence,
     NotIntegrable,
     NumericalBlowup,
     RangeError,
@@ -200,17 +199,17 @@ def test_potential_saturating_rate_has_finite_floor():
                              ExponentialBurstKernel(0.5))
     pot = Potential(m, x_ref=1.0)
     assert pot.value(0.5) == pytest.approx(math.log(1.5), abs=1e-14)
-    assert pot.at_infinity() == pytest.approx(-math.log(2.0), abs=1e-14)
-    assert pot.value(1e12) == pytest.approx(pot.at_infinity(), abs=1e-9)
+    assert pot._q_inf == pytest.approx(-math.log(2.0), abs=1e-14)
+    assert pot.value(1e12) == pytest.approx(pot._q_inf, abs=1e-9)
     with pytest.raises(RangeError):
-        pot.inverse(pot.at_infinity() - 0.1)
-    assert pot.inverse(pot.at_infinity()) == math.inf
+        pot.inverse(pot._q_inf - 0.1)
+    assert pot.inverse(pot._q_inf) == math.inf
 
 
 def test_potential_inverse_round_trips():
     m = hill_flat_model(ExponentialBurstKernel(0.5))
     pot = Potential(m, x_ref=1.0)  # Q(x) = -ln x exactly
-    assert pot.at_infinity() == -math.inf
+    assert pot._q_inf == -math.inf
     for target in (3.0, 0.3, 0.0, -2.0, -40.0):
         x = pot.inverse(target)
         assert x == pytest.approx(math.exp(-target), rel=1e-12)
@@ -291,9 +290,9 @@ def test_potential_float_path_and_newton_inverse(pot, log_x):
         with pytest.raises(DomainError):
             pot.value(bad)
     # x on either side of x_ref gives targets on either side of 0
-    if q <= pot.at_infinity():
+    if q <= pot._q_inf:
         # x so large that Q rounds onto or below a finite infimum
-        if q == pot.at_infinity():
+        if q == pot._q_inf:
             # Q(x_ref) = 0 exactly, even where the infimum rounds to 0
             assert pot.inverse(q) == (pot.x_ref if q == 0.0 else math.inf)
         else:
@@ -376,6 +375,54 @@ def test_flow_hands_a_stalled_newton_to_find_root(monkeypatch):
     # rate/decay is 1 below the knee at x = 1 and 0 above it, to e^-300
     assert d == pytest.approx(-7.0, abs=1e-13) and x == pytest.approx(math.exp(-2.0), rel=1e-13)
     assert flow_integral(pot, x, y) == pytest.approx(2.0, abs=2e-13)
+
+
+def shut_off_hill_root(rate, gamma, log_y, eps, d):
+    """The d of Q(y e^d) - Q(y) = eps for a Hill rate with numer_coeff 0, at
+    30 digits: Q(x) - Q(y) = lead [ln(y/x) - ln((d0 + d1 y^ne)/(d0 + d1 x^ne))/ne],
+    lead = scale/(decay d0), solved by Newton in u = ln x from y e^d."""
+    with mpmath.workdps(30):
+        lam, d0, d1, ne = (mpmath.mpf(v) for v in (rate.scale, rate.denom_const,
+                                                   rate.denom_coeff, rate.exponent))
+        ly = mpmath.mpf(log_y)
+
+        def ln_denom(u):
+            return mpmath.log(d0 + d1 * mpmath.exp(ne * u))
+
+        def gap(u):
+            return lam / (gamma * d0) * ((ly - u) - (ln_denom(ly) - ln_denom(u)) / ne) - eps
+
+        u = ly + d
+        for _ in range(50):     # the slope of gap in u is rate/decay
+            u += gap(u) / (lam / (gamma * (d0 + d1 * mpmath.exp(ne * u))))
+        assert abs(gap(u)) < mpmath.mpf(10) ** -25 * max(1, abs(eps))
+        return float(u - ly)
+
+
+@pytest.mark.parametrize("log_y, eps", [(math.log(6.2e62), 1e-8), (10.0, 1e-12), (400.0, 1e-12)])
+def test_flow_settles_d_where_the_rate_has_shut_off(log_y, eps):
+    # far above the knee of a Hill rate that shuts off, rate/decay at the
+    # root is tiny, so |D - eps| <= 1e-13 alone left d off by up to
+    # tol / (rate/decay): 1.3e-5 relative at y = e^400.  At (10, 1e-12)
+    # Newton converges without a fallback; the others go to _bracketed
+    rate = HillRate(2.0, 0.0, 1.0, 1.0, 2.0)
+    pot = Potential(ContinuousBurstModel(rate, LinearDecay(1.0), ExponentialBurstKernel(1.0)))
+    x, d = pot.flow(math.exp(log_y), eps)
+    ref = shut_off_hill_root(rate, 1.0, log_y, eps, d)
+    assert abs(d - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_bracketed_flow_resumes_from_newton():
+    # test_flow_hands_a_stalled_newton_to_find_root's model, from above its
+    # knee, where every one of these 60 flows falls back: 1437 evaluations
+    # when _bracketed restarted from [0, the float range's end] on D - eps
+    pot = Potential(ContinuousBurstModel(HillRate(1.0, 0.0, 1.0, 1.0, 300.0), LinearDecay(1.0),
+                                         ExponentialBurstKernel(1.0)))
+    for log_y in np.linspace(0.05, 6.0, 12).tolist():
+        for eps in (1e-6, 0.01, 0.5, 2.0, 6.0):
+            x, _ = pot.flow(math.exp(log_y), eps)
+            assert abs(pot.value(x) - pot.value(math.exp(log_y)) - eps) <= 1e-12 * max(1.0, eps)
+    assert pot.inverse_evals <= 1200
 
 
 def test_potential_inverse_counts_its_evaluations():
@@ -775,7 +822,13 @@ def test_normalization_matches_the_gamma_law(a0):
     gamma, b, x_ref = 1.3, 0.7, 2.5
     m = ContinuousBurstModel(ConstantRate(a0 * gamma), LinearDecay(gamma),
                              ExponentialBurstKernel(b))
-    grid = low_grid(default_grid(m)[-1])
+    if a0 == 50.0:
+        # the default top follows the burst tail and leaves 4.6% of this law
+        # above it, which is refused
+        with pytest.raises(GridTooNarrow, match="0.046 of the law lies above the last knot"):
+            stationary_density(m, x_ref=x_ref)
+    # a top past the law's own 1e-12 tail
+    grid = low_grid(max(default_grid(m)[-1], b * special.gammainccinv(a0, 1e-12)))
     u = stationary_density(m, grid, x_ref=x_ref)
     ln_c = math.lgamma(a0) + a0 * math.log(b / x_ref) - math.log(gamma)
     assert u.ln_normalization == pytest.approx(ln_c, rel=1e-13, abs=1e-13)
@@ -809,6 +862,22 @@ def test_boundary_mode_refuses_a_grid_that_cuts_off_the_origin():
     v = kernel_fixed_point(kernel_matrix(m, kernel_grid(m, 1024)))
     with pytest.raises(GridTooNarrow, match="of the law lies below the first knot"):
         density_from_fixed_point(m, v)
+
+
+@pytest.mark.parametrize("slope, above", [(0.95, "0.125"), (0.8, "0.000458")])
+def test_density_refuses_a_law_past_its_grid_top(slope, above):
+    # linear rate 1 + s x with exponential bursts b = 1: the law's tail
+    # falls like e^(-(1 - s) x), while the default top, about 40, follows
+    # the burst tail.  At s = 0.95 the density once returned with 12.5% of
+    # the law above it and mean 14.07 for 1/(1 - s) = 20
+    m = ContinuousBurstModel(LinearRate(1.0, slope), LinearDecay(1.0),
+                             ExponentialBurstKernel(1.0))
+    with pytest.raises(GridTooNarrow, match=f"{above} of the law lies above the last knot"):
+        stationary_density(m)
+    # on a grid past the law's tail the same model returns its mean
+    u = stationary_density(m, default_grid(m, 4096, x_max=60.0 / (1.0 - slope)))
+    mean = trapezoid(u.grid * u.values, u.grid)
+    assert u.mass_outside < 1e-6 and mean == pytest.approx(1.0 / (1.0 - slope), rel=1e-6)
 
 
 def test_a_grid_far_below_the_law_is_not_taken_for_growth():
@@ -874,14 +943,24 @@ def test_log_domain_density_matches_the_linear_formula_wherever_it_was_finite(ca
     # the simulate benchmark certifies each PDMP run against stationary_density
     # on its histogram's range, 16 subcells a bin, outside any try.  Wherever
     # the linear-scale formula gave finite values of positive mass there, the
-    # log-domain path must return the same law, not a new refusal
+    # log-domain path must return the same law.  Its one refusal is a law
+    # with more than 1e-4 of its mass above the range, by scipy's quadrature
+    # of the linear-scale formula
     model, x_ref = case
     hi = default_grid(model, 8)[-1]
     grid = geometric_grid(min(1.0, 1e-6 * hi) * 1e-2, hi, 16 * 64 + 1)
     ref, mass = linear_scale_density(model, grid, x_ref)
     if not (np.all(np.isfinite(ref)) and 0.0 < mass < math.inf):
         return
-    u = stationary_density(model, grid, x_ref=x_ref)
+    try:
+        u = stationary_density(model, grid, x_ref=x_ref)
+    except GridTooNarrow as err:
+        assert "above the last knot" in str(err)
+        pot, nu = Potential(model, x_ref), model.burst_size.nu
+        above = integrate.quad(lambda x: math.exp(float(nu.log_value(x)) - pot.value(x))
+                               / (model.decay.rate * x), hi, math.inf)[0]
+        assert above > 0.5e-4 * (mass + above)
+        return
     assert np.max(np.abs(u.values - ref)) <= 1e-13 * np.max(ref)
 
 
@@ -902,7 +981,9 @@ def test_screen_exponential_rejects_fast_rates():
     # strictly below the margin is fine
     ok = ContinuousBurstModel(LinearRate(1.0, 1.5), LinearDecay(1.0),
                               ExponentialBurstKernel(0.5))
-    stationary_density(ok)
+    # on a grid that holds the law's tail e^(-x/2): the default top, 17.8,
+    # leaves 1.4e-4 above it
+    stationary_density(ok, default_grid(ok, x_max=80.0))
 
 
 def test_screen_power_tail_needs_heavy_exponent():
@@ -985,7 +1066,7 @@ def power_iteration(model, kernel, v0=None, tol=1e-10, max_iter=5000):
             avg /= float(np.dot(w, avg))
             if float(np.dot(w, np.abs(kernel.apply(avg) - avg))) <= tol:
                 return GridDensity(kernel.grid, avg / trapezoid(avg, kernel.grid))
-    raise NoConvergence(f"power iteration did not reach {tol} in {max_iter} steps")
+    raise AssertionError(f"power iteration did not reach {tol} in {max_iter} steps")
 
 
 def test_kernel_fixed_point_start_independent():

@@ -180,7 +180,7 @@ def test_log_values_cover_underflowed_tail():
     # steep decay pushes the tail far below the linear floating range
     m = nb_model(0.5, 0.0, 5.0, 0.05)
     pmf = stationary_pmf_geometric(m, 600, tail_tol=None)
-    assert pmf.log_scale
+    assert pmf.log_values is not None
     log_ref = nb_log_oracle(0.5, 0.0, 5.0, 0.05, 600)
     assert np.all(np.abs(pmf.log_values - log_ref) <= 1e-14 * np.maximum(1.0, np.abs(log_ref)))
     # linear and log values agree where both live
@@ -206,7 +206,7 @@ def test_large_rates_agree_on_both_routes(level, gamma, b):
 def test_pmf_container():
     p = Pmf(np.array([0.25, 0.5, 0.25]))
     assert p.n_max == 2
-    assert not p.log_scale
+    assert p.log_values is None
     assert p.mass() == pytest.approx(1.0)
     q = Pmf(np.array([1.0, 1.0])).normalized()
     assert q.values[0] == pytest.approx(0.5)
@@ -401,8 +401,8 @@ def test_evolve_master_snapshot_times_are_exact():
     m = nb_model(1.0, 0.0, 1.0, 0.5)
     v0 = np.zeros(61)
     v0[3] = 1.0
-    trace = evolve_master(m, v0, 5.0, snapshot_times=[1.25, 2.5, 5.0])
-    assert list(trace.times) == [1.25, 2.5, 5.0]
+    trace = evolve_master(m, v0, 5.0, n_snapshots=4)
+    assert list(trace.times) == [1.25, 2.5, 3.75, 5.0]
 
 
 def transient_pmf(lam, b, gamma, n0, t, n):
@@ -567,38 +567,42 @@ def test_evolve_master_matches_the_scipy_propagator(model, cap, t_end, n_snapsho
     assert list(trace.times) == [t_end * (i + 1) / n_snapshots for i in range(n_snapshots)]
 
 
-def test_evolve_master_uneven_snapshots_compose():
+def test_evolve_master_step_counts_compose():
+    # sixteen steps of 0.25 reach the law that one step of 4 does
     m = nb_model(2.0, 0.3, 1.0, 0.5)
     v0 = np.zeros(81)
     v0[5] = 1.0
-    uneven = evolve_master(m, v0, 4.0, snapshot_times=[0.5, 1.75, 4.0])
+    once = evolve_master(m, v0, 4.0, n_snapshots=1)
     even = evolve_master(m, v0, 4.0, n_snapshots=16)
-    assert np.sum(np.abs(uneven.pmfs[-1].values - even.pmfs[-1].values)) < 1e-12
+    assert np.sum(np.abs(once.pmfs[-1].values - even.pmfs[-1].values)) < 1e-12
     gen = master_rhs_truncated(m, np.eye(81))
     ref = scipy.linalg.expm(1.75 * gen) @ v0
-    assert np.sum(np.abs(uneven.pmfs[1].values - ref)) < 1e-12
+    assert np.sum(np.abs(evolve_master(m, v0, 1.75, n_snapshots=1).pmfs[0].values - ref)) < 1e-12
 
 
 def test_evolve_master_reuses_an_equal_gap_propagator():
     m = nb_model(2.0, 0.3, 1.0, 0.5)
     v0 = np.zeros(81)
     v0[5] = 1.0
-    explicit = evolve_master(m, v0, 4.0, snapshot_times=[1.0, 2.0, 3.0, 4.0])
     even = evolve_master(m, v0, 4.0, n_snapshots=4)
-    _, once = _propagator(master_rhs_truncated(m, np.eye(81)), 1.0)
-    assert explicit.squarings == even.squarings == once
-    for a, b in zip(explicit.pmfs, even.pmfs, strict=True):
-        assert np.sum(np.abs(a.values - b.values)) <= 1e-15
+    step, once = _propagator(master_rhs_truncated(m, np.eye(81)), 1.0)
+    assert even.squarings == once
+    v = v0
+    for pmf in even.pmfs:
+        v = step @ v
+        assert np.array_equal(pmf.values, v)
 
 
-def test_propagator_overwrites_the_generator_only_when_asked():
+def test_propagator_scales_the_generator_in_place():
     gen = master_rhs_truncated(nb_model(2.0, 0.3, 1.0, 0.5), np.eye(41))
     kept = gen.copy()
     p, count = _propagator(gen, 3.0)
-    assert np.array_equal(gen, kept)
-    q, count_in_place = _propagator(gen, 3.0, overwrite=True)
-    assert np.array_equal(p, q) and count == count_in_place
-    assert not np.array_equal(gen, kept)
+    # G holds dt G / 2^h, the argument expm was given, with h >= count
+    halvings = math.frexp(float(np.linalg.norm(3.0 * kept, 1)))[1]
+    assert np.array_equal(gen, np.ldexp(3.0 * kept, -halvings))
+    assert 0.5 <= np.linalg.norm(gen, 1) < 1.0 and 0 < count <= halvings
+    q, count_again = _propagator(kept.copy(), 3.0)
+    assert np.array_equal(p, q) and count == count_again
 
 
 def undropped_propagator(gen, dt):
@@ -624,7 +628,7 @@ def undropped_propagator(gen, dt):
 def test_propagator_drop_is_invisible_in_the_snapshots(model, cap, t_end, n_snapshots, start):
     gen = master_rhs_truncated(model, np.eye(cap + 1))
     dt = t_end / n_snapshots
-    step, _ = _propagator(gen, dt)
+    step, _ = _propagator(gen.copy(), dt)     # consumes its generator
     assert np.all(np.abs(step[step != 0.0]) >= _DROP)
     ref_step = undropped_propagator(gen, dt)
     v = np.zeros(cap + 1)
@@ -687,15 +691,15 @@ def test_evolve_master_never_enters_lapack(monkeypatch):
     off = rng.random((30, 30))
     np.fill_diagonal(off, 0.0)
     gen = off - np.diag(off.sum(axis=0))
-    for norm in (0.5, 5.0):
+    for norm in (0.5, 1.0 - 1e-12):
         a = gen * (norm / np.linalg.norm(gen, 1))
         assert np.linalg.norm(expm(a) - scipy.linalg.expm(a), 1) <= 1e-13
     m = nb_model(2.0, 0.3, 1.0, 0.5)
     v0 = np.zeros(61)
     v0[0] = 1.0
     even = evolve_master(m, v0, 4.0, n_snapshots=8)
-    explicit = evolve_master(m, v0, 4.0, snapshot_times=[0.5, 1.75])
-    assert np.sum(np.abs(even.pmfs[-1].values - explicit.pmfs[-1].values)) < 1e-12
+    once = evolve_master(m, v0, 4.0, n_snapshots=1)
+    assert np.sum(np.abs(even.pmfs[-1].values - once.pmfs[-1].values)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
