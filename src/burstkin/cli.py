@@ -135,7 +135,6 @@ _MODES = {
         "n_knots": (int, False, 4096),
         "x_ref": (float, False, 1.0),
         "tol": (float, False, 1e-10),
-        "leak_tol": (float, False, 2e-5),
     }),
     "invert-phi": ("continuous", {
         "n_knots": (int, False, 1024),
@@ -496,7 +495,7 @@ def _run_simulate_pdmp(cfg, model, out: Path):
 
 def _run_kernel_fixed_point(cfg, model, out: Path):
     num = cfg.numeric
-    grid = cont.kernel_grid(model, num["n_knots"], leak_tol=num["leak_tol"])
+    grid = cont.kernel_grid(model, num["n_knots"])
     kern = cont.kernel_matrix(model, grid, x_ref=num["x_ref"])
     v_star = cont.kernel_fixed_point(kern, tol=num["tol"])
     u_star = cont.density_from_fixed_point(model, v_star, x_ref=num["x_ref"])

@@ -142,79 +142,79 @@ def geometric_grid(x_min: float, x_max: float, n_knots: int) -> np.ndarray:
     return grid
 
 
-def _natural_scale(model: ContinuousBurstModel) -> float:
-    """A typical state: the mean burst from 1 times rate(1)/decay, kept in the support."""
-    burst = model.burst_size
-    gamma = model.decay.rate
-    rate_scale = float(model.burst_rate.value(1.0))
-    m1 = float(burst.mean_burst(1.0))
-    if not math.isfinite(m1):
-        m1 = 1.0
-    return min(max(m1 * max(rate_scale, gamma) / gamma, 1e-3), burst.support_cap)
+# the law window leaves out _LAW_TAIL of each tail of the law, and starts
+# at or above _LAW_FLOOR: log_quad cannot settle the mass below a first
+# knot under about 1e-283.  Its masses are summed on _LAW_POINTS knots
+_LAW_TAIL, _LAW_FLOOR, _LAW_SPAN, _LAW_POINTS = 1e-12, 1e-280, 60.0, 4096
 
 
-def default_grid(
-    model: ContinuousBurstModel,
-    n_knots: int = 1024,
-    *,
-    x_max: float | None = None,
-) -> np.ndarray:
-    """Model-aware log grid.
+def _law_ends(model: ContinuousBurstModel, below: float = _LAW_TAIL) -> tuple[float, float]:
+    """(lo, hi): at most ``below`` of the stationary law lies under lo, _LAW_TAIL over hi.
 
-    The lower end sits at 1e-6 of the natural scale, a typical state
-    kept within the kernel support.  The upper end is the kernel support
-    cap when that is finite; otherwise it is pushed out until the burst
-    tail from that state drops below 1e-12.
+    In t = ln x the law's density is x u = nu e^{-Q}/(c decay).  A unit-step
+    scan in t from _LAW_FLOOR to the support cap finds where ln(x u) is
+    within _LAW_SPAN of its peak; the trapezoid mass in t there, a step
+    wider each side, gives both tails (the rule converges geometrically on
+    such integrands: Trefethen & Weideman, SIAM Review 56, 2014).  A finite
+    cap is hi itself.  NotIntegrable where _screen finds no law.
     """
-    burst = model.burst_size
-    cap = burst.support_cap
-    scale = _natural_scale(model)
-    lo = 1e-6 * scale
-    if x_max is not None:
-        hi = x_max
-    elif math.isfinite(cap):
-        hi = cap
-    else:
-        hi = scale
-        for _ in range(200):
-            if float(burst.tail(hi, scale)) < 1e-12:
-                break
-            hi *= 1.5
-        hi *= 1.25
-    if not lo < hi:
-        lo = hi * 1e-9
-    return geometric_grid(lo, hi, n_knots)
+    nu = model.burst_size.nu
+    _screen(model, nu)
+    cap = nu.support_cap
+    pot = Potential(model)
+
+    def ln_xu(t):       # nan or +inf where one term leaves the float range first
+        with np.errstate(all="ignore"):
+            v = nu.log_value(np.exp(t)) - pot.value(np.exp(t))
+        return np.where(np.isfinite(v), v, -math.inf)
+
+    top = math.log(cap) if math.isfinite(cap) else _LOG_X_MAX
+    t = np.append(np.arange(math.log(_LAW_FLOOR), top, 1.0), top)
+    v = ln_xu(t)
+    near = np.flatnonzero(v >= np.max(v) - _LAW_SPAN)
+    t = np.linspace(t[max(near[0] - 1, 0)], t[min(near[-1] + 1, len(t) - 1)], _LAW_POINTS)
+    v = ln_xu(t)
+    w = np.exp(v - np.max(v))
+    mass = np.concatenate(([0.0], np.cumsum(np.diff(t) * (w[1:] + w[:-1]))))
+    lo = math.exp(t[np.searchsorted(mass, below * mass[-1], "right") - 1])
+    hi = math.exp(t[np.searchsorted(mass, mass[-1] - _LAW_TAIL * mass[-1])])
+    return max(lo, _LAW_FLOOR), (cap if math.isfinite(cap) else hi)
 
 
-def kernel_grid(
-    model: ContinuousBurstModel,
-    n_knots: int = 4096,
-    *,
-    leak_tol: float = 2e-5,
-) -> np.ndarray:
+def default_grid(model: ContinuousBurstModel, n_knots: int = 1024) -> np.ndarray:
+    """Log grid over the law window (_law_ends), n_knots knots."""
+    return geometric_grid(*_law_ends(model), n_knots)
+
+
+# the most burst mass the kernel's end columns may leak past the grid
+_KERNEL_LEAK = 2e-5
+
+
+def kernel_grid(model: ContinuousBurstModel, n_knots: int = 4096) -> np.ndarray:
     """Grid sized for the discretized transition operator.
 
-    The top columns of the operator leak whatever burst mass overshoots
-    the last knot, roughly mean_burst * rate / decay evaluated there, so
-    the upper end is pushed out until that estimate drops below
-    ``leak_tol``.  Finite-support kernels need no headroom at all: the
-    grid runs to just under the support cap.
+    The knots go to the bulk the route resolves: the low end leaves out
+    _KERNEL_LEAK of the law, not _LAW_TAIL.  The flow from the first knot
+    x0 falls by about x0/(1 + a0), a0 = rate(0)/decay, and a burst shorter
+    than that leaks from the column: x0 h/(1 + a0) to first order, h the
+    burst hazard at 0, so the grid starts no higher than where that is half
+    of _KERNEL_LEAK.  The top columns leak the burst mass past the last
+    knot, about mean_burst * rate / decay there, so the top doubles from the
+    law's high end until that drops below _KERNEL_LEAK.  A finite-support
+    grid ends just under the cap.
     """
-    burst = model.burst_size
-    cap = burst.support_cap
-    if math.isfinite(cap):
-        return default_grid(model, n_knots, x_max=cap * (1.0 - 1e-12))
+    lo, hi = _law_ends(model, below=_KERNEL_LEAK)
     gamma = model.decay.rate
-    hi = default_grid(model, 8)[-1]
-    for _ in range(200):
-        m1 = float(burst.mean_burst(hi))
-        leak = float(model.burst_rate.value(hi)) * m1 / (gamma * hi)
-        if leak < leak_tol:
-            break
+    a0 = float(model.burst_rate.value(0.0)) / gamma
+    lo = min(lo, 0.5 * _KERNEL_LEAK * (1.0 + a0) / float(model.burst_size.nu.log_slope(0.0)))
+    cap = model.burst_size.support_cap
+    if math.isfinite(cap):
+        return geometric_grid(lo, cap * (1.0 - 1e-12), n_knots)
+    # past 1e12 the tail is hopeless; kernel_matrix will flag the columns
+    while hi <= 1e12 and (float(model.burst_rate.value(hi) * model.burst_size.mean_burst(hi))
+                          / (gamma * hi) >= _KERNEL_LEAK):
         hi *= 2.0
-        if hi > 1e12:
-            break  # hopeless tail; kernel_matrix will flag the columns
-    return default_grid(model, n_knots, x_max=hi)
+    return geometric_grid(lo, hi, n_knots)
 
 
 def _log_simpson_weights(grid: np.ndarray) -> np.ndarray:
@@ -456,32 +456,35 @@ class Potential:
         return x, d
 
     def _bracketed(self, y, ly, eps, tol, d, f, r):
-        """flow's root by numerics._false_position, where Newton stalled at
-        d, with F = D - eps = f and r = rate/decay there.
+        """flow's root where Newton stalled at d, with F = D - eps = f and
+        r = rate/decay there: Newton kept in a bracket (Press et al.,
+        Numerical Recipes, 3rd ed., 2007, 9.4, rtsafe).
 
-        F falls in d, so the bracket runs from d to the end of
+        F falls in d with slope -r; the bracket runs from d to the end of
         (_LOG_X_MIN, _LOG_X_MAX) - ly on the root's side: RangeError when F
-        has not changed sign at that end.  False position runs on
-        F / min(1, r), r held at or above _TINY, which has F's signs and
-        root, is nearly the distance to the root in d where r is small, and
-        stops where Newton does.
+        has not changed sign there.  A step that would leave the bracket or
+        go more than half the step before last bisects it instead.  It stops
+        where Newton does, |F| <= tol min(1, r), or at adjacent floats.
         """
         rise = self._rise
-
-        def scaled(f, r):
-            return f / min(1.0, max(r, _TINY))
-
-        def gap(v):
-            self.inverse_evals += len(v)
-            pairs = [rise(y, ly, t) for t in v.tolist()]
-            return np.array([scaled(dq - eps, r) for dq, r in pairs])
-
         end = (_LOG_X_MIN if f < 0.0 else _LOG_X_MAX) - ly
-        f_end = float(gap(np.array([end]))[0])
-        if not f_end * f < 0.0:
+        self.inverse_evals += 1
+        if not (rise(y, ly, end)[0] - eps) * f < 0.0:
             raise RangeError(f"flow from {y!r} by {eps!r}: the root lies outside the float range")
-        (lo, f_lo), (hi, f_hi) = sorted([(end, f_end), (d, scaled(f, r))])
-        return float(_false_position(gap, lo, hi, f_lo, f_hi, tol)[0])
+        lo, hi = sorted((end, d))       # F(lo) > 0 > F(hi)
+        step = last = hi - lo
+        while lo < 0.5 * lo + 0.5 * hi < hi:
+            new = d + f / r if r > 0.0 else math.nan
+            if not (lo < new < hi) or abs(new - d) > 0.5 * last:
+                new = 0.5 * lo + 0.5 * hi
+            last, step = step, abs(new - d)
+            dq, r = rise(y, ly, new)
+            self.inverse_evals += 1
+            d, f = new, dq - eps
+            if abs(f) <= tol * min(1.0, r):
+                break
+            lo, hi = (d, hi) if f > 0.0 else (lo, d)
+        return d
 
     def inverse(self, target: float) -> float:
         """The x with Q(x) = target: the flow from x_ref by target, since Q(x_ref) = 0.
@@ -592,6 +595,7 @@ def simulate_pdmp(
     ln y_pre = ln y_prev + d, the crossed bins of each flow segment from
     searchsorted on the log edges, and every running sum sequential.
     The flow never reads Q's anchor, so the path does not depend on x_ref.
+    Without ``hist_edges``, n_bins log-uniform bins span _law_ends and y0.
     """
     if not y0 >= _TINY:
         raise ModelError(f"simulate_pdmp: y0 must be at least {_TINY:.4g}, "
@@ -605,21 +609,6 @@ def simulate_pdmp(
         raise ModelError(f"simulate_pdmp: n_bins must be >= 2, got {n_bins}")
     pot = Potential(model, x_ref)
     gamma = model.decay.rate
-
-    if hist_edges is None:
-        hi = cap if math.isfinite(cap) else default_grid(model, 8)[-1]
-        lo = min(y0, 1e-6 * hi)
-        hist_edges = np.exp(np.linspace(math.log(lo * 1e-2), math.log(hi), n_bins + 1))
-    edges = np.asarray(hist_edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 3:
-        raise ModelError("simulate_pdmp: need at least two increasing histogram bins")
-    # checked before any arithmetic on them: np.log of 0, a negative or
-    # nan edge warns, and a nan edge passes the order test below
-    if not np.all(np.isfinite(edges) & (edges > 0.0)):
-        raise ModelError("simulate_pdmp: histogram edges must be finite and positive")
-    if np.any(np.diff(edges) < _TINY):
-        raise ModelError("simulate_pdmp: need at least two increasing histogram bins, "
-                         f"each at least {_TINY:.4g} wide")
 
     times = np.zeros(n_jumps + 1)
     y_pre = np.zeros(n_jumps)
@@ -647,6 +636,19 @@ def simulate_pdmp(
         if not isfinite(y) or y <= 0.0:
             raise NumericalBlowup(f"state left (0, inf) at jump {k}")
 
+    if hist_edges is None:      # after the path: one that blows up says so first
+        lo, hi = _law_ends(model)
+        hist_edges = np.geomspace(min(lo, y0), max(hi, y0), n_bins + 1)
+    edges = np.asarray(hist_edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 3:
+        raise ModelError("simulate_pdmp: need at least two increasing histogram bins")
+    # checked before any arithmetic on them: np.log of 0, a negative or
+    # nan edge warns, and a nan edge passes the order test below
+    if not np.all(np.isfinite(edges) & (edges > 0.0)):
+        raise ModelError("simulate_pdmp: histogram edges must be finite and positive")
+    if np.any(np.diff(edges) < _TINY):
+        raise ModelError("simulate_pdmp: need at least two increasing histogram bins, "
+                         f"each at least {_TINY:.4g} wide")
     np.add(y_pre, bursts, out=y_post)
     hist, crossed = _path_exposure(float(y0), y_post, gamma, edges, times[1:])
     return PdmpTrajectory(times, y_pre, y_post, waits, bursts, hist,
@@ -924,8 +926,8 @@ def _kernel_log_factors(
         # need more than the base count (Davis & Rabinowitz, Methods of
         # Numerical Integration, on grading toward an endpoint singularity)
         gap_lo = cap - grid[:-1]
-        gap_hi = cap - grid[1:]
-        need = np.maximum(np.ceil(_CAP_SUBSTEP_SCALE * np.log(gap_lo / gap_hi)), _SUBSTEPS)
+        ln_ratio = np.log1p(-np.diff(grid) / gap_lo)     # ln(gap_hi/gap_lo)
+        need = np.maximum(np.ceil(-_CAP_SUBSTEP_SCALE * ln_ratio), _SUBSTEPS)
         counts = np.minimum(2.0 ** np.ceil(np.log2(need)), _MAX_SUBSTEPS).astype(int)
     ln_panel = np.empty(len(grid) - 1)
     for m in sorted(set(counts.tolist())):
@@ -938,7 +940,9 @@ def _kernel_log_factors(
         for lo in range(0, len(panels), block):
             rows = panels[lo:lo + block]
             if math.isfinite(cap):
-                z = cap - gap_lo[rows, None] * (gap_hi[rows] / gap_lo[rows])[:, None] ** frac
+                # cap - gap_lo (gap_hi/gap_lo)^frac, taken from the lower knot: cap
+                # less a gap keeps no digits of a knot far below the cap
+                z = grid[rows, None] - gap_lo[rows, None] * np.expm1(ln_ratio[rows, None] * frac)
             else:
                 ratio = (grid[1:][rows] / grid[:-1][rows])[:, None] ** frac
                 z = grid[:-1][rows, None] * ratio         # substep knots
@@ -1085,15 +1089,17 @@ def phi_from_density_grid(
 
     Inverts the density balance
 
-        rate(x) = decay(x) d/dx [ln(decay(x) u(x)) - ln nu(x)],
+        rate(x) = decay.rate d/dt [ln(decay(x) u(x)) - ln nu(x)],  t = ln x,
 
     the hazard -d/dx ln nu folded into the difference: ln(decay u / nu)
     = -Q - ln c stays smooth up to a finite support cap, where ln u and
-    ln nu are not.  The derivative is a second-order finite difference
-    on the (possibly nonuniform) grid.  The window is trimmed to
-    u > floor * max(u); endpoints drop out, and fewer than 3 knots left
-    is a GridTooNarrow.  Returns the evaluation points and the rate
-    estimate there.
+    ln nu are not.  The derivative is the two-point difference in t over
+    each gap of the (possibly nonuniform) grid, second order at its
+    midpoint in t: half a three-point stencil, so a rate that switches
+    within a gap spoils fewer estimates, and no product of gaps underflows
+    near 1e-300.  The window is trimmed to u > floor * max(u); fewer than
+    3 knots left is a GridTooNarrow.  Returns the gaps' geometric
+    midpoints and the rate estimate there.
     """
     grid = density.grid
     u = density.values
@@ -1103,13 +1109,8 @@ def phi_from_density_grid(
                             f"than 3 knots above {floor:.3g} of the peak")
     x = grid[keep]
     g = np.log(decay.value(x) * u[keep]) - burst.nu.log_value(x)
-
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    num = h1 * h1 * g[2:] - h2 * h2 * g[:-2] - (h1 * h1 - h2 * h2) * g[1:-1]
-    dg = num / (h1 * h2 * (h1 + h2))
-    xc = x[1:-1]
-    return xc, decay.value(xc) * dg
+    t = np.log(x)
+    return np.exp(0.5 * (t[1:] + t[:-1])), decay.rate * np.diff(g) / np.diff(t)
 
 
 def phi_from_density_analytic(
@@ -1161,9 +1162,10 @@ def count_modes_continuous(
     ``n_scan`` log-spaced points (at least 2) bracket the crossings, exact
     zeros skipped, and numerics._false_position refines all the brackets
     at once, from the end values of the scan.  Without an explicit window
-    the scan expands upward until f is decisively negative; a window that
-    ends while f is still positive raises WindowTooSmall, since a crossing
-    may sit beyond it.
+    the scan covers the law window (_law_ends), reaching down to 1e-6 of
+    its high end and kept under a finite cap; a window that ends while f
+    is still positive raises WindowTooSmall, since a crossing may sit
+    beyond it.
     """
     if n_scan < 2:
         raise ModelError(f"count_modes_continuous: n_scan must be >= 2, got {n_scan}")
@@ -1175,19 +1177,9 @@ def count_modes_continuous(
                 - hazard(x) * model.decay.value(x)
                 - model.decay.derivative(x))
 
-    cap = model.burst_size.support_cap
     if window is None:
-        lo = 1e-8
-        if math.isfinite(cap):
-            hi = cap * (1.0 - 1e-9)
-        else:
-            hi = 10.0 * default_grid(model, 8)[-1]
-            for _ in range(60):
-                if float(f(hi)) < 0.0:
-                    break
-                hi *= 4.0
-            else:
-                raise WindowTooSmall("rate still beats decay at the window end")
+        lo, hi = _law_ends(model)       # modes may lie below the bulk, and f is -inf at a cap
+        lo, hi = min(lo, 1e-6 * hi), min(hi, model.burst_size.support_cap * (1.0 - 1e-9))
     else:
         lo, hi = window
         if not (0.0 < lo < hi):

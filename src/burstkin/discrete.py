@@ -132,21 +132,57 @@ def _tail_recurrence(law) -> tuple[float, list]:
     return 0.0, law.tail(np.arange(len(law.weights))).tolist()
 
 
+def _tail_sum_law(model: DiscreteBurstModel, caps, tail_tol: float | None) -> np.ndarray:
+    """pi(0..cap) at the first of the increasing ``caps`` whose top 5% holds
+    under ``tail_tol``, TailNotConverged past the last.  One run of the
+    tail-sum recurrence, decay(n+1) p(n+1) = sum_{k<=n} tail(n-k) rate(k)
+    p(k), the vanishing net flux down across each cut n | n+1, from p(0) = 1
+    in O(cap K), resumed from cap to cap.  Once w passes 2^930 over the
+    largest rate up to its index, the state is shifted down by a power of
+    two before rate * w can overflow, and earlier w at each cap: exactly,
+    so no bit moves unless an entry leaves the normal range, and pi at a
+    cap is what a run to that cap alone gives.
+    """
+    carry, band = _tail_recurrence(model.burst_size)
+    w, lw, s = [1.0], [], 0.0       # lw: rate(k) * w(k), in the same scale as w
+    drop = [0]                      # the shift made at each index
+    for cap in caps:
+        lam, gam = _rate_arrays(model, cap)
+        # every rate up to index n is below 2^tops[n]
+        tops = np.frexp(np.maximum.accumulate(np.maximum(lam, 1.0)))[1].tolist()
+        lam, gam = lam.tolist(), gam.tolist()
+        if not lw:
+            lw.append(lam[0])
+        for n in range(len(w) - 1, cap):
+            s = carry * s + sum(map(operator.mul, band, lw[:-len(band) - 1:-1]))
+            w.append(s / gam[n + 1])
+            lw.append(lam[n + 1] * w[-1])
+            drop.append(0)
+            if w[-1] > math.ldexp(1.0, 930 - tops[n + 1]):  # to w < 2^-top: each rate * w < 1
+                e = drop[-1] = math.frexp(w[-1])[1] + tops[n + 1]
+                w[-1], s = math.ldexp(w[-1], -e), math.ldexp(s, -e)
+                lw[-len(band):] = ([math.ldexp(v, -e) for v in lw[-len(band):-1]]
+                                   + [lam[n + 1] * w[-1]])
+        shifts = np.cumsum(drop)
+        scaled = np.ldexp(w, shifts - shifts[-1])
+        total = math.fsum(scaled.tolist())
+        if not (total > 0.0) or not math.isfinite(total):
+            raise NotNormalizable("stationary recurrence produced no usable mass")
+        try:
+            _check_tail(scaled / total, tail_tol)
+            return scaled / total
+        except TailNotConverged:
+            if cap == caps[-1]:
+                raise
+
+
 def stationary_pmf_general(
     model: DiscreteBurstModel,
     n_max: int,
     *,
     tail_tol: float | None = 1e-8,
 ) -> Pmf:
-    """Stationary pmf via the tail-sum recurrence, any burst-size law.
-
-    The net probability flux down across every cut n | n+1 vanishes,
-        decay(n+1) p(n+1) = sum_{k<=n} tail(n-k) * rate(k) * p(k),
-    which is solved forward from p(0) = 1 in O(n_max K) through the tail
-    recurrence and normalized at the end.  Once w passes 2^930 (about
-    1e280) over the largest rate, the loop's state is shifted down by a
-    power of two before rate * w can overflow, and earlier w at the end:
-    exactly, so no bit moves unless an entry leaves the normal range.
+    """Stationary pmf via the tail-sum recurrence (_tail_sum_law), any burst-size law.
 
     Set ``tail_tol=None`` to skip the truncation-quality check (used
     deliberately when studying truncation error itself).
@@ -154,32 +190,7 @@ def stationary_pmf_general(
     if n_max < 1:
         raise ModelError("stationary_pmf_general: n_max must be >= 1")
     _reject_divergent_linear(model)
-    lam, gam = _rate_arrays(model, n_max)
-    top = math.frexp(max(float(np.max(lam)), 1.0))[1]     # every rate is below 2^top
-    limit = math.ldexp(1.0, 930 - top)
-    lam, gam = lam.tolist(), gam.tolist()
-    carry, band = _tail_recurrence(model.burst_size)
-    w = [1.0]
-    lw = [lam[0]]   # rate(k) * w(k), kept in the same scale as w
-    s = 0.0
-    drop = np.zeros(n_max + 1, dtype=np.int64)     # the shift made at each index
-    for n in range(n_max):
-        s = carry * s + sum(map(operator.mul, band, lw[:-len(band) - 1:-1]))
-        w.append(s / gam[n + 1])
-        lw.append(lam[n + 1] * w[-1])
-        if w[-1] > limit:   # to w < 2^-top, so each rate * w < 1; lw is formed again
-            e = drop[n + 1] = math.frexp(w[-1])[1] + top
-            w[-1], s = math.ldexp(w[-1], -e), math.ldexp(s, -e)
-            lw[-len(band):] = [math.ldexp(v, -e) for v in lw[-len(band):-1]] + [lam[n + 1] * w[-1]]
-
-    if drop.any():
-        w = np.ldexp(w, np.cumsum(drop) - np.sum(drop)).tolist()
-    total = math.fsum(w)
-    if not (total > 0.0) or not math.isfinite(total):
-        raise NotNormalizable("stationary recurrence produced no usable mass")
-    values = np.array(w) / total
-    _check_tail(values, tail_tol)
-    return Pmf(values)
+    return Pmf(_tail_sum_law(model, [n_max], tail_tol))
 
 
 def _ratio_terms(model: DiscreteBurstModel, n_max: int, caller: str):
@@ -516,24 +527,20 @@ def _jump_epoch_law(model: DiscreteBurstModel) -> np.ndarray | None:
     stationary_pmf_general refuses the model.
 
     pi's cap doubles from _START_CAP until its top 5% holds under
-    _START_TAIL, up to _START_CAP_MAX and never past a decay table.
+    _START_TAIL, up to _START_CAP_MAX and never past a decay table, in
+    one recurrence (_tail_sum_law) resumed from cap to cap.
     """
     top = _START_CAP_MAX
     if isinstance(model.decay, TabulatedDecay):
         top = min(top, len(model.decay.table) - 1)
-    cap = min(_START_CAP, top)
-    while True:
-        try:
-            pi = stationary_pmf_general(model, cap, tail_tol=_START_TAIL)
-            break
-        except TailNotConverged:
-            if cap == top:
-                return None
-            cap = min(2 * cap, top)
-        except NumericError:
-            return None
-    lam, gam = _rate_arrays(model, cap)
-    law = pi.values * (lam + gam)
+    caps = sorted({min(_START_CAP << k, top) for k in range(top.bit_length())})
+    try:
+        _reject_divergent_linear(model)
+        pi = _tail_sum_law(model, caps, _START_TAIL)
+    except NumericError:
+        return None
+    lam, gam = _rate_arrays(model, len(pi) - 1)
+    law = pi * (lam + gam)
     return law[: np.flatnonzero(law)[-1] + 1]
 
 

@@ -165,7 +165,8 @@ def log_quad(ln_f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     _LOG_WINDOW of its peak.  Below a window that starts at the scan's
     first point, g goes on linearly, as for a power of x - a, and its
     trapezoid terms are summed in closed form.  The step then halves,
-    reusing every point, until two sums agree to ``tol`` relative.
+    reusing every point, until two sums agree to ``tol`` relative, or
+    their logs to two ulps, where the log is too large to resolve tol.
     ``ln_f`` maps an array and may return -inf; b <= a gives -inf.
     ToleranceNotMet when no two sums agree within _MAX_POINTS points;
     NotIntegrable when g is nan, +inf or -inf throughout, rises toward
@@ -206,7 +207,7 @@ def log_quad(ln_f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         low = -1.0 / math.expm1(slope * h) if continued else 0.5
         total = h * (float(np.sum(w)) - low * float(w[0]) - 0.5 * float(w[-1]))
         ln_total = top + math.log(total)
-        if abs(ln_total - previous) <= tol:
+        if abs(ln_total - previous) <= max(tol, 2.0 * math.ulp(ln_total)):
             return ln_total
         if 2 * len(vals) > _MAX_POINTS:
             raise ToleranceNotMet(f"sums differ by {ln_total - previous:.3e} at {len(vals)} points")

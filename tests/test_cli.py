@@ -19,6 +19,7 @@ from burstkin.cli import (
     run_experiment,
     run_sweep,
 )
+from burstkin.continuous import GridDensity, mean_identity_residual
 from burstkin.errors import (
     BurstkinError,
     ModelError,
@@ -114,7 +115,7 @@ def test_render_parse_round_trip():
 CANONICAL_NUMERIC_ORDER = (
     "n_max", "t_end", "n0", "y0", "n_jumps", "n_snapshots", "n_knots",
     "n_bins", "n_scan", "n_probes", "x_ref", "y_probe",
-    "window_lo", "window_hi", "tail_tol", "tol", "leak_tol", "quad_tol",
+    "window_lo", "window_hi", "tail_tol", "tol", "quad_tol",
     "floor", "seed", "stream",
 )
 
@@ -164,9 +165,11 @@ def test_parse_rejects_unknown_keys():
     for key in ("rel_tol", "abs_tol"):    # the exact propagator has no tolerances
         with pytest.raises(ValidationError, match="not a recognized key"):
             parse_config(EVOLVE_CFG + f"numeric.{key} = 1e-8\n")
-    # the closed-form kernel fixed point has no iteration cap
-    with pytest.raises(ValidationError, match="not a recognized key"):
-        parse_config(KERNEL_CFG + "numeric.max_iter = 5000\n")
+    # the closed-form kernel fixed point has no iteration cap, and its grid's
+    # leak tolerance is a constant
+    for key in ("max_iter = 5000", "leak_tol = 2e-5"):
+        with pytest.raises(ValidationError, match="not a recognized key"):
+            parse_config(KERNEL_CFG + f"numeric.{key}\n")
     with pytest.raises(ValidationError, match="unknown section"):
         parse_config(DISCRETE_CFG + "extra.thing = 1\n")
 
@@ -611,19 +614,25 @@ def test_stationary_continuous_far_from_the_anchor_is_finite(tmp_path):
         math.lgamma(1000.0) - 1000.0 * math.log(1000.0), rel=1e-12)
 
 
-def test_stationary_continuous_refuses_a_law_above_its_grid(tmp_path, capsys):
-    # ln c is finite, but e^{ln c} overflowed (a raw OverflowError).  The law
-    # lies above the grid's last knot, so the grid holds none of it, which
-    # the gate on the mass above the grid names first
+def test_stationary_continuous_returns_a_law_far_above_the_burst_scale(tmp_path):
+    # ln c is 6188.7, so e^{ln c} overflowed (a raw OverflowError).  The law
+    # is a bump near x = 837, far above the burst tail, where grids that
+    # followed that tail held none of it (GridTooNarrow); the law window
+    # holds all of it but 1e-12 of each tail
     text = ("run.mode = stationary-continuous\nmodel.kind = continuous\n"
             "model.rate = linear\nmodel.rate_base = 0.00164\nmodel.rate_slope = 1.1404\n"
             "model.decay = 0.07283\nmodel.burst = gaussian-exp\n"
             "model.burst_lin = 0.8287\nmodel.burst_quad = 0.00886\n")
     p = write_cfg(tmp_path, text)
-    assert main(["stationary-continuous", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "GridTooNarrow" in err and "1 of the law lies above the last knot" in err
-    assert not (tmp_path / "out" / "density.csv").exists()
+    assert main(["stationary-continuous", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    x, u = _read_density(tmp_path / "out")
+    assert 700.0 < x[0] < x[np.argmax(u)] < x[-1] < 1000.0
+    scalars = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=_no_bare_constants)["scalars"]
+    assert scalars["ln_normalization"] == pytest.approx(6188.72, abs=0.01)
+    assert scalars["mass_outside_grid"] < 2e-12
+    model = parse_config(text).build_model()
+    assert mean_identity_residual(model, GridDensity(x, u)) < 1e-12
 
 
 @pytest.mark.parametrize("a0", [1000.0, 3000.0])
@@ -669,8 +678,10 @@ _DISCRETE_RATE_BASE = {
 @st.composite
 def density_mode_configs(draw):
     mode = draw(st.sampled_from(["stationary-continuous", "invert-phi", "kernel-fixed-point",
-                                 "simulate-pdmp", "simulate-discrete", "evolve-master", "modes"]))
-    kind = "discrete" if mode in ("simulate-discrete", "evolve-master") else "continuous"
+                                 "simulate-pdmp", "simulate-discrete", "evolve-master", "modes",
+                                 "stationary-discrete", "ergodicity"]))
+    kind = ("discrete" if mode in ("simulate-discrete", "evolve-master", "stationary-discrete")
+            else "continuous")
     if mode == "modes":
         kind = draw(st.sampled_from(["discrete", "continuous"]))
 
@@ -691,6 +702,8 @@ def density_mode_configs(draw):
             n_max = draw(st.integers(3, 200))
             lines += [f"numeric.n_max = {n_max}", f"numeric.n0 = {draw(st.integers(0, n_max))}",
                       f"numeric.t_end = {10.0 ** draw(st.floats(-3.0, 300.0))!r}"]
+        if mode == "stationary-discrete":
+            lines.append(f"numeric.n_max = {draw(st.integers(1, 2000))}")
         return "\n".join(lines) + "\n"
     rate = draw(st.sampled_from(sorted(_RATE_BASE)))
     burst = draw(st.sampled_from(sorted(_BURST_BASE)))
@@ -702,16 +715,19 @@ def density_mode_configs(draw):
     lines += [f"model.{k} = {scaled(v)!r}" for k, v in _BURST_BASE[burst].items()]
     if mode == "simulate-pdmp":
         lines += ["numeric.y0 = 1.0", "numeric.n_jumps = 200"]
+    if mode == "ergodicity":
+        lines.append(f"numeric.y_probe = {scaled(5.0)!r}")
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=700)
+@settings(max_examples=900)
 @given(text=density_mode_configs())
 def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text):
-    # the contract of the three modes built on a grid density, of the PDMP,
-    # over every continuous rate x burst pair, of the jump chain and the
-    # master equation's one propagator, from t_end = 1e-3 to 1e300, over
-    # every discrete rate family, and of the mode census on both: each run
+    # the contract of all nine modes: the three built on a grid density,
+    # the PDMP and the ergodicity margin, over every continuous rate x burst
+    # pair, the stationary law, the jump chain and the master equation's
+    # one propagator, from t_end = 1e-3 to 1e300, over every discrete rate
+    # family, and the mode census on both: each run
     # returns finite CSVs and a summary.json that parses strictly, or
     # raises a BurstkinError.  No warning and no other exception may escape
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():

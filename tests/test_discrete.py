@@ -154,18 +154,21 @@ def test_divergent_linear_rate_rejected_under_any_burst_law(monkeypatch):
     steep = DiscreteBurstModel(LinearRate(1.0, 2.0), LinearDecay(1.0), TabulatedBurst((0.5, 0.5)))
     with pytest.raises(NotNormalizable):
         stationary_pmf_general(steep, 100)
-    # so the chain asks the solver once, not once per doubled cap
-    calls = []
+    # so the chain runs no recurrence at all, not one per doubled cap
+    runs = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return stationary_pmf_general(*args, **kwargs)
-    monkeypatch.setattr(discrete, "stationary_pmf_general", counted)
-    assert simulate_jump_chain(steep, 0, 2000, seed=1).start == "n0" and len(calls) == 1
-    # below the margin, 0.6 * 1.5 < 1: a law exists and the lanes start from it
+    def counted(model, caps, tail_tol):
+        runs.append(caps)
+        return tail_sum_law(model, caps, tail_tol)
+    tail_sum_law = discrete._tail_sum_law
+    monkeypatch.setattr(discrete, "_tail_sum_law", counted)
+    assert simulate_jump_chain(steep, 0, 2000, seed=1).start == "n0" and runs == []
+    # below the margin, 0.6 * 1.5 < 1: a law exists and the lanes start from
+    # it, after one recurrence
     mild = DiscreteBurstModel(LinearRate(1.0, 0.6), LinearDecay(1.0), TabulatedBurst((0.5, 0.5)))
     assert stationary_pmf_general(mild, 400, tail_tol=None).mass() == pytest.approx(1.0)
-    assert simulate_jump_chain(mild, 0, 2000, seed=1).start == "stationary"
+    runs.clear()
+    assert simulate_jump_chain(mild, 0, 2000, seed=1).start == "stationary" and len(runs) == 1
 
 
 def test_tail_check_and_escape_hatch():
@@ -1023,6 +1026,37 @@ def test_the_lanes_start_from_the_jump_chains_own_stationary_law(model):
     for k in range(1, len(pj)):
         P[n[:-k], n[k:]] = lam[:-k] / (lam[:-k] + gam[:-k]) * model.burst_size.pmf(k)
     assert float(np.sum(np.abs(pj @ P - pj)[:-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    # pi ends near state 28438: caps 64 to 32768, ten in all
+    DiscreteBurstModel(ConstantRate(2.0), LinearDecay(2e-4), GeometricBurst(0.5)),
+    # a linear rate, whose largest rate grows with the cap
+    DiscreteBurstModel(LinearRate(2.0, 1e-4), LinearDecay(1e-3), GeometricBurst(0.5)),
+    DiscreteBurstModel(ConstantRate(3.0), LinearDecay(0.01), TabulatedBurst((0.2, 0.5, 0.3))),
+], ids=["constant", "linear", "tabulated"])
+def test_start_law_is_one_recurrence_equal_to_a_fresh_solve_at_its_final_cap(model, monkeypatch):
+    runs = []
+
+    def counted(model, caps, tail_tol):
+        runs.append(caps)
+        return tail_sum_law(model, caps, tail_tol)
+    tail_sum_law = discrete._tail_sum_law
+    monkeypatch.setattr(discrete, "_tail_sum_law", counted)
+    law = _jump_epoch_law(model)
+    assert len(runs) == 1
+    cap = 64
+    while True:     # the first doubled cap whose top 5% holds under 1e-12
+        try:
+            pi = stationary_pmf_general(model, cap, tail_tol=1e-12)
+            break
+        except TailNotConverged:
+            cap *= 2
+    n = np.arange(cap + 1)
+    ref = pi.values * (np.asarray(model.burst_rate.value(n), float)
+                       + np.asarray(model.decay.value(n), float))
+    ref = ref[: np.flatnonzero(ref)[-1] + 1]
+    assert law.dtype == ref.dtype and law.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("model, seed", [
