@@ -447,9 +447,10 @@ def _run_evolve_master(cfg, model, out: Path):
     scalars = {
         "final_l1": float(trace.l1_to_stationary[-1]),
         "max_mass_drift": max(abs(p.mass() - 1.0) for p in trace.pmfs),
-        # finite-state-projection certificate: the most mass parked at the cap
-        "max_cap_mass": max(float(p.values[-1]) for p in trace.pmfs),
+        # finite-state-projection certificate: a bound on the mass parked at the cap
+        "max_cap_mass": trace.max_cap_mass,
         "squarings": trace.squarings,
+        "solved_states": trace.solved_states,
     }
     return scalars, ["trace.csv", "final_pmf.csv"]
 

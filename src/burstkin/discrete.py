@@ -453,7 +453,43 @@ class MasterTrace:
     times: np.ndarray
     pmfs: list
     l1_to_stationary: np.ndarray
-    squarings: int      # renormalized squarings of the one propagator
+    squarings: int      # renormalized squarings of the accepted propagator
+    solved_states: int  # k + 1 on a projection with its sink at k, else cap + 1
+    # an upper bound on the cap-truncated chain's mass at its cap over the
+    # snapshots: the sink's final mass, or the largest cap entry if solved there
+    max_cap_mass: float
+
+
+# a projection is kept once its sink holds at most this mass at t_end
+_FSP_TOL = 1e-14
+
+
+def _first_sink(values: np.ndarray, stationary: np.ndarray, decay: np.ndarray,
+                t_end: float) -> int:
+    """The first sink index k above v0's support at which the stationary
+    law's mass from k up, and its flux up into k over the horizon,
+    t_end decay(k) pi(k), both fall below _FSP_TOL / 4; the cap if none.
+    Zero net flux across every cut makes the flux up the decay flux down."""
+    with np.errstate(over="ignore", invalid="ignore"):  # t_end near the float limit
+        flux = decay * stationary * t_end
+    quiet = (flux < _FSP_TOL / 4) & (np.cumsum(stationary[::-1])[::-1] < _FSP_TOL / 4)
+    quiet[:max(2, len(np.trim_zeros(values, "b")))] = False   # G needs 3 states
+    return int(np.argmax(quiet)) if quiet.any() else len(values) - 1
+
+
+def _snapshot_values(model: DiscreteBurstModel, values: np.ndarray, dt: float,
+                     n_snapshots: int, sink: bool) -> tuple[list, int]:
+    """v0 stepped n_snapshots times by exp(dt G) on len(values) states, the
+    top one absorbing if ``sink``, and the propagator's squarings."""
+    gen = master_rhs_truncated(model, np.eye(len(values)))
+    if sink:
+        gen[:, -1] = 0.0
+    step, squarings = _propagator(gen, dt)
+    snaps = []
+    for _ in range(n_snapshots):
+        values = step @ values
+        snaps.append(values)
+    return snaps, squarings
 
 
 def evolve_master(
@@ -471,6 +507,15 @@ def evolve_master(
     in place.  G is dense, so the cap is limited to 2048 states.  The
     stationary reference is G's null vector: the law on the same
     truncated support with zero flux across every cut (tail check off).
+
+    The solve runs on a finite-state projection (Munsky & Khammash,
+    J. Chem. Phys. 124, 044104, 2006): states 0..k-1 and a sink k that
+    absorbs every burst landing at or above it, k from _first_sink.  The
+    cap-truncated chain and the projected one agree until the chain first
+    reaches k, so each snapshot, padded with zeros to the cap, lies
+    within the sink's mass of the cap's, in L1.  The sink only fills: a
+    projection is kept when it holds at most _FSP_TOL at t_end, otherwise
+    k doubles, and from k >= cap the cap itself is solved, without a sink.
     """
     values = np.asarray(getattr(v0, "values", v0), dtype=float)
     cap = len(values) - 1
@@ -483,16 +528,24 @@ def evolve_master(
         raise ModelError("evolve_master: t_end must be > 0")
     if n_snapshots < 1:
         raise ModelError("evolve_master: n_snapshots must be >= 1")
-    step, squarings = _propagator(master_rhs_truncated(model, np.eye(cap + 1)),
-                                  t_end / n_snapshots)
-    pmfs = []
-    for _ in range(n_snapshots):
-        values = step @ values
-        pmfs.append(Pmf(values))
     stationary = stationary_pmf_general(model, cap, tail_tol=None).values
+    dt = t_end / n_snapshots
+    k = _first_sink(values, stationary, _rate_arrays(model, cap)[1], t_end)
+    while k < cap:
+        snaps, squarings = _snapshot_values(model, values[:k + 1], dt, n_snapshots, True)
+        cap_mass = float(snaps[-1][-1])     # the sink's, a bound on the cap's
+        if cap_mass <= _FSP_TOL:
+            pmfs = [Pmf(np.concatenate((v[:k], np.zeros(cap + 1 - k)))) for v in snaps]
+            break
+        k *= 2
+    else:
+        k = cap
+        snaps, squarings = _snapshot_values(model, values, dt, n_snapshots, False)
+        pmfs = [Pmf(v) for v in snaps]
+        cap_mass = max(float(v[-1]) for v in snaps)
     dists = np.array([l1_distance(p.values, stationary) for p in pmfs])
     times = np.array([t_end * (i + 1) / n_snapshots for i in range(n_snapshots)])
-    return MasterTrace(times, pmfs, dists, squarings)
+    return MasterTrace(times, pmfs, dists, squarings, k + 1, cap_mass)
 
 
 # ---------------------------------------------------------------------------

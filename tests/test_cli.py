@@ -721,15 +721,16 @@ def density_mode_configs(draw):
 
 
 @settings(max_examples=900)
-@given(text=density_mode_configs())
-def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text):
+@given(text=density_mode_configs(), rerun=st.integers(0, 9))
+def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text, rerun):
     # the contract of all nine modes: the three built on a grid density,
     # the PDMP and the ergodicity margin, over every continuous rate x burst
     # pair, the stationary law, the jump chain and the master equation's
-    # one propagator, from t_end = 1e-3 to 1e300, over every discrete rate
-    # family, and the mode census on both: each run
+    # projected or full-cap propagator, from t_end = 1e-3 to 1e300, over
+    # every discrete rate family, and the mode census on both: each run
     # returns finite CSVs and a summary.json that parses strictly, or
-    # raises a BurstkinError.  No warning and no other exception may escape
+    # raises a BurstkinError.  No warning and no other exception may escape.
+    # One draw in ten runs again and must write the same CSV bytes
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -739,6 +740,7 @@ def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text
             return
         json.loads((Path(tmp) / "summary.json").read_text(),
                    parse_constant=_no_bare_constants)
+        blobs = {name: (Path(tmp) / name).read_bytes() for name in summary.artifacts}
         for name in summary.artifacts:
             if name == "modes.csv":     # x_root,kind, and maybe no row at all
                 rows = (Path(tmp) / name).read_text().splitlines()[1:]
@@ -746,6 +748,10 @@ def test_density_and_pdmp_modes_return_finite_artifacts_or_a_burstkin_error(text
                 continue
             table = np.loadtxt(Path(tmp) / name, delimiter=",", skiprows=1, ndmin=2)
             assert np.all(np.isfinite(table)), name
+        if rerun == 0:
+            assert run_experiment(cfg).artifacts == summary.artifacts
+            for name, blob in blobs.items():
+                assert (Path(tmp) / name).read_bytes() == blob, name
 
 
 @pytest.mark.parametrize("rate", [

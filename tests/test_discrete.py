@@ -705,6 +705,76 @@ def test_evolve_master_never_enters_lapack(monkeypatch):
     assert np.sum(np.abs(even.pmfs[-1].values - once.pmfs[-1].values)) < 1e-12
 
 
+def projected_within_the_sink(model, cap, n0, t_end, n_snapshots=25):
+    """evolve_master from n0 against the full-cap propagator, snapshot by
+    snapshot: the coupling bound |p - ref|_1 <= sink mass, plus rounding.
+    Returns the trace and the references."""
+    v0 = np.zeros(cap + 1)
+    v0[n0] = 1.0
+    trace = evolve_master(model, v0, t_end, n_snapshots=n_snapshots)
+    step, _ = _propagator(master_rhs_truncated(model, np.eye(cap + 1)), t_end / n_snapshots)
+    refs = [v0]
+    for pmf in trace.pmfs:
+        refs.append(step @ refs[-1])
+        assert np.sum(np.abs(pmf.values - refs[-1])) <= trace.max_cap_mass + 1e-14
+    assert 3 <= trace.solved_states <= cap + 1
+    if trace.solved_states <= cap:
+        assert trace.max_cap_mass <= discrete._FSP_TOL
+    return trace, refs[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=discrete_models(), cap=st.integers(3, 400), start=st.floats(0.0, 1.0),
+       t_end=st.floats(1e-3, 1e3))
+def test_projection_lies_within_its_sink_of_the_full_cap(model, cap, start, t_end):
+    projected_within_the_sink(model, cap, int(start * cap), t_end)
+
+
+# the benchmark's three master-equation cells, seed 1
+BENCH_CELLS = {
+    "linear-400": (DiscreteBurstModel(LinearRate(2.6703567311513194, 0.17563895170332428),
+                                      LinearDecay(0.950826147254911),
+                                      GeometricBurst(0.5257182181137077)),
+                   400, 31.551509270765955),
+    "hill-300": (DiscreteBurstModel(HillRate(3.106932728010263, 2.4520271609574094, 1.0,
+                                             0.5994318423030599, 2.3837123685134634),
+                                    LinearDecay(1.1247097531049608),
+                                    GeometricBurst(0.486710282526116)),
+                 300, 26.673548368527683),
+    "constant-200": (DiscreteBurstModel(ConstantRate(2.482329843861655),
+                                        LinearDecay(0.9422476522134748),
+                                        GeometricBurst(0.5004397716236079)),
+                     200, 31.838763333106428),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(BENCH_CELLS))
+def test_projection_solves_the_benchmark_cells_on_under_half_the_cap(cell):
+    model, cap, t_end = BENCH_CELLS[cell]
+    trace, _ = projected_within_the_sink(model, cap, 0, t_end)
+    assert trace.solved_states <= cap / 2
+
+
+def test_projection_doubles_past_a_start_above_the_bulk():
+    # the first sink sits just above n0 = 160, and the first bursts fill it
+    model, cap, t_end = BENCH_CELLS["linear-400"]
+    trace, _ = projected_within_the_sink(model, cap, 160, t_end)
+    assert 2 * 161 <= trace.solved_states - 1 < cap
+
+
+@pytest.mark.parametrize("n0, t_end", [(200, 31.838763333106428), (0, 1e300)])
+def test_projection_falls_back_to_the_cap_bit_for_bit(n0, t_end):
+    # a start at the cap leaves no room for a sink, and over 1e300 the
+    # stationary flux into every state below the cap exceeds the tolerance:
+    # both solve the cap itself
+    model, cap, _ = BENCH_CELLS["constant-200"]
+    trace, refs = projected_within_the_sink(model, cap, n0, t_end)
+    assert trace.solved_states == cap + 1
+    assert trace.max_cap_mass == max(float(ref[-1]) for ref in refs)
+    for pmf, ref in zip(trace.pmfs, refs):
+        assert np.array_equal(pmf.values, ref)
+
+
 # ---------------------------------------------------------------------------
 # jump-chain simulation
 # ---------------------------------------------------------------------------
